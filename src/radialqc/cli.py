@@ -294,10 +294,8 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
     x0 = _one_of(args, "r", "log2_r", "r")
     if args.iterates < 0:
         raise UsageError("--iterates must be >= 0")
-    rows = []
-    for m in range(args.iterates + 1):
-        y = h.iterate(x0, m)
-        rows.append((m, y, 2.0**y))
+    orbit = h.iterate(x0, np.arange(args.iterates + 1)).tolist()
+    rows = [(m, y, 2.0**y) for m, y in enumerate(orbit)]
     _emit_table(cfg, "iterate", ("m", "log2_value", "value"), rows)
     return 0
 

@@ -16,6 +16,7 @@ A central-difference oracle recomputes the same quantities numerically.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,10 @@ class DistortionReport:
 
 
 def _check_dimension(d) -> int:
-    d = int(d)
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise TypeError("dimension must be an integer >= 2") from None
     if d < 2:
         raise ValueError("dimension must be an integer >= 2")
     return d
@@ -150,15 +154,19 @@ def iterate_max_distortion(h, d, m_max):
     match h itself, so the sequence is bounded independent of m.
     """
     d = _check_dimension(d)
-    m_max = int(m_max)
+    m_max = operator.index(m_max)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     out = []
+    # signed odd-minus-even index counts along the orbits of an odd-index
+    # interval (n0 = 1) and an even-index one (n0 = 2), kept as running sums
+    net_odd = net_even = 0
     for m in range(1, m_max + 1):
-        exps = set()
-        for n0 in (1, 2):  # one orbit from an odd-index interval, one from even
-            net = sum(1 if (n0 + i) % 2 == 1 else -1 for i in range(m))
-            exps.add(h.K ** (2 * net))
+        # the m-th interval has index m on the first orbit, m + 1 on the second
+        step = 1 if m % 2 == 1 else -1
+        net_odd += step
+        net_even -= step
+        exps = {h.K ** (2 * net_odd), h.K ** (2 * net_even)}
         reports = [radial_power_distortion(a, d) for a in sorted(exps)]
         out.append(
             DistortionReport(

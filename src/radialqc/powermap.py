@@ -26,6 +26,13 @@ Useful consequences of the layout, relied on elsewhere in the package:
   * product identity:  log2 r_{2n} + log2 r_m = log2 r_{2n+m}
   * value intervals:   f maps [r_n, r_{n-1}] onto [2^-n, 2^-(n-1)], so the
     value-side interval index is simply ceil(-log2 value).
+
+Supported domain, shared by every evaluator in the package: breakpoint
+indices 0 <= n <= ``MAX_BREAKPOINT_INDEX`` (2^53, where integers stop being
+exact doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so
+every interval index reached from x stays within the index bound), plus the
+-inf sentinel.  Inputs outside it raise ``ValueError`` before any integer
+cast, so no index wraps around.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_ABS_LOG2_RADIUS",
+    "MAX_BREAKPOINT_INDEX",
     "RADIUS_ZERO_LOG2",
     "NotDifferentiableError",
     "PiecewisePowerMap",
@@ -45,6 +54,13 @@ __all__ = [
 
 #: log2 sentinel for the radius 0 (fixed point and image of 0 under every map here).
 RADIUS_ZERO_LOG2 = float("-inf")
+
+#: largest breakpoint index accepted (indices and iteration counts alike).
+MAX_BREAKPOINT_INDEX = 2**53
+
+#: largest |log2 radius| accepted; interval lookups then probe indices below
+#: 2 |x| / (K + 1/K) + 6 < ``MAX_BREAKPOINT_INDEX``, since K + 1/K > 2.
+MAX_ABS_LOG2_RADIUS = 2.0**52
 
 
 class NotDifferentiableError(ValueError):
@@ -60,6 +76,8 @@ def _validate_log_radius(a, name, allow_zero_radius=True):
         raise ValueError(f"{name} must be a log2 radius, not NaN or +inf")
     if np.any(a > 0.0):
         raise ValueError(f"{name} must be <= 0 (base-2 log of a radius in (0, 1])")
+    if np.any((a < -MAX_ABS_LOG2_RADIUS) & (a != RADIUS_ZERO_LOG2)):
+        raise ValueError(f"{name} must be >= -2**52 (or the radius-0 sentinel -inf)")
     if not allow_zero_radius and np.any(np.isneginf(a)):
         raise ValueError(f"{name}: the radius-0 sentinel is not accepted here")
 
@@ -70,26 +88,30 @@ def _scalar_like(x, out1d):
 
 
 def breakpoint_log2(K, n):
-    """log2 of the n-th breakpoint radius, valid for every n >= 0.
+    """log2 of the n-th breakpoint radius, for 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
 
     Parity-split closed form; equals the recurrence
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
     """
-    K = float(K)
     na = np.asarray(n)
     if not np.issubdtype(na.dtype, np.integer):
-        raise TypeError("breakpoint index must be an integer")
-    if np.any(na < 0):
-        raise ValueError("breakpoint index must be >= 0")
-    na = na.astype(np.int64)
+        raise TypeError("breakpoint index must be an integer within 64 bits")
+    if np.any(na < 0) or np.any(na > MAX_BREAKPOINT_INDEX):
+        raise ValueError("breakpoint index must lie in 0..2**53")
+    out = _breakpoint_log2(float(K), na.astype(np.int64))
+    return float(out) if np.ndim(n) == 0 else out
+
+
+def _breakpoint_log2(K, na):
+    """``breakpoint_log2`` without validation, for int64 indices derived from
+    in-domain log2 radii (interval lookups call it on every evaluation)."""
     m_odd = (na + 1) // 2
     m_even = na // 2
-    out = np.where(
+    return np.where(
         (na % 2) == 1,
         -((m_odd - 1) * K + m_odd / K),
         -(m_even * K + m_even / K),
     ) + 0.0  # normalize -0.0 at n = 0
-    return float(out) if np.ndim(n) == 0 else out
 
 
 def _exponent(K, n):
@@ -129,7 +151,7 @@ class PiecewisePowerMap:
     log2_C: np.ndarray
 
     def breakpoint(self, n):
-        """log2 r_n for any n >= 0 (not limited by ``depth``)."""
+        """log2 r_n for any index in the domain (not limited by ``depth``)."""
         return breakpoint_log2(self.K, n)
 
     def _locate(self, xf):
@@ -144,8 +166,8 @@ class PiecewisePowerMap:
             cand = lo + off
             hit = (
                 (out < 0)
-                & (breakpoint_log2(self.K, cand) <= xf)
-                & (xf <= breakpoint_log2(self.K, cand - 1))
+                & (_breakpoint_log2(self.K, cand) <= xf)
+                & (xf <= _breakpoint_log2(self.K, cand - 1))
             )
             out = np.where(hit, cand, out)
         if np.any(out < 0):
@@ -235,8 +257,8 @@ class PiecewisePowerMap:
 def _strict_branch_index(map_, xa1):
     """Branch indices for points strictly inside a branch; breakpoints raise."""
     n = map_._locate(xa1)
-    on_bp = (xa1 == breakpoint_log2(map_.K, n)) | (
-        xa1 == breakpoint_log2(map_.K, n - 1)
+    on_bp = (xa1 == _breakpoint_log2(map_.K, n)) | (
+        xa1 == _breakpoint_log2(map_.K, n - 1)
     )
     if np.any(on_bp):
         raise NotDifferentiableError(
@@ -266,5 +288,7 @@ def build_standard_map(K, depth=10_000) -> PiecewisePowerMap:
         ([np.nan], np.asarray(_coefficient_log2(K, idx[1:]), dtype=float))
     )
     if log2_r[0] != 0.0 or log2_C[1] != 0.0 or np.any(np.diff(log2_r) >= 0.0):
-        raise AssertionError("breakpoint chain failed construction sanity checks")
+        raise ValueError(
+            "K too large for float64: consecutive breakpoints coincide within depth"
+        )
     return PiecewisePowerMap(K=K, depth=depth, log2_r=log2_r, k=k, log2_C=log2_C)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import (
+    MAX_BREAKPOINT_INDEX,
     RADIUS_ZERO_LOG2,
     PiecewisePowerMap,
     _scalar_like,
@@ -81,18 +82,28 @@ class ConjugatedMap:
         return _scalar_like(x, out)
 
     def iterate(self, x, m):
-        """log2 h^m(2^x) for m >= 0.
+        """log2 h^m(2^x) for integer counts 0 <= m <= ``MAX_BREAKPOINT_INDEX``.
 
         Even iterate counts use the exact similarity
         log2 h^{2p}(x) = x - p (K + 1/K), so no branch-evaluation error
-        accumulates over long orbits; an odd count applies h once more.
+        accumulates over long orbits; an odd count applies h once more.  An
+        integer array ``m`` broadcasts against ``x``: every entry gets the
+        similarity, then the odd entries share one array evaluation of h.
         """
-        m = int(m)
-        if m < 0:
-            raise ValueError("iteration count must be >= 0")
+        ma = np.asarray(m)
+        if not np.issubdtype(ma.dtype, np.integer):
+            raise TypeError("iteration count must be an integer within 64 bits")
+        if np.any(ma < 0) or np.any(ma > MAX_BREAKPOINT_INDEX):
+            raise ValueError("iteration count must lie in 0..2**53")
+        m = int(ma) if ma.ndim == 0 else ma
         xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x")
         y = xa - (m // 2) * (self.K + 1.0 / self.K)
+        if ma.ndim:
+            odd = np.broadcast_to(m % 2 == 1, y.shape)
+            if odd.any():
+                y[odd] = self.eval_log(y[odd])
+            return y
         if m % 2:
             return self.eval_log(float(y) if np.ndim(x) == 0 else y)
         return float(y) if np.ndim(x) == 0 else y

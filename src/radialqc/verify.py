@@ -77,11 +77,23 @@ def recurrence_vs_closed_worst(K, depth):
     """Worst |closed-form - recurrence| log2 breakpoint over n <= depth.
 
     The recurrence log2 r_n = log2 r_{n-1} - 1/k_n accumulated from r_0 = 1 is
-    the independent route against the parity-split closed form.
+    the independent route against the parity-split closed form.  It runs as a
+    compensated (Neumaier) sum: a plain float64 running sum gathers roundoff
+    with every step (1.2e-9 by n = 10^4 at K = 3), which is the
+    accumulation's error, not the closed form's.
     """
     n = np.arange(1, depth + 1)
     k_n = np.where(n % 2 == 1, K, 1.0 / K)
-    recurrence = -np.cumsum(1.0 / k_n)
+    recurrence = np.empty(depth)
+    total = comp = 0.0
+    for i, step in enumerate((-1.0 / k_n).tolist()):
+        t = total + step
+        if abs(total) >= abs(step):
+            comp += (total - t) + step
+        else:
+            comp += (step - t) + total
+        total = t
+        recurrence[i] = total + comp
     return float(np.max(np.abs(breakpoint_log2(K, n) - recurrence)))
 
 

@@ -16,6 +16,7 @@ one zoom limit is the whole point of the construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,9 @@ import numpy as np
 from .powermap import (
     RADIUS_ZERO_LOG2,
     PiecewisePowerMap,
+    _breakpoint_log2,
     _scalar_like,
     _validate_log_radius,
-    breakpoint_log2,
 )
 
 __all__ = [
@@ -72,8 +73,8 @@ def _locate_shifted(K, xf):
         cand = np.maximum(m0 + off, 0)
         hit = (
             (out < 0)
-            & (breakpoint_log2(K, 2 * cand + 2) <= xf)
-            & (xf <= breakpoint_log2(K, 2 * cand))
+            & (_breakpoint_log2(K, 2 * cand + 2) <= xf)
+            & (xf <= _breakpoint_log2(K, 2 * cand))
         )
         out = np.where(hit, cand, out)
     if np.any(out < 0):
@@ -88,19 +89,19 @@ def _limit_eval_finite(kind, K, source, xf):
         # -n - k_n log2 r_n, a different arithmetic route than eval_log.
         n = source._locate(xf)
         k_n = np.where((n % 2) == 1, K, 1.0 / K)
-        return -n - k_n * breakpoint_log2(K, n) + k_n * xf
+        return -n - k_n * _breakpoint_log2(K, n) + k_n * xf
     if kind == "Q1":
         # Slopes K^2 / 1/K^2 on the base intervals, anchored so that the
         # even-indexed breakpoints are fixed points.
         n = source._locate(xf)
         odd = (n % 2) == 1
         slope = np.where(odd, K * K, 1.0 / (K * K))
-        anchor = breakpoint_log2(K, np.asarray(np.where(odd, n - 1, n)))
+        anchor = _breakpoint_log2(K, np.where(odd, n - 1, n))
         return (1.0 - slope) * anchor + slope * xf
     # P2 / Q2: branch switch at the shifted odd breakpoints.
     m, high = _locate_shifted(K, xf)
-    lr_hi = breakpoint_log2(K, 2 * m)
-    lr_lo = breakpoint_log2(K, 2 * m + 2)
+    lr_hi = _breakpoint_log2(K, 2 * m)
+    lr_lo = _breakpoint_log2(K, 2 * m + 2)
     if kind == "P2":
         hi_val = -(2 * m) - lr_hi / K + xf / K
         lo_val = -(2 * m + 2) - K * lr_lo + K * xf
@@ -169,7 +170,7 @@ def scale_at(map_, sequence, n):
     """log2 scale t_n: the 2n-th breakpoint for "even", the (2n-1)-th for "odd"."""
     if sequence not in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
         raise ValueError(f'sequence must be "even" or "odd", got {sequence!r}')
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("sequence index n must be >= 1")
     base = _base_of(map_)

@@ -179,17 +179,18 @@ class TestDistortion:
 
 class TestVerify:
     def test_passes_and_reports(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--depth", "300", "--grid-points", "120"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["schema_version"] == 1
-        assert report["all_passed"] is True
-        assert report["failed"] == 0
-        names = {c["name"] for c in report["checks"]}
-        assert "breakpoints_closed_form_vs_recurrence" in names
-        assert "zoom_h_odd_scales_match_q2" in names
+        # K = 3 at the default depth: a plain float64 running sum of the
+        # breakpoint recurrence drifted past 1e-9 there
+        for flags in (("--depth", "300"), ("--K", "3")):
+            code, out, _ = run_cli(capsys, "verify", *flags, "--grid-points", "120")
+            assert code == 0
+            report = json.loads(out)
+            assert report["schema_version"] == 1
+            assert report["all_passed"] is True
+            assert report["failed"] == 0
+            names = {c["name"] for c in report["checks"]}
+            assert "breakpoints_closed_form_vs_recurrence" in names
+            assert "zoom_h_odd_scales_match_q2" in names
 
     def test_sub_roundoff_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
@@ -254,8 +255,10 @@ class TestConfigAndOutput:
         assert "\r\n" in out
 
     def test_bad_K_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "eval", "--map", "f", "--K", "1.0", "--r", "0.5")
-        assert code == 2
+        # 1e8: consecutive breakpoints coincide in float64
+        for bad_K in ("1.0", "1e8"):
+            code, _, _ = run_cli(capsys, "eval", "--map", "f", "--K", bad_K, "--r", "0.5")
+            assert code == 2
 
 
 def test_example_values_from_interface_docs(capsys):

@@ -4,6 +4,7 @@ check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ class TestSupremum:
         assert max_distortion(f, 2).K_max == 2.0
         assert max_distortion(h, 2).K_max == 4.0
 
+    def test_non_integral_dimension_rejected(self, f):
+        # never truncated to d = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                max_distortion(f, 2.5)
+
     def test_matches_closed_form_across_K_and_d(self):
         for K in (1.1, 2.0, 5.0):
             f = build_standard_map(K, 50)
@@ -158,7 +166,27 @@ class TestSupremum:
                 )
 
 
+def quadratic_iterate_distortion(h, d, m_max):
+    """Reference: re-sum both signed orbit counts for every m, O(m_max^2)."""
+    out = []
+    for m in range(1, m_max + 1):
+        exps = set()
+        for n0 in (1, 2):
+            net = sum(1 if (n0 + i) % 2 == 1 else -1 for i in range(m))
+            exps.add(h.K ** (2 * net))
+        reports = [radial_power_distortion(a, d) for a in sorted(exps)]
+        out.append((max(r.K_O for r in reports), max(r.K_I for r in reports)))
+    return out
+
+
 class TestIterateDistortion:
+    def test_matches_quadratic_orbit_sum(self):
+        for K in (2.0, 1.37, 7.3):
+            h = build_conjugated_map(build_standard_map(K, 50))
+            for d in (2, 3):
+                got = [(r.K_O, r.K_I) for r in iterate_max_distortion(h, d, 300)]
+                assert got == quadratic_iterate_distortion(h, d, 300)
+
     def test_alternating_pattern(self, h):
         reports = iterate_max_distortion(h, 2, 8)
         assert [rep.K_max for rep in reports] == [4.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0, 1.0]
@@ -190,6 +218,8 @@ class TestIterateDistortion:
     def test_rejects_zero_iterations(self, h):
         with pytest.raises(ValueError):
             iterate_max_distortion(h, 2, 0)
+        with pytest.raises(TypeError):
+            iterate_max_distortion(h, 2, 2.5)
 
 
 class TestLinearDistortion:

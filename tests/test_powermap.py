@@ -9,6 +9,7 @@ Independent oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,9 +46,12 @@ def scan_locate(f, x):
 
 class TestConstruction:
     def test_rejects_bad_parameters(self):
-        for bad_K in (1.0, 0.5, -2.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                build_standard_map(bad_K)
+        # K = 1e8: the 1/K steps vanish against K, so breakpoints coincide
+        for bad_K in (1.0, 0.5, -2.0, float("nan"), float("inf"), 1e8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    build_standard_map(bad_K)
         with pytest.raises(ValueError):
             build_standard_map(2.0, depth=1)
 
@@ -110,6 +114,18 @@ class TestConstruction:
         lr = lambda j: breakpoint_log2(K, j)
         assert abs(lr(2 * n) + lr(m) - lr(2 * n + m)) <= 1e-9
         assert abs(lr(2 * n + 1) + lr(2 * m + 1) - lr(2 * (n + m) + 1) + 1.0 / K) <= 1e-9
+
+    def test_index_domain_bound(self):
+        # indices past 2^63 - 1 would wrap around in int64 arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (2**63 - 1, 2**63, 2**53 + 1, np.array([3, 2**62]), -1):
+                with pytest.raises(ValueError):
+                    breakpoint_log2(2.0, bad)
+            for bad in (2**64, 1.5, np.array([1.0])):
+                with pytest.raises(TypeError):
+                    breakpoint_log2(2.0, bad)
+            assert breakpoint_log2(2.0, 2**53) == -(2**52) * 2.5
 
     def test_breakpoints_strictly_decreasing(self):
         f = build_standard_map(3.7, 2000)
@@ -202,6 +218,19 @@ class TestInverse:
     def test_sentinel(self):
         f = build_standard_map(2.0, 10)
         assert f.inverse_eval_log(RADIUS_ZERO_LOG2) == RADIUS_ZERO_LOG2
+
+    def test_radius_domain_bound(self):
+        # the interval index of |x| = 1e300 does not fit in int64
+        f = build_standard_map(2.0, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (f.eval_log, f.inverse_eval_log, f.locate_interval):
+                for bad in (-1e300, -(2.0**53), np.array([-1.0, -1e300])):
+                    with pytest.raises(ValueError):
+                        call(bad)
+            deep = breakpoint_log2(2.0, 2**40)
+            assert f.eval_log(deep) == -(2.0**40)
+            assert f.inverse_eval_log(-(2.0**40)) == deep
 
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=150, deadline=None)

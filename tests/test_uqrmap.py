@@ -140,6 +140,31 @@ class TestIterates:
     def test_negative_count_rejected(self, h):
         with pytest.raises(ValueError):
             h.iterate(-1.0, -1)
+        with pytest.raises(ValueError):
+            h.iterate(-1.0, np.array([3, -1]))
+
+    def test_non_integral_count_rejected(self, h):
+        # counts are never truncated (2.5 is not 2)
+        for bad in (2.5, 2.0, np.array([1.0, 2.0])):
+            with pytest.raises(TypeError):
+                h.iterate(-3.0, bad)
+
+    def test_array_counts_match_scalar_loop(self):
+        for K in (2.0, 1.37, 7.3):
+            h = build_conjugated_map(build_standard_map(K, 50))
+            m = np.arange(0, 41)
+            for x in (0.0, -0.77, -1e4, RADIUS_ZERO_LOG2):
+                loop = np.array([h.iterate(x, int(k)) for k in m])
+                assert np.array_equal(h.iterate(x, m), loop)
+            # broadcasting: one count per start point, mixed parity, with m = 0
+            xs = np.linspace(-20.0, 0.0, 41)
+            xs[7] = RADIUS_ZERO_LOG2
+            counts = (m * 7) % 5
+            loop = np.array([h.iterate(x, int(k)) for x, k in zip(xs, counts)])
+            assert np.array_equal(h.iterate(xs, counts), loop)
+            grid = h.iterate(xs[:, None], m[None, :])
+            assert grid.shape == (41, 41)
+            assert np.array_equal(grid[:, 5], h.iterate(xs, 5))
 
     def test_sentinel_orbit(self, h):
         assert h.iterate(RADIUS_ZERO_LOG2, 7) == RADIUS_ZERO_LOG2

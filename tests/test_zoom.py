@@ -8,6 +8,7 @@ breakpoint.  Frozen values below were computed with those oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,8 +172,14 @@ class TestDeviation:
     def test_bad_sequence_rejected(self, f):
         with pytest.raises(ValueError):
             scale_at(f, "sideways", 1)
-        with pytest.raises(ValueError):
-            scale_at(f, "even", 0)
+        # 2 * 2^62 would wrap around in int64 arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (0, 2**62, 2**52 + 1):
+                with pytest.raises(ValueError):
+                    scale_at(f, "even", bad)
+            with pytest.raises(TypeError):
+                scale_at(f, "odd", 2.5)
 
 
 class TestIvtSampler:
