@@ -26,7 +26,7 @@ from .distortion import (
 )
 from .powermap import build_standard_map
 from .uqrmap import build_conjugated_map
-from .verify import run_verification
+from .verify import SCHEMA_VERSION, run_verification
 from .zoom import (
     BracketError,
     ivt_sample,
@@ -141,7 +141,7 @@ def _emit_table(cfg: RunConfig, command, header, rows, extra=None):
     if cfg.output_format == "json":
         payload = {
             "command": command,
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "columns": list(header),
             "rows": [[c if isinstance(c, str) else _fmt_cell(c) for c in row] for row in rows],
         }
@@ -289,8 +289,6 @@ def _cmd_ivt(cfg: RunConfig, args) -> int:
 def _cmd_iterate(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K, cfg.depth)
     h = build_conjugated_map(f)
-    if args.map != "h":
-        raise UsageError("iterate applies to the conjugated map: use --map h")
     x0 = _one_of(args, "r", "log2_r", "r")
     if args.iterates < 0:
         raise UsageError("--iterates must be >= 0")

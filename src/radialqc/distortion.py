@@ -201,7 +201,11 @@ def linear_distortion_radial(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts = (2.0**lx) * u
         radii = np.linalg.norm(pts, axis=1)
-        images = np.array([f(v) for v in radii])[:, None] * (pts / radii[:, None])
+        if hasattr(map_, "eval_log"):  # one array evaluation per radius
+            image = np.exp2(map_.eval_log(np.log2(radii)))
+        else:  # a plain callable takes one radius at a time
+            image = np.array([f(v) for v in radii])
+        images = image[:, None] * (pts / radii[:, None])
         mags = np.linalg.norm(images, axis=1)
         worst = max(worst, float(mags.max() / mags.min()))
     return worst

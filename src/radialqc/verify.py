@@ -125,18 +125,24 @@ def product_identities_worst(K, depth):
         log2 r_{2n+1} + log2 r_{2m+1} = log2 r_{2(n+m)+1} - 1/K
     """
     lr = breakpoint_log2(K, np.arange(depth + 1))
+    buf = np.empty(depth + 1)
     worst_even = 0.0
     for n in range(1, depth // 2 + 1):
-        m = np.arange(0, depth - 2 * n + 1)
-        res = np.abs(lr[2 * n] + lr[m] - lr[2 * n + m])
-        worst_even = max(worst_even, float(res.max()))
+        # row n, m = 0 .. depth - 2n: lr[2n] + lr[m] - lr[2n + m]
+        size = depth - 2 * n + 1
+        res = np.add(lr[2 * n], lr[:size], out=buf[:size])
+        np.subtract(res, lr[2 * n : 2 * n + size], out=res)
+        worst_even = max(worst_even, float(res.max()), -float(res.min()))
     worst_odd = 0.0
     shift = 1.0 / K
+    odd = np.ascontiguousarray(lr[1::2])  # odd[j] = log2 r_{2j+1}
     top = (depth - 1) // 2
     for n in range(0, top + 1):
-        m = np.arange(0, top - n + 1)
-        res = np.abs(lr[2 * n + 1] + lr[2 * m + 1] - lr[2 * (n + m) + 1] + shift)
-        worst_odd = max(worst_odd, float(res.max()))
+        size = top - n + 1
+        res = np.add(odd[n], odd[:size], out=buf[:size])
+        np.subtract(res, odd[n : n + size], out=res)
+        np.add(res, shift, out=res)
+        worst_odd = max(worst_odd, float(res.max()), -float(res.min()))
     return worst_even, worst_odd
 
 
@@ -146,16 +152,12 @@ def breakpoint_image_worst(f, depth):
     return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
 
 
-def _log_grid(lo, hi, count):
-    return np.linspace(lo, hi, count)
-
-
 def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-9):
     """Run every invariant check and return a machine-readable report dict."""
     f = build_standard_map(K, depth)
     h = build_conjugated_map(f)
     period = K + 1.0 / K
-    grid = _log_grid(-3.0 * period, 0.0, grid_points)
+    grid = np.linspace(-3.0 * period, 0.0, grid_points)
     grid_interior = grid[grid < 0.0]
     n_zoom = range(1, 51)
     checks: list[Check] = []
@@ -191,14 +193,17 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
         "mean_radius_equals_forward_eval",
         float(np.max(np.abs(f.mean_radius_radial(grid) - values))),
     )
-    scan_grid = _log_grid(-3.0 * period, 0.0, 301)
-    scan_mismatches = 0
-    for x in scan_grid:
-        n = 1
-        while not (f.breakpoint(n) <= x <= f.breakpoint(n - 1)):
-            n += 1
-        if f.locate_interval(float(x)) != n:
-            scan_mismatches += 1
+    # linear scan: the first n >= 1 with r_n <= x <= r_{n-1}, over enough
+    # breakpoints to cover the grid
+    scan_grid = np.linspace(-3.0 * period, 0.0, 301)
+    n_scan = 8
+    while f.breakpoint(n_scan) > scan_grid[0]:
+        n_scan *= 2
+    bps = f.breakpoint(np.arange(0, n_scan + 1))
+    x_col = scan_grid[:, None]
+    inside = (bps[1:] <= x_col) & (x_col <= bps[:-1])
+    scan_index = np.argmax(inside, axis=1) + 1
+    scan_mismatches = np.count_nonzero(f.locate_interval(scan_grid) != scan_index)
     residual("locate_matches_linear_scan", float(scan_mismatches), 0.0)
 
     # --- zoom limits ---------------------------------------------------------
@@ -264,7 +269,7 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
     )
 
     # --- conjugated dynamics -------------------------------------------------
-    conj_grid = _log_grid(f.breakpoint(20), 0.0, grid_points)
+    conj_grid = np.linspace(f.breakpoint(20), 0.0, grid_points)
     h_closed = h.eval_log(conj_grid)
     residual(
         "conjugacy_functional_identity",
@@ -345,12 +350,12 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
     )
 
     # --- intermediate scales and homogeneity ---------------------------------
-    ivt_worst = 0.0
+    ivt_r0 = []
+    ivt_lam = []
     attempts = 0
-    found = 0
     p1_f = limit_function(f, "P1")
     p2_f = limit_function(f, "P2")
-    while found < 100 and attempts < 10_000:
+    while len(ivt_r0) < 100 and attempts < 10_000:
         attempts += 1
         r0 = float(rng.uniform(-3.0 * period, -0.05))
         a = p1_f.eval_log(r0)
@@ -358,11 +363,15 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
         lo, hi = min(a, b), max(a, b)
         if hi - lo < 0.05:
             continue
-        lam = float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
-        t = ivt_sample(f, r0, lam, tol)
-        ivt_worst = max(ivt_worst, abs(rescaled_eval(f, t, r0) - lam))
-        found += 1
-    residual("ivt_sample_residuals", ivt_worst)
+        ivt_r0.append(r0)
+        ivt_lam.append(float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))))
+    ivt_r0 = np.array(ivt_r0, dtype=float)
+    ivt_lam = np.array(ivt_lam, dtype=float)
+    t = ivt_sample(f, ivt_r0, ivt_lam, tol)
+    residual(
+        "ivt_sample_residuals",
+        np.max(np.abs(rescaled_eval(f, t, ivt_r0) - ivt_lam), initial=0.0),
+    )
     r0 = f.breakpoint(1)
     lam = 0.5 * (p1_f.eval_log(r0) + p2_f.eval_log(r0))
     scales = [ivt_sample(f, r0, lam, tol, period_index=j) for j in range(1, 11)]

@@ -209,39 +209,59 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     with increasing k return strictly smaller scales achieving the same value:
     a scale sequence per target value, hence one subsequential limit per
     target.
+
+    ``r0`` and ``lam`` broadcast against each other.  Each lane runs the
+    bisection of a scalar call (same bracket, midpoints and endpoint snap) and
+    gives that call's result bit for bit; the lanes step in lock-step and a
+    finished lane drops out.  Scalar inputs return a float, arrays an array of
+    the broadcast shape.  One lane outside its bracket raises ``BracketError``.
     """
     tol = float(tol)
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    r0 = float(r0)
-    lam = float(lam)
+    r0a, lama = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float))
+    shape = r0a.shape
+    r0a = r0a.ravel()
+    lama = lama.ravel()
     base = _base_of(map_)
     even_kind, odd_kind = ("P1", "P2") if map_ is base else ("Q1", "Q2")
-    a = limit_function(map_, even_kind).eval_log(r0)
-    b = limit_function(map_, odd_kind).eval_log(r0)
+    a = limit_function(map_, even_kind).eval_log(r0a)
+    b = limit_function(map_, odd_kind).eval_log(r0a)
     t_even = scale_at(map_, EVEN_BREAKPOINTS, period_index)
     t_odd = scale_at(map_, ODD_BREAKPOINTS, period_index)
-    if abs(lam - a) <= tol:
-        return t_even
-    if abs(lam - b) <= tol:
-        return t_odd
-    lo, hi = (a, b) if a < b else (b, a)
-    if not (lo < lam < hi):
+    snap_even = np.abs(lama - a) <= tol
+    snap_odd = ~snap_even & (np.abs(lama - b) <= tol)
+    t = np.where(snap_even, t_even, t_odd)
+    lane = np.flatnonzero(~(snap_even | snap_odd))
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    outside = ~((lo[lane] < lama[lane]) & (lama[lane] < hi[lane]))
+    if outside.any():
+        i = lane[np.argmax(outside)]
         raise BracketError(
-            f"target {lam} is outside the achievable bracket [{lo}, {hi}] at this radius"
+            f"target {float(lama[i])} is outside the achievable bracket "
+            f"[{float(lo[i])}, {float(hi[i])}] at this radius"
         )
-    ta, fa = t_even, a - lam
-    tb = t_odd
+    r0s, lams, fa = r0a[lane], lama[lane], a[lane] - lama[lane]
+    ta = np.full(lane.size, t_even)
+    tb = np.full(lane.size, t_odd)
     for _ in range(200):
+        if not lane.size:
+            break
         tm = 0.5 * (ta + tb)
-        fm = rescaled_eval(map_, tm, r0) - lam
-        if abs(fm) <= tol:
-            return tm
-        if (fm < 0.0) == (fa < 0.0):
-            ta, fa = tm, fm
-        else:
-            tb = tm
-    raise ValueError("bisection exhausted: tol is below float64 resolution")
+        fm = rescaled_eval(map_, tm, r0s) - lams
+        same = (fm < 0.0) == (fa < 0.0)
+        ta = np.where(same, tm, ta)
+        fa = np.where(same, fm, fa)
+        tb = np.where(same, tb, tm)
+        done = np.abs(fm) <= tol
+        if done.any():
+            t[lane[done]] = tm[done]
+            keep = ~done
+            lane, r0s, lams, ta, fa, tb = (v[keep] for v in (lane, r0s, lams, ta, fa, tb))
+    if lane.size:
+        raise ValueError("bisection exhausted: tol is below float64 resolution")
+    return float(t[0]) if not shape else t.reshape(shape)
 
 
 def homogeneity_defect(lf, samples):

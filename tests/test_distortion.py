@@ -231,3 +231,29 @@ class TestLinearDistortion:
     def test_requires_origin(self, f):
         with pytest.raises(ValueError):
             linear_distortion_radial(f, x0_at_origin=False)
+
+    @staticmethod
+    def per_point_reference(radial, d):
+        """The defaults of linear_distortion_radial, one radius at a time."""
+        rng = np.random.default_rng(7)
+        worst = 1.0
+        for lx in (-4.0, -2.0, -1.0, -0.5, -0.25):
+            u = rng.normal(size=(64, d))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            pts = (2.0**lx) * u
+            radii = np.linalg.norm(pts, axis=1)
+            images = np.array([radial(v) for v in radii])[:, None] * (pts / radii[:, None])
+            mags = np.linalg.norm(images, axis=1)
+            worst = max(worst, float(mags.max() / mags.min()))
+        return worst
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bit_identical_to_per_point_evaluation(self, f, h, d):
+        for map_ in (f, h):
+            def radial(r, m=map_):
+                return float(np.exp2(m.eval_log(float(np.log2(r)))))
+            assert linear_distortion_radial(map_, d=d) == self.per_point_reference(radial, d)
+
+        def cube(r):
+            return r**3
+        assert linear_distortion_radial(cube, d=d) == self.per_point_reference(cube, d)

@@ -233,6 +233,66 @@ class TestIvtSampler:
             assert abs(rescaled_eval(f, t, r0) - lam) <= 1e-9
             done += 1
 
+    @staticmethod
+    def bracketed_targets(map_, count, seed):
+        even, odd = ("Q1", "Q2") if hasattr(map_, "source") else ("P1", "P2")
+        a_lim, b_lim = limit_function(map_, even), limit_function(map_, odd)
+        rng = np.random.default_rng(seed)
+        r0s, lams = [], []
+        while len(r0s) < count:
+            r0 = float(rng.uniform(-7.5, -0.05))
+            lo, hi = sorted((a_lim.eval_log(r0), b_lim.eval_log(r0)))
+            if hi - lo < 0.05:
+                continue
+            r0s.append(r0)
+            lams.append(float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))))
+        # two snapped lanes: targets exactly at the even and the odd limit
+        r0s += [r0s[0], r0s[1]]
+        lams += [a_lim.eval_log(r0s[0]), b_lim.eval_log(r0s[1])]
+        return np.array(r0s), np.array(lams)
+
+    @pytest.mark.parametrize("period_index", [1, 3])
+    @pytest.mark.parametrize("which", ["f", "h"])
+    def test_array_lanes_match_scalar_calls_bit_for_bit(self, f, h, which, period_index):
+        map_ = f if which == "f" else h
+        r0s, lams = self.bracketed_targets(map_, 30, seed=7)
+        loop = [ivt_sample(map_, r0, lam, 1e-9, period_index) for r0, lam in zip(r0s, lams)]
+        t = ivt_sample(map_, r0s, lams, 1e-9, period_index)
+        assert isinstance(t, np.ndarray) and t.shape == r0s.shape
+        assert t.tobytes() == np.array(loop).tobytes()
+        assert t[-2] == scale_at(map_, EVEN_BREAKPOINTS, period_index)
+        assert t[-1] == scale_at(map_, ODD_BREAKPOINTS, period_index)
+
+    def test_scalar_r0_broadcasts_against_vector_lam(self, f):
+        r0 = f.breakpoint(1)
+        lams = np.linspace(-0.99, -0.26, 12).reshape(3, 4)  # inside (-1, -1/4)
+        t = ivt_sample(f, r0, lams, 1e-9)
+        assert t.shape == (3, 4)
+        loop = [ivt_sample(f, r0, float(lam), 1e-9) for lam in lams.ravel()]
+        assert t.tobytes() == np.array(loop).reshape(3, 4).tobytes()
+
+    def test_result_type_follows_input(self, f):
+        r0 = f.breakpoint(1)
+        lam = math.log2(0.67)
+        scalar = ivt_sample(f, r0, lam, 1e-9)
+        assert type(scalar) is float
+        one = ivt_sample(f, np.array([r0]), lam, 1e-9)
+        assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == scalar
+        assert ivt_sample(f, np.array([]), lam, 1e-9).shape == (0,)
+
+    def test_tol_below_resolution_exhausts_every_shape(self, f):
+        r0 = f.breakpoint(1)
+        lam = math.log2(0.67)
+        for lams in (lam, np.array([lam, -0.5])):
+            with pytest.raises(ValueError, match="bisection exhausted"):
+                ivt_sample(f, r0, lams, 1e-300)
+
+    def test_one_lane_out_of_bracket_raises(self, f):
+        r0s, lams = self.bracketed_targets(f, 10, seed=3)
+        lams[4] = 0.0  # every limit is < 0 below the unit radius
+        with pytest.raises(BracketError, match="outside the achievable bracket"):
+            ivt_sample(f, r0s, lams, 1e-9)
+
 
 class TestHomogeneityDefect:
     def test_pure_power_has_zero_defect(self):
