@@ -12,7 +12,7 @@ import numpy as np
 
 from radialqc import build_standard_map
 
-f = build_standard_map(K=2.0, depth=10_000)
+f = build_standard_map(K=2.0)
 
 # the first few breakpoints and their images: r_n is sent to 2^-n
 for n in range(6):

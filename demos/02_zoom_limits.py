@@ -18,7 +18,7 @@ from radialqc import (
     zoom_limit_deviation,
 )
 
-f = build_standard_map(K=2.0, depth=10_000)
+f = build_standard_map(K=2.0)
 p1 = limit_function(f, "P1")
 p2 = limit_function(f, "P2")
 

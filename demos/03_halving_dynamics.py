@@ -18,7 +18,7 @@ from radialqc import (
     zoom_limit_deviation,
 )
 
-f = build_standard_map(K=2.0, depth=10_000)
+f = build_standard_map(K=2.0)
 h = build_conjugated_map(f)
 
 # closed branch table vs the defining composition f^{-1}((.)/2 after f)

@@ -20,7 +20,7 @@ from radialqc import (
     radial_power_distortion,
 )
 
-f = build_standard_map(K=2.0, depth=1000)
+f = build_standard_map(K=2.0)
 h = build_conjugated_map(f)
 
 # pure powers, closed form vs a central-difference estimate

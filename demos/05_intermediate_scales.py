@@ -18,7 +18,7 @@ from radialqc import (
     rescaled_eval,
 )
 
-f = build_standard_map(K=2.0, depth=10_000)
+f = build_standard_map(K=2.0)
 r0 = f.breakpoint(1)
 
 p1 = limit_function(f, "P1").eval_log(r0)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
+import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,16 +37,6 @@ from .zoom import (
     scale_at,
 )
 
-DEFAULTS = {
-    "K": 2.0,
-    "dimension": 2,
-    "depth": 10_000,
-    "grid_points": 1000,
-    "tol": 1e-9,
-    "output_format": "csv",
-    "output_path": "-",
-}
-
 _MATCHED_LIMIT = {
     ("f", "even"): "P1",
     ("f", "odd"): "P2",
@@ -59,6 +51,9 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Options shared by every subcommand, each also a config-file key and the
+    ``dest`` of its flag; only ``verify`` reads ``depth``."""
+
     K: float
     dimension: int
     depth: int
@@ -66,6 +61,16 @@ class RunConfig:
     tol: float
     output_format: str
     output_path: str
+
+
+#: the numeric defaults are those of ``run_verification``, stated there once
+DEFAULTS = {
+    **{key: p.default for key, p in inspect.signature(run_verification).parameters.items()},
+    "output_format": "csv",
+    "output_path": "-",
+}
+#: coercion by field type; counts go through ``operator.index``, never truncated
+_COERCE = {"float": float, "int": operator.index, "str": str}
 
 
 def _load_config(args) -> RunConfig:
@@ -82,36 +87,18 @@ def _load_config(args) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(loaded)
-    for flag, key in (
-        ("K", "K"),
-        ("d", "dimension"),
-        ("depth", "depth"),
-        ("grid_points", "grid_points"),
-        ("tol", "tol"),
-        ("format", "output_format"),
-        ("output", "output_path"),
-    ):
-        value = getattr(args, flag, None)
+    for key in DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     try:
-        cfg = RunConfig(
-            K=float(merged["K"]),
-            dimension=int(merged["dimension"]),
-            depth=int(merged["depth"]),
-            grid_points=int(merged["grid_points"]),
-            tol=float(merged["tol"]),
-            output_format=str(merged["output_format"]),
-            output_path=str(merged["output_path"]),
-        )
+        cfg = RunConfig(**{f.name: _COERCE[f.type](merged[f.name]) for f in fields(RunConfig)})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration value: {exc}") from exc
     if not cfg.K > 1.0:
         raise UsageError("K must be > 1")
     if cfg.dimension < 2:
         raise UsageError("dimension must be >= 2")
-    if cfg.depth < 2:
-        raise UsageError("depth must be >= 2")
     if cfg.grid_points < 2:
         raise UsageError("grid_points must be >= 2")
     if not cfg.tol > 0.0:
@@ -212,7 +199,7 @@ def _eval_target(name, f, h):
 
 
 def _cmd_eval(cfg: RunConfig, args) -> int:
-    f = build_standard_map(cfg.K, cfg.depth)
+    f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     target = _eval_target(args.map, f, h)
     rows = []
@@ -224,7 +211,7 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zoom(cfg: RunConfig, args) -> int:
-    f = build_standard_map(cfg.K, cfg.depth)
+    f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     map_ = f if args.map == "f" else h
     n_list = _parse_n_spec(args.n)
@@ -272,7 +259,7 @@ def _one_of(args, linear_name, log_name, what):
 
 
 def _cmd_ivt(cfg: RunConfig, args) -> int:
-    f = build_standard_map(cfg.K, cfg.depth)
+    f = build_standard_map(cfg.K)
     r0 = _one_of(args, "r0", "log2_r0", "r0")
     lam = _one_of(args, "lam", "log2_lam", "lambda")
     t = ivt_sample(f, r0, lam, cfg.tol, period_index=args.period)
@@ -287,7 +274,7 @@ def _cmd_ivt(cfg: RunConfig, args) -> int:
 
 
 def _cmd_iterate(cfg: RunConfig, args) -> int:
-    f = build_standard_map(cfg.K, cfg.depth)
+    f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     x0 = _one_of(args, "r", "log2_r", "r")
     if args.iterates < 0:
@@ -301,6 +288,8 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
 def _cmd_distortion(cfg: RunConfig, args) -> int:
     if (args.alpha is None) == (args.map is None):
         raise UsageError("give exactly one of --map {f,h} or --alpha")
+    if args.iterates is not None and args.map != "h":
+        raise UsageError("--iterates applies to --map h only")
     rows = []
     if args.alpha is not None:
         if args.alpha <= 0:
@@ -309,7 +298,7 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
         rows.append((1, rep.K_O, rep.K_I, rep.K_max))
         sup = rep
     else:
-        f = build_standard_map(cfg.K, cfg.depth)
+        f = build_standard_map(cfg.K)
         h = build_conjugated_map(f)
         if args.map == "f":
             rep = max_distortion(f, cfg.dimension)
@@ -343,12 +332,13 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (flags override it)")
     parser.add_argument("--K", type=float, help="distortion parameter K > 1")
-    parser.add_argument("--d", type=int, help="ambient dimension (>= 2)")
-    parser.add_argument("--depth", type=int, help="cached breakpoint depth")
+    parser.add_argument("--d", dest="dimension", type=int, help="ambient dimension (>= 2)")
+    parser.add_argument("--depth", type=int, help="breakpoint depth of the verify checks")
     parser.add_argument("--grid-points", dest="grid_points", type=int, help="default grid size")
     parser.add_argument("--tol", type=float, help="tolerance for assertions")
-    parser.add_argument("--format", choices=("csv", "json"), help="output format")
-    parser.add_argument("--output", help='output path, or "-" for stdout')
+    parser.add_argument("--format", dest="output_format", choices=("csv", "json"),
+                        help="output format")
+    parser.add_argument("--output", dest="output_path", help='output path, or "-" for stdout')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", help="iterate the conjugated map from a start radius")
     _add_common(p)
-    p.add_argument("--map", default="h", choices=("h",))
     p.add_argument("--r", type=float)
     p.add_argument("--log2-r", dest="log2_r", type=float)
     p.add_argument("--iterates", type=int, default=10, help="number of steps (>= 0)")

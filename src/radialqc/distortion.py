@@ -180,8 +180,7 @@ def iterate_max_distortion(h, d, m_max):
 
 
 def linear_distortion_radial(
-    map_, x0_at_origin=True, d=2, log2_radii=(-4.0, -2.0, -1.0, -0.5, -0.25),
-    num_directions=64, seed=7,
+    map_, d=2, log2_radii=(-4.0, -2.0, -1.0, -0.5, -0.25), num_directions=64, seed=7,
 ):
     """Linear distortion H at the origin: limsup of max/min image-sphere radii.
 
@@ -190,8 +189,6 @@ def linear_distortion_radial(
     and returns the worst max/min ratio, a consistency check of the radial
     representation rather than new information.
     """
-    if not x0_at_origin:
-        raise ValueError("only origin-centered radial maps are supported")
     d = _check_dimension(d)
     f = _linear_radial_eval(map_)
     rng = np.random.default_rng(seed)
@@ -202,7 +199,10 @@ def linear_distortion_radial(
         pts = (2.0**lx) * u
         radii = np.linalg.norm(pts, axis=1)
         if hasattr(map_, "eval_log"):  # one array evaluation per radius
-            image = np.exp2(map_.eval_log(np.log2(radii)))
+            y = map_.eval_log(np.log2(radii))
+            # an exact power-of-two rescale leaves the ratio unchanged and keeps
+            # the squares inside the norm from underflowing (h at large K)
+            image = np.exp2(y - np.floor(y.max()))
         else:  # a plain callable takes one radius at a time
             image = np.array([f(v) for v in radii])
         images = image[:, None] * (pts / radii[:, None])

@@ -45,6 +45,7 @@ import numpy as np
 __all__ = [
     "MAX_ABS_LOG2_RADIUS",
     "MAX_BREAKPOINT_INDEX",
+    "GUARD_DEPTH",
     "RADIUS_ZERO_LOG2",
     "NotDifferentiableError",
     "PiecewisePowerMap",
@@ -61,6 +62,9 @@ MAX_BREAKPOINT_INDEX = 2**53
 #: largest |log2 radius| accepted; interval lookups then probe indices below
 #: 2 |x| / (K + 1/K) + 6 < ``MAX_BREAKPOINT_INDEX``, since K + 1/K > 2.
 MAX_ABS_LOG2_RADIUS = 2.0**52
+
+#: index up to which ``build_standard_map`` requires distinct float64 breakpoints.
+GUARD_DEPTH = 10_000
 
 
 class NotDifferentiableError(ValueError):
@@ -136,22 +140,16 @@ def _coefficient_log2(K, n):
 class PiecewisePowerMap:
     """The alternating-exponent homeomorphism, all data in log2 form.
 
-    Immutable after construction; every method is a pure function, so
-    instances are safe to share across any number of concurrent workers.
-    The arrays cache indices 0..depth for inspection and invariant checks;
-    evaluation always goes through the closed forms, which remain valid for
-    arbitrarily deep indices (slot 0 of ``k`` and ``log2_C`` is NaN padding,
-    since branch data starts at n = 1).
+    ``K`` is the whole state: every evaluator goes through the closed forms,
+    which hold for arbitrarily deep indices.  Immutable and hashable, and
+    every method is a pure function, so instances are safe to share across
+    any number of concurrent workers; two maps with the same K compare equal.
     """
 
     K: float
-    depth: int
-    log2_r: np.ndarray
-    k: np.ndarray
-    log2_C: np.ndarray
 
     def breakpoint(self, n):
-        """log2 r_n for any index in the domain (not limited by ``depth``)."""
+        """log2 r_n for any index in the domain."""
         return breakpoint_log2(self.K, n)
 
     def _locate(self, xf):
@@ -268,27 +266,25 @@ def _strict_branch_index(map_, xa1):
     return n
 
 
-def build_standard_map(K, depth=10_000) -> PiecewisePowerMap:
+def _distinct_breakpoints_log2(K, horizon):
+    """log2 r_0 .. r_horizon, after checking that consecutive ones differ in float64."""
+    log2_r = breakpoint_log2(K, np.arange(horizon + 1))
+    if np.any(np.diff(log2_r) >= 0.0):
+        raise ValueError(
+            "K too large for float64: consecutive breakpoints coincide within depth"
+        )
+    return log2_r
+
+
+def build_standard_map(K) -> PiecewisePowerMap:
     """Construct the alternating-exponent map for a distortion parameter K > 1.
 
-    ``depth`` only sizes the cached arrays (and bounds the recurrence-based
-    invariant checks); closed forms serve every deeper index, so no operation
-    fails on deep zooms.
+    K must keep consecutive breakpoints distinct in float64 up to index
+    ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
+    deep zooms.
     """
     K = float(K)
     if not math.isfinite(K) or K <= 1.0:
         raise ValueError("K must be a finite real > 1 (the two exponents must differ)")
-    depth = int(depth)
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    idx = np.arange(depth + 1, dtype=np.int64)
-    log2_r = breakpoint_log2(K, idx)
-    k = np.concatenate(([np.nan], np.asarray(_exponent(K, idx[1:]), dtype=float)))
-    log2_C = np.concatenate(
-        ([np.nan], np.asarray(_coefficient_log2(K, idx[1:]), dtype=float))
-    )
-    if log2_r[0] != 0.0 or log2_C[1] != 0.0 or np.any(np.diff(log2_r) >= 0.0):
-        raise ValueError(
-            "K too large for float64: consecutive breakpoints coincide within depth"
-        )
-    return PiecewisePowerMap(K=K, depth=depth, log2_r=log2_r, k=k, log2_C=log2_C)
+    _distinct_breakpoints_log2(K, GUARD_DEPTH)
+    return PiecewisePowerMap(K=K)

@@ -56,11 +56,14 @@ def _branch_offset_log2(K, n):
 class ConjugatedMap:
     """Radial factor h of the conjugated halving map, in closed branch form.
 
-    Shares the breakpoint chain of its source map; immutable and pure like it.
+    Shares the breakpoint chain and K of its source map; immutable and pure like it.
     """
 
-    K: float
     source: PiecewisePowerMap
+
+    @property
+    def K(self) -> float:
+        return self.source.K
 
     def breakpoint(self, n):
         return self.source.breakpoint(n)
@@ -124,7 +127,7 @@ def build_conjugated_map(f: PiecewisePowerMap) -> ConjugatedMap:
     """Closed-form radial factor h = f^{-1}((.)/2 after f) for a given f."""
     if not isinstance(f, PiecewisePowerMap):
         raise TypeError("build_conjugated_map needs a PiecewisePowerMap")
-    return ConjugatedMap(K=f.K, source=f)
+    return ConjugatedMap(source=f)
 
 
 def h_via_conjugacy(f: PiecewisePowerMap, x):

@@ -10,6 +10,7 @@ strict monotonicity margins) pass when the measured value is >= a threshold.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,13 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import breakpoint_log2, build_standard_map
+from .powermap import (
+    GUARD_DEPTH,
+    _coefficient_log2,
+    _distinct_breakpoints_log2,
+    breakpoint_log2,
+    build_standard_map,
+)
 from .uqrmap import build_conjugated_map, h_via_conjugacy
 from .zoom import (
     EVEN_BREAKPOINTS,
@@ -97,23 +104,23 @@ def recurrence_vs_closed_worst(K, depth):
     return float(np.max(np.abs(breakpoint_log2(K, n) - recurrence)))
 
 
-def anchor_identity_worst(K, f, depth):
+def anchor_identity_worst(K, depth):
     """Worst |log2 C_n + n + k_n log2 r_n| over n <= depth."""
     n = np.arange(1, depth + 1)
     lr = breakpoint_log2(K, n)
     k_n = np.where(n % 2 == 1, K, 1.0 / K)
-    log2_C = f.log2_C[1 : depth + 1]
-    return float(np.max(np.abs(log2_C + n + k_n * lr)))
+    return float(np.max(np.abs(_coefficient_log2(K, n) + n + k_n * lr)))
 
 
-def continuity_worst(K, f, depth):
+def continuity_worst(K, depth):
     """Worst branch mismatch at the breakpoints: interval n vs n+1 formulas."""
     n = np.arange(1, depth)
     lr = breakpoint_log2(K, n)
     k_n = np.where(n % 2 == 1, K, 1.0 / K)
     k_next = np.where((n + 1) % 2 == 1, K, 1.0 / K)
-    left = f.log2_C[1:depth] + k_n * lr
-    right = f.log2_C[2 : depth + 1] + k_next * lr
+    log2_C = _coefficient_log2(K, np.arange(1, depth + 1))
+    left = log2_C[:-1] + k_n * lr
+    right = log2_C[1:] + k_next * lr
     return float(np.max(np.abs(left - right)))
 
 
@@ -152,9 +159,16 @@ def breakpoint_image_worst(f, depth):
     return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
 
 
-def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-9):
-    """Run every invariant check and return a machine-readable report dict."""
-    f = build_standard_map(K, depth)
+def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
+    """Run every invariant check and return a machine-readable report dict.
+
+    Raises ``ValueError`` when consecutive breakpoints coincide in float64
+    within ``depth``.
+    """
+    if operator.index(depth) < 2:
+        raise ValueError("depth must be >= 2")
+    f = build_standard_map(K)
+    lr = _distinct_breakpoints_log2(f.K, depth)
     h = build_conjugated_map(f)
     period = K + 1.0 / K
     grid = np.linspace(-3.0 * period, 0.0, grid_points)
@@ -170,13 +184,12 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
 
     # --- construction identities -------------------------------------------
     residual("breakpoints_closed_form_vs_recurrence", recurrence_vs_closed_worst(K, depth))
-    residual("coefficient_anchor_identity", anchor_identity_worst(K, f, depth))
-    residual("branch_continuity_at_breakpoints", continuity_worst(K, f, depth))
+    residual("coefficient_anchor_identity", anchor_identity_worst(K, depth))
+    residual("branch_continuity_at_breakpoints", continuity_worst(K, depth))
     even_res, odd_res = product_identities_worst(K, depth)
     residual("breakpoint_product_identity_even", even_res)
     residual("breakpoint_product_identity_odd_shifted", odd_res)
-    steps = -np.diff(f.log2_r)
-    witness("breakpoint_strict_decrease_margin", float(steps.min()), tol)
+    witness("breakpoint_strict_decrease_margin", float((-np.diff(lr)).min()), tol)
     residual("breakpoint_image_is_halving", breakpoint_image_worst(f, depth))
 
     # --- forward/inverse evaluation ----------------------------------------
@@ -353,13 +366,11 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
     ivt_r0 = []
     ivt_lam = []
     attempts = 0
-    p1_f = limit_function(f, "P1")
-    p2_f = limit_function(f, "P2")
     while len(ivt_r0) < 100 and attempts < 10_000:
         attempts += 1
         r0 = float(rng.uniform(-3.0 * period, -0.05))
-        a = p1_f.eval_log(r0)
-        b = p2_f.eval_log(r0)
+        a = p1.eval_log(r0)
+        b = p2.eval_log(r0)
         lo, hi = min(a, b), max(a, b)
         if hi - lo < 0.05:
             continue
@@ -373,7 +384,7 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
         np.max(np.abs(rescaled_eval(f, t, ivt_r0) - ivt_lam), initial=0.0),
     )
     r0 = f.breakpoint(1)
-    lam = 0.5 * (p1_f.eval_log(r0) + p2_f.eval_log(r0))
+    lam = 0.5 * (p1.eval_log(r0) + p2.eval_log(r0))
     scales = [ivt_sample(f, r0, lam, tol, period_index=j) for j in range(1, 11)]
     witness(
         "ivt_scales_strictly_decreasing_margin",
@@ -386,7 +397,7 @@ def run_verification(K=2.0, dimension=2, depth=10_000, grid_points=1000, tol=1e-
         homogeneity_defect(lambda v: K * v, samples),
         1e-12,
     )
-    witness("homogeneity_defect_p1", homogeneity_defect(p1_f, samples), tol)
+    witness("homogeneity_defect_p1", homogeneity_defect(p1, samples), tol)
     witness("homogeneity_defect_q1", homogeneity_defect(q1, samples), tol)
 
     # --- one-dimensional pedagogical model -----------------------------------

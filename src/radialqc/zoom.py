@@ -83,7 +83,8 @@ def _locate_shifted(K, xf):
     return out, xf >= shifted
 
 
-def _limit_eval_finite(kind, K, source, xf):
+def _limit_eval_finite(kind, source, xf):
+    K = source.K
     if kind == "P1":
         # Same branch layout as the base map; offsets via the anchor form
         # -n - k_n log2 r_n, a different arithmetic route than eval_log.
@@ -121,7 +122,6 @@ class LimitFunction:
     """
 
     kind: str
-    K: float
     source: PiecewisePowerMap
 
     def eval_log(self, x):
@@ -131,7 +131,7 @@ class LimitFunction:
         out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
         fin = np.isfinite(xa1)
         if fin.any():
-            out[fin] = _limit_eval_finite(self.kind, self.K, self.source, xa1[fin])
+            out[fin] = _limit_eval_finite(self.kind, self.source, xa1[fin])
         return _scalar_like(x, out)
 
 
@@ -147,7 +147,7 @@ def limit_function(map_, kind) -> LimitFunction:
     base = _base_of(map_)
     if not isinstance(base, PiecewisePowerMap):
         raise TypeError("map must be a PiecewisePowerMap or carry one as .source")
-    return LimitFunction(kind=kind, K=base.K, source=base)
+    return LimitFunction(kind=kind, source=base)
 
 
 def rescaled_eval(map_, t, r):
@@ -186,7 +186,7 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     is the distinctness witness.
     """
     base = _base_of(map_)
-    if lf.source is not base or lf.K != base.K:
+    if lf.source != base:
         raise ValueError("limit function was built for a different map")
     grid = np.asarray(r_grid, dtype=float)
     _validate_log_radius(grid, "r_grid", allow_zero_radius=False)

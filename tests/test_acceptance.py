@@ -38,7 +38,7 @@ K = 2.0
 DEPTH = 10_000
 PERIOD = K + 1.0 / K
 
-F = build_standard_map(K, DEPTH)
+F = build_standard_map(K)
 H = build_conjugated_map(F)
 P1 = limit_function(F, "P1")
 P2 = limit_function(F, "P2")
@@ -57,8 +57,8 @@ def report(number, name, measured, bound, kind="<="):
 def test_c01_construction_identities():
     worst = max(
         recurrence_vs_closed_worst(K, DEPTH),
-        anchor_identity_worst(K, F, DEPTH),
-        continuity_worst(K, F, DEPTH),
+        anchor_identity_worst(K, DEPTH),
+        continuity_worst(K, DEPTH),
         *product_identities_worst(K, DEPTH),
     )
     report(1, "construction identities", worst, 1e-9)
@@ -145,7 +145,7 @@ def test_c09_radial_power_distortion():
                 )
     worst_sup = 0.0
     for K_ in (1.1, 2.0, 5.0):
-        f_ = build_standard_map(K_, 100)
+        f_ = build_standard_map(K_)
         for d in (2, 3, 4):
             expected = K_ ** (d - 1)
             worst_sup = max(

@@ -176,6 +176,12 @@ class TestDistortion:
         )
         assert code == 2
 
+    def test_iterates_only_with_map_h(self, capsys):
+        for target in (("--map", "f"), ("--alpha", "2")):
+            code, _, err = run_cli(capsys, "distortion", *target, "--iterates", "5")
+            assert code == 2
+            assert "--iterates" in err
+
 
 class TestVerify:
     def test_passes_and_reports(self, capsys):
@@ -220,9 +226,13 @@ class TestConfigAndOutput:
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"kay": 3.0}))
-        code, _, _ = run_cli(capsys, "eval", "--config", str(cfg), "--map", "f", "--r", "0.5")
-        assert code == 2
+        # counts are integers, never truncated (2.9 used to run in dimension 2)
+        for bad in ({"kay": 3.0}, {"dimension": 2.9}, {"grid_points": 3.7}, {"depth": 300.5}):
+            cfg.write_text(json.dumps(bad))
+            code, _, _ = run_cli(
+                capsys, "eval", "--config", str(cfg), "--map", "f", "--r", "0.5"
+            )
+            assert code == 2, bad
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

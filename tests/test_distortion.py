@@ -28,7 +28,7 @@ ALPHAS = st.floats(min_value=0.05, max_value=8.0, allow_nan=False)
 
 @pytest.fixture(scope="module")
 def f():
-    return build_standard_map(2.0, 500)
+    return build_standard_map(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +157,7 @@ class TestSupremum:
 
     def test_matches_closed_form_across_K_and_d(self):
         for K in (1.1, 2.0, 5.0):
-            f = build_standard_map(K, 50)
+            f = build_standard_map(K)
             h = build_conjugated_map(f)
             for d in (2, 3, 4):
                 assert max_distortion(f, d).K_max == pytest.approx(K ** (d - 1), rel=1e-12)
@@ -182,7 +182,7 @@ def quadratic_iterate_distortion(h, d, m_max):
 class TestIterateDistortion:
     def test_matches_quadratic_orbit_sum(self):
         for K in (2.0, 1.37, 7.3):
-            h = build_conjugated_map(build_standard_map(K, 50))
+            h = build_conjugated_map(build_standard_map(K))
             for d in (2, 3):
                 got = [(r.K_O, r.K_I) for r in iterate_max_distortion(h, d, 300)]
                 assert got == quadratic_iterate_distortion(h, d, 300)
@@ -228,9 +228,15 @@ class TestLinearDistortion:
         assert linear_distortion_radial(h, d=3) == pytest.approx(1.0, abs=1e-12)
         assert linear_distortion_radial(lambda r: r**3, d=4) == pytest.approx(1.0, abs=1e-12)
 
-    def test_requires_origin(self, f):
-        with pytest.raises(ValueError):
-            linear_distortion_radial(f, x0_at_origin=False)
+    @pytest.mark.parametrize("K", [600.0, 2000.0, 1e5])
+    def test_unity_where_images_underflow_linear_scale(self, K):
+        # every image radius is below 2^-538, so its square underflows float64
+        # and the unscaled ratio of norms is 0/0
+        h = build_conjugated_map(build_standard_map(K))
+        assert h.eval_log(-0.25) < -538.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(linear_distortion_radial(h) - 1.0) <= 1e-12
 
     @staticmethod
     def per_point_reference(radial, d):

@@ -20,8 +20,11 @@ from radialqc import (
     RADIUS_ZERO_LOG2,
     NotDifferentiableError,
     breakpoint_log2,
+    build_conjugated_map,
     build_standard_map,
+    limit_function,
 )
+from radialqc.powermap import _coefficient_log2
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-40.0, max_value=0.0, allow_nan=False)
@@ -52,17 +55,48 @@ class TestConstruction:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError):
                     build_standard_map(bad_K)
-        with pytest.raises(ValueError):
-            build_standard_map(2.0, depth=1)
 
     def test_normalization(self):
         for K in (1.1, 2.0, 3.7):
-            f = build_standard_map(K, 50)
-            assert f.log2_r[0] == 0.0
-            assert f.log2_C[1] == 0.0
+            f = build_standard_map(K)
+            assert f.breakpoint(0) == 0.0
+            assert _coefficient_log2(K, 1) == 0.0
+
+    def test_maps_with_equal_K_are_equal_and_hashable(self):
+        f, g = build_standard_map(2.0), build_standard_map(2)
+        assert f == g and hash(f) == hash(g)
+        assert f != build_standard_map(3.0)
+        assert len({f, g}) == 1
+        # the conjugated map and the zoom limits carry only their source map
+        h, h2 = build_conjugated_map(f), build_conjugated_map(g)
+        assert h == h2 and hash(h) == hash(h2) and h.K == 2.0
+        assert limit_function(h, "Q2") == limit_function(h2, "Q2")
+        assert hash(limit_function(f, "P1")) == hash(limit_function(g, "P1"))
+
+    @staticmethod
+    def old_full_array_guard(K, depth=10_000):
+        """Acceptance of the construction that cached indices 0..depth."""
+        idx = np.arange(depth + 1, dtype=np.int64)
+        log2_r = breakpoint_log2(K, idx)
+        log2_C = np.concatenate(([np.nan], _coefficient_log2(K, idx[1:])))
+        return not (log2_r[0] != 0.0 or log2_C[1] != 0.0 or np.any(np.diff(log2_r) >= 0.0))
+
+    def test_guard_accepts_the_same_K_as_the_full_array_check(self):
+        # the threshold lies near K = 1.0493e6; a check on the tail alone
+        # disagrees with the full array there
+        Ks = np.geomspace(1e5, 1e7, 200)
+        accepted = []
+        for K in Ks:
+            try:
+                build_standard_map(K)
+                accepted.append(True)
+            except ValueError:
+                accepted.append(False)
+        assert accepted == [self.old_full_array_guard(K) for K in Ks]
+        assert True in accepted and False in accepted
 
     def test_breakpoints_at_K2(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert f.breakpoint(0) == 0.0
         assert f.breakpoint(1) == -0.5
         assert f.breakpoint(2) == -2.5
@@ -70,17 +104,16 @@ class TestConstruction:
 
     def test_breakpoint_n4_matches_recurrence_oracle(self):
         # frozen from the recurrence: 0 - 1/2 - 2 - 1/2 - 2 = -5
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert f.breakpoint(4) == -5.0
         assert recurrence_breakpoints(2.0, 4)[4] == -5.0
 
     def test_coefficients_at_K2(self):
-        f = build_standard_map(2.0, 10)
-        assert f.log2_C[2] == -0.75
-        assert f.log2_C[3] == 3.0
+        assert _coefficient_log2(2.0, 2) == -0.75
+        assert _coefficient_log2(2.0, 3) == 3.0
 
     def test_closed_form_matches_recurrence_at_full_depth(self):
-        f = build_standard_map(2.0, 10_000)
+        f = build_standard_map(2.0)
         oracle = recurrence_breakpoints(2.0, 10_000)
         n = np.arange(0, 10_001)
         assert np.max(np.abs(f.breakpoint(n) - oracle)) <= 1e-9
@@ -89,7 +122,7 @@ class TestConstruction:
     @settings(max_examples=30, deadline=None)
     def test_closed_form_matches_recurrence_generic_K(self, K):
         depth = 400
-        f = build_standard_map(K, depth)
+        f = build_standard_map(K)
         oracle = recurrence_breakpoints(K, depth)
         n = np.arange(0, depth + 1)
         assert np.max(np.abs(f.breakpoint(n) - oracle)) <= 1e-9
@@ -98,14 +131,15 @@ class TestConstruction:
     @settings(max_examples=30, deadline=None)
     def test_anchor_and_continuity(self, K):
         depth = 300
-        f = build_standard_map(K, depth)
+        f = build_standard_map(K)
         n = np.arange(1, depth + 1)
         lr = f.breakpoint(n)
         k_n = np.where(n % 2 == 1, K, 1.0 / K)
-        anchor = f.log2_C[1:] + n + k_n * lr
+        log2_C = _coefficient_log2(K, n)
+        anchor = log2_C + n + k_n * lr
         assert np.max(np.abs(anchor)) <= 1e-9
-        left = f.log2_C[1:-1] + k_n[:-1] * lr[:-1]
-        right = f.log2_C[2:] + k_n[1:] * lr[:-1]
+        left = log2_C[:-1] + k_n[:-1] * lr[:-1]
+        right = log2_C[1:] + k_n[1:] * lr[:-1]
         assert np.max(np.abs(left - right)) <= 1e-9
 
     @given(K=K_VALUES, n=st.integers(1, 60), m=st.integers(0, 60))
@@ -128,28 +162,28 @@ class TestConstruction:
             assert breakpoint_log2(2.0, 2**53) == -(2**52) * 2.5
 
     def test_breakpoints_strictly_decreasing(self):
-        f = build_standard_map(3.7, 2000)
-        assert np.all(np.diff(f.log2_r) < 0.0)
+        f = build_standard_map(3.7)
+        assert np.all(np.diff(f.breakpoint(np.arange(2001))) < 0.0)
 
 
 class TestLocate:
     def test_spec_examples(self):
-        f = build_standard_map(2.0, 100)
+        f = build_standard_map(2.0)
         assert f.locate_interval(math.log2(0.8)) == 1
         assert f.locate_interval(-2.5) == 2  # exact breakpoint: smaller index
         assert f.locate_interval(math.log2(0.15)) == 3
 
     def test_unit_radius(self):
-        f = build_standard_map(2.0, 100)
+        f = build_standard_map(2.0)
         assert f.locate_interval(0.0) == 1
 
     def test_breakpoint_ties_prefer_smaller_index(self):
-        f = build_standard_map(1.7, 100)
+        f = build_standard_map(1.7)
         for n in range(1, 40):
             assert f.locate_interval(f.breakpoint(n)) == n
 
     def test_rejects_sentinel_and_positive(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         with pytest.raises(ValueError):
             f.locate_interval(RADIUS_ZERO_LOG2)
         with pytest.raises(ValueError):
@@ -158,11 +192,11 @@ class TestLocate:
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=150, deadline=None)
     def test_matches_scan_oracle(self, K, x):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         assert f.locate_interval(x) == scan_locate(f, x)
 
     def test_vectorized_lookup(self):
-        f = build_standard_map(2.0, 100)
+        f = build_standard_map(2.0)
         xs = np.linspace(-20.0, 0.0, 500)
         ns = f.locate_interval(xs)
         assert ns.shape == xs.shape
@@ -171,30 +205,30 @@ class TestLocate:
 
 class TestEval:
     def test_first_interval_square(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert abs(f.eval_log(math.log2(0.8)) - math.log2(0.64)) <= 1e-12
 
     def test_breakpoints_map_to_halving_powers(self):
-        f = build_standard_map(2.0, 10_000)
+        f = build_standard_map(2.0)
         n = np.arange(0, 10_001)
         assert np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)) <= 1e-9
 
     def test_midpoint_via_continuity_chain_oracle(self):
         # chain: log2 f(r_1) = -1, then slope 1/K from r_1 down to 0.5
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         x = -1.0
         oracle = -1.0 + (1.0 / 2.0) * (x - f.breakpoint(1))
         assert oracle == -1.25
         assert abs(f.eval_log(x) - oracle) <= 1e-12
 
     def test_sentinel_passes_through(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert f.eval_log(RADIUS_ZERO_LOG2) == RADIUS_ZERO_LOG2
 
     @given(K=K_VALUES, x=LOG_RADII, dx=st.floats(1e-6, 5.0))
     @settings(max_examples=150, deadline=None)
     def test_strictly_monotone(self, K, x, dx):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         if x - dx < -40.0:
             dx = 1e-6
         assert f.eval_log(x - dx) < f.eval_log(x)
@@ -202,26 +236,26 @@ class TestEval:
     @given(K=K_VALUES, x=LOG_RADII, n=st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
     def test_even_breakpoint_multiplicativity(self, K, x, n):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         shifted = f.eval_log(x + f.breakpoint(2 * n))
         assert abs(shifted - (f.eval_log(x) - 2 * n)) <= 1e-9
 
 
 class TestInverse:
     def test_spec_examples(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert abs(f.inverse_eval_log(-1.0) + 0.5) <= 1e-12
         assert f.inverse_eval_log(0.0) == 0.0
         # forward oracle: f(0.15) = 8 * 0.15^2 = 0.18 on the third interval
         assert abs(f.inverse_eval_log(math.log2(0.18)) - math.log2(0.15)) <= 1e-9
 
     def test_sentinel(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert f.inverse_eval_log(RADIUS_ZERO_LOG2) == RADIUS_ZERO_LOG2
 
     def test_radius_domain_bound(self):
         # the interval index of |x| = 1e300 does not fit in int64
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in (f.eval_log, f.inverse_eval_log, f.locate_interval):
@@ -235,38 +269,38 @@ class TestInverse:
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=150, deadline=None)
     def test_roundtrip(self, K, x):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         assert abs(f.inverse_eval_log(f.eval_log(x)) - x) <= 1e-9
 
     @given(K=K_VALUES, y=LOG_RADII)
     @settings(max_examples=100, deadline=None)
     def test_forward_of_inverse(self, K, y):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         assert abs(f.eval_log(f.inverse_eval_log(y)) - y) <= 1e-9
 
 
 class TestLinearScale:
     def test_values(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert abs(f.eval(0.8) - 0.64) <= 1e-12
         assert f.eval(1.0) == 1.0
         assert f.eval(0.0) == 0.0
         assert abs(f.eval(0.15) - 0.18) <= 1e-12
 
     def test_rejects_out_of_range(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 f.eval(bad)
 
     def test_underflow_to_zero_documented_behavior(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert np.exp2(f.eval_log(-2000.0)) == 0.0
 
 
 class TestMeanRadius:
     def test_equals_forward_eval(self):
-        f = build_standard_map(2.0, 100)
+        f = build_standard_map(2.0)
         assert f.mean_radius_radial(f.breakpoint(2)) == -2.0
         assert f.mean_radius_radial(0.0) == 0.0
         assert abs(f.mean_radius_radial(-1.0) + 1.25) <= 1e-12
@@ -276,12 +310,12 @@ class TestMeanRadius:
 
 class TestLocalExponent:
     def test_alternates(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         assert f.local_exponent(math.log2(0.8)) == 2.0
         assert f.local_exponent(-1.0) == 0.5
 
     def test_breakpoint_rejected(self):
-        f = build_standard_map(2.0, 10)
+        f = build_standard_map(2.0)
         with pytest.raises(NotDifferentiableError):
             f.local_exponent(f.breakpoint(1))
         with pytest.raises(NotDifferentiableError):

@@ -19,6 +19,7 @@ from radialqc import (
     build_standard_map,
     h_via_conjugacy,
 )
+from radialqc.powermap import GUARD_DEPTH
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-30.0, max_value=0.0, allow_nan=False)
@@ -26,7 +27,7 @@ LOG_RADII = st.floats(min_value=-30.0, max_value=0.0, allow_nan=False)
 
 @pytest.fixture(scope="module")
 def f():
-    return build_standard_map(2.0, 2000)
+    return build_standard_map(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestBranchTable:
 
     def test_h_at_unit_radius_any_K(self):
         for K in (1.1, 2.0, 3.7):
-            f = build_standard_map(K, 50)
+            f = build_standard_map(K)
             h = build_conjugated_map(f)
             assert abs(h.eval_log(0.0) - f.breakpoint(1)) <= 1e-12
 
@@ -78,7 +79,7 @@ class TestConjugacyOracle:
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=100, deadline=None)
     def test_closed_form_matches_oracle_generic_K(self, K, x):
-        f = build_standard_map(K, 64)
+        f = build_standard_map(K)
         h = build_conjugated_map(f)
         assert abs(h.eval_log(x) - h_via_conjugacy(f, x)) <= 1e-9
 
@@ -94,7 +95,7 @@ class TestBreakpointForwarding:
         assert abs(h.eval_log(f.breakpoint(3)) - (-5.0)) <= 1e-12
 
     def test_all_cached_indices(self, f, h):
-        n = np.arange(0, f.depth)
+        n = np.arange(0, GUARD_DEPTH)
         fwd = h.eval_log(f.breakpoint(n))
         assert np.max(np.abs(fwd - f.breakpoint(n + 1))) <= 1e-9
 
@@ -151,7 +152,7 @@ class TestIterates:
 
     def test_array_counts_match_scalar_loop(self):
         for K in (2.0, 1.37, 7.3):
-            h = build_conjugated_map(build_standard_map(K, 50))
+            h = build_conjugated_map(build_standard_map(K))
             m = np.arange(0, 41)
             for x in (0.0, -0.77, -1e4, RADIUS_ZERO_LOG2):
                 loop = np.array([h.iterate(x, int(k)) for k in m])

@@ -2,6 +2,8 @@
 mutation check that the linear-scan check really compares two routes.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,18 @@ def test_locate_check_catches_an_off_by_one_lookup(monkeypatch):
     check = _check(run_verification(depth=200), "locate_matches_linear_scan")
     assert not check["passed"]
     assert check["measured"] > 0.0
+
+
+def test_breakpoints_guarded_within_the_verify_depth():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_standard_map(6e5)  # distinct up to index 10^4 ...
+        with pytest.raises(ValueError, match="coincide"):
+            run_verification(K=6e5, depth=30_000)  # ... but not up to 30000
+        with pytest.raises(ValueError, match="coincide"):
+            run_verification(K=2e6, depth=200)
+        for bad_depth in (1, 0):
+            with pytest.raises(ValueError):
+                run_verification(depth=bad_depth)
+        with pytest.raises(TypeError):
+            run_verification(depth=200.5)

@@ -36,7 +36,7 @@ K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 
 @pytest.fixture(scope="module")
 def f():
-    return build_standard_map(2.0, 2000)
+    return build_standard_map(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ class TestLimits:
     @given(K=K_VALUES)
     @settings(max_examples=20, deadline=None)
     def test_limits_match_zoom_exactly_generic_K(self, K):
-        f = build_standard_map(K, 500)
+        f = build_standard_map(K)
         h = build_conjugated_map(f)
         period = K + 1.0 / K
         g = np.linspace(-3.0 * period, -1e-9, 120)
@@ -164,7 +164,7 @@ class TestDeviation:
         assert dev >= 0.3
 
     def test_foreign_limit_rejected(self, f):
-        other = build_standard_map(2.0, 50)
+        other = build_standard_map(3.0)
         lf = limit_function(other, "P1")
         with pytest.raises(ValueError):
             zoom_limit_deviation(f, "even", lf, range(1, 3), grid3(f, 10))
