@@ -86,6 +86,8 @@ def _load_config(args) -> RunConfig:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        if any(v is None or isinstance(v, bool) for v in loaded.values()):
+            raise UsageError("config values must be numbers or strings, not null or booleans")
         merged.update(loaded)
     for key in DEFAULTS:
         value = getattr(args, key, None)

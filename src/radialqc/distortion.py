@@ -134,7 +134,12 @@ def max_distortion(map_, d) -> DistortionReport:
     branch exponents.
     """
     d = _check_dimension(d)
-    reports = [radial_power_distortion(a, d) for a in map_.distinct_exponents()]
+    return _supremum(map_.distinct_exponents(), d)
+
+
+def _supremum(exponents, d) -> DistortionReport:
+    """Componentwise max of the closed-form reports over branch exponents."""
+    reports = [radial_power_distortion(a, d) for a in exponents]
     return DistortionReport(
         K_O=max(rep.K_O for rep in reports),
         K_I=max(rep.K_I for rep in reports),
@@ -166,16 +171,7 @@ def iterate_max_distortion(h, d, m_max):
         step = 1 if m % 2 == 1 else -1
         net_odd += step
         net_even -= step
-        exps = {h.K ** (2 * net_odd), h.K ** (2 * net_even)}
-        reports = [radial_power_distortion(a, d) for a in sorted(exps)]
-        out.append(
-            DistortionReport(
-                K_O=max(rep.K_O for rep in reports),
-                K_I=max(rep.K_I for rep in reports),
-                dimension=d,
-                location=SUPREMUM,
-            )
-        )
+        out.append(_supremum(sorted({h.K ** (2 * net_odd), h.K ** (2 * net_even)}), d))
     return out
 
 

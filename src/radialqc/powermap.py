@@ -59,9 +59,13 @@ RADIUS_ZERO_LOG2 = float("-inf")
 #: largest breakpoint index accepted (indices and iteration counts alike).
 MAX_BREAKPOINT_INDEX = 2**53
 
-#: largest |log2 radius| accepted; interval lookups then probe indices below
-#: 2 |x| / (K + 1/K) + 6 < ``MAX_BREAKPOINT_INDEX``, since K + 1/K > 2.
+#: largest |log2 radius| accepted; the interval lookup then reads breakpoint
+#: indices below 2 |x| / (K + 1/K) + 5 < ``MAX_BREAKPOINT_INDEX``, since K + 1/K > 2.
 MAX_ABS_LOG2_RADIUS = 2.0**52
+
+#: upward steps the interval lookup may take from its floor estimate: the true
+#: index is at most three above it, five if the division rounds low by a period.
+_LOCATE_STEPS = 5
 
 #: index up to which ``build_standard_map`` requires distinct float64 breakpoints.
 GUARD_DEPTH = 10_000
@@ -153,31 +157,29 @@ class PiecewisePowerMap:
         return breakpoint_log2(self.K, n)
 
     def _locate(self, xf):
-        """Branch index for an array of finite log2 radii (no validation)."""
-        period = self.K + 1.0 / self.K
-        m = np.floor(-xf / period).astype(np.int64)
-        lo = np.maximum(2 * m - 1, 1)
-        out = np.full(xf.shape, -1, dtype=np.int64)
-        # Floor arithmetic lands within one index of the true interval; probe a
-        # bounded window in ascending order so the smaller index wins ties.
-        for off in range(6):
-            cand = lo + off
-            hit = (
-                (out < 0)
-                & (_breakpoint_log2(self.K, cand) <= xf)
-                & (xf <= _breakpoint_log2(self.K, cand - 1))
-            )
-            out = np.where(hit, cand, out)
-        if np.any(out < 0):
+        """Branch index for an array of finite log2 radii (no validation): walk
+        up from the floor estimate 2 floor(-x / (K + 1/K)) - 1 to the first
+        r_n <= x, then one guard step down where x >= r_{n-1}, so the smaller
+        index wins ties even when the estimate rounds high."""
+        K = self.K
+        n = np.maximum(2 * np.floor(-xf / (K + 1.0 / K)).astype(np.int64) - 1, 1)
+        for _ in range(_LOCATE_STEPS + 1):
+            up = _breakpoint_log2(K, n) > xf
+            if not up.any():
+                break
+            n += up
+        else:
             raise ValueError("log2 radius too deep for float64 breakpoint resolution")
-        return out
+        n -= (n > 1) & (xf >= _breakpoint_log2(K, n - 1))
+        return n
 
     def locate_interval(self, x):
         """Index n >= 1 of the branch interval [r_n, r_{n-1}] containing 2^x.
 
-        Closed-form inversion of the breakpoint formula plus an O(1)
-        adjustment, never a scan.  When x is exactly a breakpoint the smaller
-        index is returned; continuity makes evaluation agree either way.
+        Closed-form inversion of the breakpoint formula plus a walk of at most
+        five indices, never a scan; f, h and the four zoom limits all read
+        this one lookup.  When x is exactly a breakpoint the smaller index is
+        returned; continuity makes evaluation agree either way.
         """
         xa = _as_float_array(x)
         _validate_log_radius(xa, "x", allow_zero_radius=False)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import (
+    _check_dimension,
     finite_difference_distortion,
     iterate_max_distortion,
     linear_distortion_radial,
@@ -162,9 +163,14 @@ def breakpoint_image_worst(f, depth):
 def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
     """Run every invariant check and return a machine-readable report dict.
 
-    Raises ``ValueError`` when consecutive breakpoints coincide in float64
-    within ``depth``.
+    Every parameter is checked before any check runs.  Raises ``ValueError``
+    when consecutive breakpoints coincide in float64 within ``depth``.
     """
+    _check_dimension(dimension)
+    if operator.index(grid_points) < 2:
+        raise ValueError("grid_points must be an integer >= 2")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be a positive real")
     if operator.index(depth) < 2:
         raise ValueError("depth must be >= 2")
     f = build_standard_map(K)

@@ -59,28 +59,18 @@ def _base_of(map_):
     return getattr(map_, "source", map_)
 
 
-def _locate_shifted(K, xf):
+def _locate_shifted(source, xf):
     """Period index m >= 0 with log2 r_{2m+2} <= x <= log2 r_{2m}, plus a flag
     for x lying above the shifted odd breakpoint 2^{1/K - K} r_{2m+1}.
 
-    The shifted breakpoints are where the odd-scale limits switch branch;
-    smallest m wins ties, matching the branch tie-break of the base map.
+    Read off the base map's branch index n as m = (n - 1) // 2: n lies in
+    {2m+1, 2m+2} exactly when x lies in [r_{2m+2}, r_{2m}], and a tie at
+    r_{2m} gives n = 2m, hence the smaller period m - 1.  The shifted
+    breakpoints are where the odd-scale limits switch branch.
     """
-    period = K + 1.0 / K
-    m0 = np.floor(-xf / period).astype(np.int64)
-    out = np.full(xf.shape, -1, dtype=np.int64)
-    for off in (-1, 0, 1, 2):
-        cand = np.maximum(m0 + off, 0)
-        hit = (
-            (out < 0)
-            & (_breakpoint_log2(K, 2 * cand + 2) <= xf)
-            & (xf <= _breakpoint_log2(K, 2 * cand))
-        )
-        out = np.where(hit, cand, out)
-    if np.any(out < 0):
-        raise ValueError("log2 radius too deep for float64 breakpoint resolution")
-    shifted = -((out + 1) * K + out / K)
-    return out, xf >= shifted
+    K = source.K
+    m = (source._locate(xf) - 1) // 2
+    return m, xf >= -((m + 1) * K + m / K)
 
 
 def _limit_eval_finite(kind, source, xf):
@@ -100,7 +90,7 @@ def _limit_eval_finite(kind, source, xf):
         anchor = _breakpoint_log2(K, np.where(odd, n - 1, n))
         return (1.0 - slope) * anchor + slope * xf
     # P2 / Q2: branch switch at the shifted odd breakpoints.
-    m, high = _locate_shifted(K, xf)
+    m, high = _locate_shifted(source, xf)
     lr_hi = _breakpoint_log2(K, 2 * m)
     lr_lo = _breakpoint_log2(K, 2 * m + 2)
     if kind == "P2":

@@ -224,15 +224,28 @@ class TestConfigAndOutput:
         _, rows = parse_csv(out)
         assert float(rows[0][3]) == -1.25
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.json"
-        # counts are integers, never truncated (2.9 used to run in dimension 2)
-        for bad in ({"kay": 3.0}, {"dimension": 2.9}, {"grid_points": 3.7}, {"depth": 300.5}):
+        # counts are integers, never truncated (2.9 used to run in dimension 2);
+        # null and booleans are not coerced (null used to write a file "None",
+        # true to run with tol = 1.0)
+        for bad in (
+            {"kay": 3.0}, {"dimension": 2.9}, {"grid_points": 3.7}, {"depth": 300.5},
+            {"output_path": None}, {"tol": True}, {"K": None}, {"dimension": False},
+        ):
             cfg.write_text(json.dumps(bad))
             code, _, _ = run_cli(
                 capsys, "eval", "--config", str(cfg), "--map", "f", "--r", "0.5"
             )
             assert code == 2, bad
+        assert not (tmp_path / "None").exists()
+        cfg.write_text(json.dumps({"tol": True}))
+        code, _, _ = run_cli(
+            capsys, "zoom", "--config", str(cfg), "--map", "f", "--seq", "even", "--n", "1",
+            "--against", "P2",
+        )
+        assert code == 2
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(

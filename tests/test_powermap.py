@@ -24,7 +24,8 @@ from radialqc import (
     build_standard_map,
     limit_function,
 )
-from radialqc.powermap import _coefficient_log2
+from radialqc import powermap
+from radialqc.powermap import _breakpoint_log2, _coefficient_log2
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-40.0, max_value=0.0, allow_nan=False)
@@ -45,6 +46,28 @@ def scan_locate(f, x):
     while not (f.breakpoint(n) <= x <= f.breakpoint(n - 1)):
         n += 1
     return n
+
+
+def window_locate(K, xf):
+    """Reference: the six-probe window lookup that the step walk replaced.
+
+    Probes the indices max(2m - 1, 1) .. + 5 above the floor estimate
+    m = floor(-x / (K + 1/K)) in ascending order, keeping the first interval
+    that contains x (so the smaller index wins ties).
+    """
+    m = np.floor(-xf / (K + 1.0 / K)).astype(np.int64)
+    lo = np.maximum(2 * m - 1, 1)
+    out = np.full(xf.shape, -1, dtype=np.int64)
+    for off in range(6):
+        cand = lo + off
+        hit = (
+            (out < 0)
+            & (_breakpoint_log2(K, cand) <= xf)
+            & (xf <= _breakpoint_log2(K, cand - 1))
+        )
+        out = np.where(hit, cand, out)
+    assert np.all(out >= 0)
+    return out
 
 
 class TestConstruction:
@@ -194,6 +217,34 @@ class TestLocate:
     def test_matches_scan_oracle(self, K, x):
         f = build_standard_map(K)
         assert f.locate_interval(x) == scan_locate(f, x)
+
+    @pytest.mark.parametrize("K", [2.0, 1.37, 3.0, 9.99, 1.2001, 1e3])
+    def test_step_walk_matches_window_lookup(self, K):
+        f = build_standard_map(K)
+        rng = np.random.default_rng(11)
+        # uniform points, breakpoints 1..1999 (ties) with their float
+        # neighbours, and points with |x| up to 2^52
+        bp = f.breakpoint(np.arange(1, 2000))
+        x = np.concatenate([
+            rng.uniform(-200.0, 0.0, 50_000), [0.0, -(2.0**52)],
+            bp, np.nextafter(bp, 0.0), np.nextafter(bp, -np.inf),
+            -np.exp2(rng.uniform(0.0, 52.0, 20_000)),
+        ])
+        n = f.locate_interval(x)
+        assert n.dtype == np.int64
+        np.testing.assert_array_equal(n, window_locate(K, x))
+        # every returned interval contains its point, ties on the smaller index
+        assert np.all((f.breakpoint(n) <= x) & (x <= f.breakpoint(n - 1)))
+        assert np.all((n == 1) | (x < f.breakpoint(n - 1)))
+
+    def test_walk_past_its_bound_raises(self, monkeypatch):
+        f = build_standard_map(2.0)
+        assert f.locate_interval(-1.7) == 2  # one step up from the estimate
+        monkeypatch.setattr(powermap, "_LOCATE_STEPS", 0)
+        with pytest.raises(ValueError, match="too deep"):
+            f.locate_interval(-1.7)
+        with pytest.raises(ValueError, match="too deep"):
+            f.eval_log(np.array([-0.0, -1.7]))
 
     def test_vectorized_lookup(self):
         f = build_standard_map(2.0)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from radialqc import build_standard_map, run_verification
+from radialqc import build_standard_map, run_verification, verify
 from radialqc.powermap import PiecewisePowerMap, breakpoint_log2
 from radialqc.verify import product_identities_worst
 
@@ -67,3 +67,20 @@ def test_breakpoints_guarded_within_the_verify_depth():
                 run_verification(depth=bad_depth)
         with pytest.raises(TypeError):
             run_verification(depth=200.5)
+
+
+def test_parameters_checked_before_any_check_runs(monkeypatch):
+    def no_build(K):
+        raise AssertionError("a check ran before the parameters were validated")
+
+    monkeypatch.setattr(verify, "build_standard_map", no_build)
+    for bad in ({"dimension": 1}, {"tol": 0.0}, {"tol": -1e-9}, {"tol": float("nan")},
+                {"tol": float("inf")}, {"depth": 1}):
+        with pytest.raises(ValueError):
+            run_verification(**bad)
+    for bad in (0, 1):
+        with pytest.raises(ValueError, match="grid_points"):
+            run_verification(grid_points=bad)
+    for bad in ({"dimension": 2.5}, {"grid_points": 3.5}, {"tol": "1e-9"}):
+        with pytest.raises(TypeError):
+            run_verification(**bad)
