@@ -103,8 +103,8 @@ def _load_config(args) -> RunConfig:
         raise UsageError("dimension must be >= 2")
     if cfg.grid_points < 2:
         raise UsageError("grid_points must be >= 2")
-    if not cfg.tol > 0.0:
-        raise UsageError("tol must be > 0")
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0.0):
+        raise UsageError("tol must be a finite real > 0")
     if cfg.output_format not in ("csv", "json"):
         raise UsageError('output format must be "csv" or "json"')
     return cfg

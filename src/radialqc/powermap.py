@@ -22,10 +22,12 @@ evaluators accept scalars or numpy arrays and return the matching kind.
 Useful consequences of the layout, relied on elsewhere in the package:
 
   * anchor identity:   log2 C_n = -n - k_n log2 r_n
-  * unit period:       log2 r_n - log2 r_{n+2} = K + 1/K for every n
+  * unit period:       log2 r_n - log2 r_{n+2} = K + 1/K for every n, and
+    log2 f(x - (K + 1/K)) = log2 f(x) - 2, so every evaluator reduces x to
+    one period cell and evaluates two affine pieces there (``_eval_cells``)
   * product identity:  log2 r_{2n} + log2 r_m = log2 r_{2n+m}
-  * value intervals:   f maps [r_n, r_{n-1}] onto [2^-n, 2^-(n-1)], so the
-    value-side interval index is simply ceil(-log2 value).
+  * value intervals:   f maps [r_n, r_{n-1}] onto [2^-n, 2^-(n-1)], so f^{-1}
+    is log-periodic too, with period 2 in log2 value.
 
 Supported domain, shared by every evaluator in the package: breakpoint
 indices 0 <= n <= ``MAX_BREAKPOINT_INDEX`` (2^53, where integers stop being
@@ -75,10 +77,6 @@ class NotDifferentiableError(ValueError):
     """A derivative-based quantity was requested at a breakpoint radius."""
 
 
-def _as_float_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
-
-
 def _validate_log_radius(a, name, allow_zero_radius=True):
     if np.any(np.isnan(a)) or np.any(a == np.inf):
         raise ValueError(f"{name} must be a log2 radius, not NaN or +inf")
@@ -98,7 +96,7 @@ def _scalar_like(x, out1d):
 def breakpoint_log2(K, n):
     """log2 of the n-th breakpoint radius, for 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
 
-    Parity-split closed form; equals the recurrence
+    Closed form; equals the recurrence
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
     """
     na = np.asarray(n)
@@ -112,32 +110,43 @@ def breakpoint_log2(K, n):
 
 def _breakpoint_log2(K, na):
     """``breakpoint_log2`` without validation, for int64 indices derived from
-    in-domain log2 radii (interval lookups call it on every evaluation)."""
-    m_odd = (na + 1) // 2
-    m_even = na // 2
-    return np.where(
-        (na % 2) == 1,
-        -((m_odd - 1) * K + m_odd / K),
-        -(m_even * K + m_even / K),
-    ) + 0.0  # normalize -0.0 at n = 0
+    in-domain log2 radii (the interval lookup calls it on every step)."""
+    return -((na // 2) * K + ((na + 1) // 2) / K) + 0.0  # normalize -0.0 at n = 0
 
 
-def _exponent(K, n):
-    """Branch exponent k_n: K on odd-indexed intervals, 1/K on even ones."""
-    na = np.asarray(n, dtype=np.int64)
-    return np.where((na % 2) == 1, K, 1.0 / K)
+def _exponent(k, n):
+    """Branch exponent on interval n: k if n is odd, else 1/k (k = K for f, K^2 for h)."""
+    return np.where(n % 2 == 1, k, 1.0 / k)
 
 
-def _coefficient_log2(K, n):
-    """log2 C_n by the parity-split closed form (not via the anchor identity)."""
-    na = np.asarray(n, dtype=np.int64)
-    m_odd = (na + 1) // 2
-    m_even = na // 2
-    return np.where(
-        (na % 2) == 1,
-        (m_odd - 1) * (K * K - 1.0),
-        m_even * (1.0 / (K * K) - 1.0),
-    ) + 0.0
+def _eval_cells(x, cells, name="x"):
+    """log2 y(2^x) for a log-periodic map given by its cell spec.
+
+    ``cells`` is (period, split, a_hi, b_hi, a_lo, b_lo, shift): every map of
+    the package satisfies y(x - period) = y(x) - shift and is affine on the
+    two pieces of the cell (-period, 0] above and below ``split``.  So x is
+    reduced by m = floor(-x / period) periods (Cody-Waite style) to u in the
+    top cell, evaluated there, and shifted back down by m * shift.  Validates
+    x, passes the radius-0 sentinel through and returns the kind of x.
+    """
+    period, split, a_hi, b_hi, a_lo, b_lo, shift = cells
+    xa = np.asarray(x, dtype=float)
+    _validate_log_radius(xa, name)
+    xa1 = np.atleast_1d(xa)
+    out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
+    fin = np.isfinite(xa1)
+    if fin.any():
+        xf = xa1[fin]
+        m = np.floor(-xf / period)
+        u = xf + m * period
+        out[fin] = np.where(u >= split, b_hi + a_hi * u, b_lo + a_lo * u) - m * shift
+    return _scalar_like(x, out)
+
+
+def _f_cells(K):
+    """Cell spec of f (and of its even-scale zoom limit P1): slope K on
+    [r_1, r_0], slope 1/K with log2 C_2 = 1/K^2 - 1 on [r_2, r_1]."""
+    return (K + 1.0 / K, -1.0 / K, K, 0.0, 1.0 / K, 1.0 / (K * K) - 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -177,45 +186,27 @@ class PiecewisePowerMap:
         """Index n >= 1 of the branch interval [r_n, r_{n-1}] containing 2^x.
 
         Closed-form inversion of the breakpoint formula plus a walk of at most
-        five indices, never a scan; f, h and the four zoom limits all read
-        this one lookup.  When x is exactly a breakpoint the smaller index is
+        five indices, never a scan, with exact comparisons against the float
+        breakpoints.  When x is exactly a breakpoint the smaller index is
         returned; continuity makes evaluation agree either way.
         """
-        xa = _as_float_array(x)
+        xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x", allow_zero_radius=False)
         out = self._locate(np.atleast_1d(xa))
         return int(out[0]) if np.ndim(x) == 0 else out
 
     def eval_log(self, x):
         """log2 f(2^x); the radius-0 sentinel maps to itself."""
-        xa = _as_float_array(x)
-        _validate_log_radius(xa, "x")
-        xa1 = np.atleast_1d(xa)
-        out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
-        fin = np.isfinite(xa1)
-        if fin.any():
-            xf = xa1[fin]
-            n = self._locate(xf)
-            out[fin] = _coefficient_log2(self.K, n) + _exponent(self.K, n) * xf
-        return _scalar_like(x, out)
+        return _eval_cells(x, _f_cells(self.K))
 
     def inverse_eval_log(self, y):
         """log2 of f^{-1}(2^y).
 
-        The value-side interval [2^-n, 2^-(n-1)] has unit log2 width, so the
-        branch index is ceil(-y) directly; inverting the affine branch gives
-        (y - log2 C_n) / k_n.
+        f maps [r_2, r_0] onto [-2, 0] in log2, so f^{-1} is log-periodic with
+        period 2 and shift K + 1/K, its pieces the inverted branches of f.
         """
-        ya = _as_float_array(y)
-        _validate_log_radius(ya, "y")
-        ya1 = np.atleast_1d(ya)
-        out = np.full(ya1.shape, RADIUS_ZERO_LOG2)
-        fin = np.isfinite(ya1)
-        if fin.any():
-            yf = ya1[fin]
-            n = np.maximum(np.ceil(-yf).astype(np.int64), 1)
-            out[fin] = (yf - _coefficient_log2(self.K, n)) / _exponent(self.K, n)
-        return _scalar_like(y, out)
+        K = self.K
+        return _eval_cells(y, (2.0, -1.0, 1.0 / K, 0.0, K, K - 1.0 / K, K + 1.0 / K), "y")
 
     def eval(self, r):
         """f(r) on the linear scale, for r in [0, 1].
@@ -224,7 +215,7 @@ class PiecewisePowerMap:
         log2 f(r) drops below the float64 exponent range (~ -1074); use
         ``eval_log`` for deep radii.
         """
-        ra = _as_float_array(r)
+        ra = np.asarray(r, dtype=float)
         if np.any(np.isnan(ra)) or np.any(ra < 0.0) or np.any(ra > 1.0):
             raise ValueError("r must lie in [0, 1]")
         with np.errstate(divide="ignore"):
@@ -243,7 +234,7 @@ class PiecewisePowerMap:
 
     def local_exponent(self, x):
         """Power-law exponent of the branch at x; breakpoints are rejected."""
-        xa = _as_float_array(x)
+        xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x", allow_zero_radius=False)
         n = _strict_branch_index(self, np.atleast_1d(xa))
         out = np.asarray(_exponent(self.K, n), dtype=float)

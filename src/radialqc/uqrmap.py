@@ -26,30 +26,15 @@ import numpy as np
 
 from .powermap import (
     MAX_BREAKPOINT_INDEX,
-    RADIUS_ZERO_LOG2,
     PiecewisePowerMap,
+    _eval_cells,
+    _exponent,
     _scalar_like,
     _strict_branch_index,
     _validate_log_radius,
 )
 
 __all__ = ["ConjugatedMap", "build_conjugated_map", "h_via_conjugacy"]
-
-
-def _branch_exponent(K, n):
-    return np.where((np.asarray(n, dtype=np.int64) % 2) == 1, K * K, 1.0 / (K * K))
-
-
-def _branch_offset_log2(K, n):
-    """log2 of the branch coefficient of h on the n-th breakpoint interval."""
-    na = np.asarray(n, dtype=np.int64)
-    j_odd = (na + 1) // 2
-    j_even = na // 2
-    return np.where(
-        (na % 2) == 1,
-        (j_odd - 1) * K**3 - j_odd / K,
-        j_even / K**3 - 1.0 / K - j_even * K,
-    ) + 0.0
 
 
 @dataclass(frozen=True)
@@ -72,17 +57,12 @@ class ConjugatedMap:
         return self.source.locate_interval(x)
 
     def eval_log(self, x):
-        """log2 h(2^x) via the branch table (independent of f's inverse)."""
-        xa = np.asarray(x, dtype=float)
-        _validate_log_radius(xa, "x")
-        xa1 = np.atleast_1d(xa)
-        out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
-        fin = np.isfinite(xa1)
-        if fin.any():
-            xf = xa1[fin]
-            n = self.source._locate(xf)
-            out[fin] = _branch_offset_log2(self.K, n) + _branch_exponent(self.K, n) * xf
-        return _scalar_like(x, out)
+        """log2 h(2^x) from the closed branches on the period cell [r_2, r_0]
+        (h(x - (K + 1/K)) = h(x) - (K + 1/K)), not through f's inverse."""
+        K = self.K
+        P = K + 1.0 / K
+        return _eval_cells(x, (P, -1.0 / K, K * K, -1.0 / K, 1.0 / (K * K),
+                               1.0 / K**3 - 1.0 / K - K, P))
 
     def iterate(self, x, m):
         """log2 h^m(2^x) for integer counts 0 <= m <= ``MAX_BREAKPOINT_INDEX``.
@@ -116,7 +96,7 @@ class ConjugatedMap:
         xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x", allow_zero_radius=False)
         n = _strict_branch_index(self.source, np.atleast_1d(xa))
-        out = np.asarray(_branch_exponent(self.K, n), dtype=float)
+        out = np.asarray(_exponent(self.K * self.K, n), dtype=float)
         return _scalar_like(x, out)
 
     def distinct_exponents(self):
@@ -131,9 +111,10 @@ def build_conjugated_map(f: PiecewisePowerMap) -> ConjugatedMap:
 
 
 def h_via_conjugacy(f: PiecewisePowerMap, x):
-    """Oracle route for h: push through f, halve (a unit log2 shift), pull back.
+    """Second route for h: push through f, halve (a unit log2 shift), pull back.
 
-    Uses only f's forward and inverse evaluators, so it is an independent
-    cross-check of the closed branch table in :class:`ConjugatedMap`.
+    Uses only f's forward and inverse evaluators, which share the cell kernel
+    with :class:`ConjugatedMap`: comparing the routes checks h's cell spec
+    against those of f and f^{-1}, not separate code.
     """
     return f.inverse_eval_log(f.eval_log(x) - 1.0)

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import (
-    RADIUS_ZERO_LOG2,
     PiecewisePowerMap,
-    _breakpoint_log2,
-    _scalar_like,
+    _eval_cells,
+    _f_cells,
     _validate_log_radius,
 )
 
@@ -59,47 +58,21 @@ def _base_of(map_):
     return getattr(map_, "source", map_)
 
 
-def _locate_shifted(source, xf):
-    """Period index m >= 0 with log2 r_{2m+2} <= x <= log2 r_{2m}, plus a flag
-    for x lying above the shifted odd breakpoint 2^{1/K - K} r_{2m+1}.
+def _limit_cells(kind, K):
+    """Cell spec (see ``powermap._eval_cells``) of one zoom limit.
 
-    Read off the base map's branch index n as m = (n - 1) // 2: n lies in
-    {2m+1, 2m+2} exactly when x lies in [r_{2m+2}, r_{2m}], and a tie at
-    r_{2m} gives n = 2m, hence the smaller period m - 1.  The shifted
-    breakpoints are where the odd-scale limits switch branch.
+    P1 is f itself.  Q1 has h's slopes on f's intervals, anchored so that the
+    even breakpoints are fixed.  P2 and Q2 switch branch at the shifted
+    breakpoint -K of the top cell, -((m+1) K + m/K) in the m-th.
     """
-    K = source.K
-    m = (source._locate(xf) - 1) // 2
-    return m, xf >= -((m + 1) * K + m / K)
-
-
-def _limit_eval_finite(kind, source, xf):
-    K = source.K
     if kind == "P1":
-        # Same branch layout as the base map; offsets via the anchor form
-        # -n - k_n log2 r_n, a different arithmetic route than eval_log.
-        n = source._locate(xf)
-        k_n = np.where((n % 2) == 1, K, 1.0 / K)
-        return -n - k_n * _breakpoint_log2(K, n) + k_n * xf
-    if kind == "Q1":
-        # Slopes K^2 / 1/K^2 on the base intervals, anchored so that the
-        # even-indexed breakpoints are fixed points.
-        n = source._locate(xf)
-        odd = (n % 2) == 1
-        slope = np.where(odd, K * K, 1.0 / (K * K))
-        anchor = _breakpoint_log2(K, np.where(odd, n - 1, n))
-        return (1.0 - slope) * anchor + slope * xf
-    # P2 / Q2: branch switch at the shifted odd breakpoints.
-    m, high = _locate_shifted(source, xf)
-    lr_hi = _breakpoint_log2(K, 2 * m)
-    lr_lo = _breakpoint_log2(K, 2 * m + 2)
-    if kind == "P2":
-        hi_val = -(2 * m) - lr_hi / K + xf / K
-        lo_val = -(2 * m + 2) - K * lr_lo + K * xf
-    else:  # Q2
-        hi_val = (1.0 - 1.0 / (K * K)) * lr_hi + xf / (K * K)
-        lo_val = (1.0 - K * K) * lr_lo + (K * K) * xf
-    return np.where(high, hi_val, lo_val)
+        return _f_cells(K)
+    P = K + 1.0 / K
+    return {
+        "P2": (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0),
+        "Q1": (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P),
+        "Q2": (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P),
+    }[kind]
 
 
 @dataclass(frozen=True)
@@ -115,14 +88,8 @@ class LimitFunction:
     source: PiecewisePowerMap
 
     def eval_log(self, x):
-        xa = np.asarray(x, dtype=float)
-        _validate_log_radius(xa, "x")
-        xa1 = np.atleast_1d(xa)
-        out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
-        fin = np.isfinite(xa1)
-        if fin.any():
-            out[fin] = _limit_eval_finite(self.kind, self.source, xa1[fin])
-        return _scalar_like(x, out)
+        """log2 of the limit at 2^x; the radius-0 sentinel maps to itself."""
+        return _eval_cells(x, _limit_cells(self.kind, self.source.K))
 
 
 def limit_function(map_, kind) -> LimitFunction:
@@ -130,7 +97,9 @@ def limit_function(map_, kind) -> LimitFunction:
 
     ``P1``/``P2`` are the even/odd-scale limits of the base piecewise power
     map, ``Q1``/``Q2`` those of its conjugated (halving) map.  The recorded
-    source is always the base map, whose breakpoints set the branch layout.
+    source is always the base map: its K alone fixes the limit's cell spec
+    (period, split point, two slopes, two offsets, shift), evaluated by the
+    same cell kernel as f and h.  P1 is f's own spec.
     """
     if kind not in LIMIT_KINDS:
         raise ValueError(f"kind must be one of {LIMIT_KINDS}, got {kind!r}")
@@ -181,10 +150,11 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     grid = np.asarray(r_grid, dtype=float)
     _validate_log_radius(grid, "r_grid", allow_zero_radius=False)
     lim = np.atleast_1d(lf.eval_log(grid))
+    ts = np.array([scale_at(map_, sequence, n) for n in n_range])
+    # rescaled_eval's arithmetic, with every scale value from one array call
     worst = 0.0
-    for n in n_range:
-        t = scale_at(map_, sequence, n)
-        dev = np.abs(np.atleast_1d(rescaled_eval(map_, t, grid)) - lim)
+    for t, at_t in zip(ts.tolist(), map_.eval_log(ts).tolist()):
+        dev = np.abs(np.atleast_1d(map_.eval_log(grid + t) - at_t) - lim)
         worst = max(worst, float(dev.max()))
     return worst
 

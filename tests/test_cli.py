@@ -88,6 +88,18 @@ class TestZoom:
         assert code == 1
         assert "exceeds tol" in err
 
+    def test_non_finite_tol_rejected(self, capsys, tmp_path):
+        # an infinite tol let the 0.75 mismatch above exit 0
+        zoom = ("zoom", "--map", "f", "--seq", "even", "--n", "1", "--against", "P2")
+        for tol in ("inf", "nan", "-1", "0"):
+            code, out, err = run_cli(capsys, *zoom, "--tol", tol)
+            assert (code, out) == (2, ""), tol
+            assert "tol must be a finite real > 0" in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"tol": 1e400}')  # json reads it as inf
+        code, out, _ = run_cli(capsys, *zoom, "--config", str(cfg))
+        assert (code, out) == (2, "")
+
     def test_mismatched_against_with_no_assert(self, capsys):
         code, out, _ = run_cli(
             capsys, "zoom", "--map", "f", "--seq", "even", "--n", "1..3",

@@ -25,7 +25,8 @@ from radialqc import (
     limit_function,
 )
 from radialqc import powermap
-from radialqc.powermap import _breakpoint_log2, _coefficient_log2
+from radialqc.powermap import _breakpoint_log2
+from radialqc.verify import _coefficient_log2
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-40.0, max_value=0.0, allow_nan=False)
@@ -243,8 +244,6 @@ class TestLocate:
         monkeypatch.setattr(powermap, "_LOCATE_STEPS", 0)
         with pytest.raises(ValueError, match="too deep"):
             f.locate_interval(-1.7)
-        with pytest.raises(ValueError, match="too deep"):
-            f.eval_log(np.array([-0.0, -1.7]))
 
     def test_vectorized_lookup(self):
         f = build_standard_map(2.0)

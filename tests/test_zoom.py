@@ -30,8 +30,6 @@ from radialqc import (
     scale_at,
     zoom_limit_deviation,
 )
-from radialqc.powermap import _breakpoint_log2, breakpoint_log2
-from radialqc.zoom import _locate_shifted
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 
@@ -49,33 +47,6 @@ def h(f):
 def grid3(f, points=400):
     period = f.K + 1.0 / f.K
     return np.linspace(-3.0 * period, -1e-9, points)
-
-
-def window_locate_shifted(K, xf):
-    """Reference: the four-probe window that found the P2/Q2 period index
-    before it was read off the base map's branch index."""
-    m0 = np.floor(-xf / (K + 1.0 / K)).astype(np.int64)
-    out = np.full(xf.shape, -1, dtype=np.int64)
-    for off in (-1, 0, 1, 2):
-        cand = np.maximum(m0 + off, 0)
-        hit = (
-            (out < 0)
-            & (_breakpoint_log2(K, 2 * cand + 2) <= xf)
-            & (xf <= _breakpoint_log2(K, 2 * cand))
-        )
-        out = np.where(hit, cand, out)
-    assert np.all(out >= 0)
-    return out, xf >= -((out + 1) * K + out / K)
-
-
-def scan_period_index(K, xf):
-    """Oracle: the first m >= 0 with log2 r_{2m+2} <= x <= log2 r_{2m}, by a
-    linear scan over the even breakpoints."""
-    top = int(np.max(-xf) / (K + 1.0 / K)) + 2
-    even = breakpoint_log2(K, 2 * np.arange(top + 2))
-    inside = (even[1:] <= xf[:, None]) & (xf[:, None] <= even[:-1])
-    assert inside.any(axis=1).all()
-    return np.argmax(inside, axis=1)
 
 
 class TestRescaled:
@@ -176,23 +147,6 @@ class TestLimits:
     def test_bad_kind_rejected(self, f):
         with pytest.raises(ValueError):
             limit_function(f, "P3")
-
-    @pytest.mark.parametrize("K", [2.0, 1.37, 3.0, 9.99, 1.2001, 1e3])
-    def test_period_index_matches_window_and_scan(self, K):
-        base = build_standard_map(K)
-        rng = np.random.default_rng(5)
-        bp = breakpoint_log2(K, np.arange(1, 2000))
-        near = np.concatenate([
-            rng.uniform(-200.0, 0.0, 20_000), [0.0], bp,
-            np.nextafter(bp, 0.0), np.nextafter(bp, -np.inf),
-        ])
-        x = np.concatenate([near, -np.exp2(rng.uniform(0.0, 52.0, 20_000)), [-(2.0**52)]])
-        m, high = _locate_shifted(base, x)
-        ref_m, ref_high = window_locate_shifted(K, x)
-        np.testing.assert_array_equal(m, ref_m)
-        np.testing.assert_array_equal(high, ref_high)
-        # the even breakpoints r_{2m} are ties: the smaller period m - 1 wins
-        np.testing.assert_array_equal(m[: near.size], scan_period_index(K, near))
 
 
 class TestDeviation:
