@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Subcommands: eval, zoom, ivt, iterate, distortion, verify.  Configuration
-precedence is CLI flags > JSON config file > built-in defaults; outputs are
+precedence is CLI flags > JSON config file > built-in defaults.  Tables are
 CSV (RFC 4180, floats at 17 significant digits) or JSON, written to stdout or
-a file, and byte-identical for identical inputs.  Exit codes: 0 success,
-1 assertion/invariant failure (including an unbracketed ivt target),
-2 usage or input error.
+a file by one column writer, ``_emit_table``: each command hands it column
+arrays, and it streams them in chunks of ``_CHUNK_ROWS`` rows, formatting
+each distinct value of a column once per chunk, so memory stays flat in the
+row count.  Inputs are checked before the first row is written, and output is
+byte-identical for identical inputs.  Exit codes: 0 success, 1 assertion/
+invariant failure (including an unbracketed ivt target), 2 usage or input
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import inspect
-import io
 import json
 import operator
 import sys
@@ -26,7 +29,7 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import build_standard_map
+from .powermap import MAX_BREAKPOINT_INDEX, build_standard_map
 from .uqrmap import build_conjugated_map
 from .verify import SCHEMA_VERSION, run_verification
 from .zoom import (
@@ -110,57 +113,96 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _fmt_cell(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+#: rows formatted and written at a time: bounds the writer's memory, and is
+#: large enough that a zoom's repeated grid, limit and scale values format once
+_CHUNK_ROWS = 16384
 
 
-def _write_text(cfg: RunConfig, text: str):
+def _output(cfg: RunConfig):
+    """The output stream: stdout, or the ``--output`` file opened for writing."""
     if cfg.output_path == "-":
-        sys.stdout.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(cfg.output_path, "w", encoding="utf-8", newline="")
+
+
+def _cells(col):
+    """Text of each entry of one column: floats at 17 significant digits,
+    integers by ``str``, strings as they are.  Each distinct number is
+    formatted once, floats keyed by bit pattern so that 0.0 and -0.0 stay
+    apart."""
+    if col.dtype.kind == "f":
+        uniq, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        text = ["%.17g" % v for v in uniq.view(np.float64).tolist()]
+    elif col.dtype.kind in "iu":
+        uniq, inverse = np.unique(col, return_inverse=True)
+        text = [str(v) for v in uniq.tolist()]
     else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return col.tolist()
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _emit_table(cfg: RunConfig, command, header, rows, extra=None):
+def _exp2(col):
+    """2**v for each entry, by Python's float power as the tables always were."""
+    return np.array([2.0**v for v in col.tolist()])
+
+
+def _emit_table(cfg: RunConfig, command, header, blocks, extra=None):
+    """Write a table as CSV or JSON, streamed in chunks of ``_CHUNK_ROWS`` rows.
+
+    ``blocks`` yields tuples of equal-length 1-D column arrays, one per header
+    entry (float64, integer or string).  ``extra`` holds summary values known
+    before the first row: one trailing CSV row each, top-level keys in JSON.
+    CSV is RFC 4180 with CRLF line endings (no cell needs quoting); JSON has
+    the layout of ``json.dumps(indent=2, sort_keys=True)``, every cell a string.
+    """
+    extra = extra or {}
     if cfg.output_format == "json":
-        payload = {
-            "command": command,
-            "schema_version": SCHEMA_VERSION,
-            "columns": list(header),
-            "rows": [[c if isinstance(c, str) else _fmt_cell(c) for c in row] for row in rows],
-        }
-        if extra:
-            payload.update(extra)
-        _write_text(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # default \r\n line endings per RFC 4180
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(c) for c in row])
-    if extra:
-        for key, value in extra.items():
-            writer.writerow([key] + [""] * (len(header) - 2) + [_fmt_cell(value)])
-    _write_text(cfg, buf.getvalue())
+        payload = {"command": command, "schema_version": SCHEMA_VERSION,
+                   "columns": list(header), "rows": [], **extra}
+        head, tail = json.dumps(payload, indent=2, sort_keys=True).split('"rows": []')
+        head += '"rows": ['
+        row_open, cell_sep, row_close, row_sep = '\n    [\n      "', '",\n      "', '"\n    ]', ","
+        end = "\n  ]" + tail + "\n"
+    else:
+        head = ",".join(header) + "\r\n"
+        row_open, cell_sep, row_close, row_sep = "", ",", "\r\n", ""
+        end = "".join(
+            key + "," * (len(header) - 1) + "%.17g" % value + "\r\n" for key, value in extra.items()
+        )
+    between = row_close + row_sep + row_open
+    with _output(cfg) as out:
+        out.write(head)
+        lead = row_open
+        for columns in blocks:
+            for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                cells = [_cells(col[lo:lo + _CHUNK_ROWS]) for col in columns]
+                out.write(lead + between.join(map(cell_sep.join, zip(*cells))) + row_close)
+                lead = row_sep + row_open
+        out.write(end)
 
 
 def _parse_n_spec(spec):
-    """Index list from "a..b", "a,b,c", or a single integer."""
+    """Scale indices from "a..b" (a range), "a,b,c" or a single integer, and
+    the largest of them.
+
+    Each must lie in 1..2**52, so that the breakpoint index 2n stays within
+    ``MAX_BREAKPOINT_INDEX``; the bounds are checked without listing a range.
+    """
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
+            ns = range(int(lo), int(hi) + 1)
+            if not ns:
                 raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(tok) for tok in spec.split(",")]
+            least, most = ns[0], ns[-1]
+        else:
+            ns = [int(tok) for tok in spec.split(",")]
+            least, most = min(ns), max(ns)
     except ValueError as exc:
         raise UsageError(f"bad index spec {spec!r}: use N, a,b,c or a..b") from exc
+    if least < 1 or most > MAX_BREAKPOINT_INDEX // 2:
+        raise UsageError("zoom sequence indices must lie in 1..2**52")
+    return ns, most
 
 
 def _parse_grid_spec(spec, cfg: RunConfig):
@@ -204,11 +246,10 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     target = _eval_target(args.map, f, h)
-    rows = []
-    for x in _gather_log2_radii(args):
-        y = target.eval_log(x)
-        rows.append((2.0**x, x, 2.0**y, y))
-    _emit_table(cfg, "eval", ("r", "log2_r", "value", "log2_value"), rows)
+    xs = np.array(_gather_log2_radii(args))
+    ys = np.atleast_1d(target.eval_log(xs))
+    _emit_table(cfg, "eval", ("r", "log2_r", "value", "log2_value"),
+                [(_exp2(xs), xs, _exp2(ys), ys)])
     return 0
 
 
@@ -216,28 +257,36 @@ def _cmd_zoom(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     map_ = f if args.map == "f" else h
-    n_list = _parse_n_spec(args.n)
-    if any(n < 1 for n in n_list):
-        raise UsageError("zoom sequence indices must be >= 1")
+    ns, deepest = _parse_n_spec(args.n)
     grid = _parse_grid_spec(args.grid, cfg)
     grid = grid[grid < 0.0]
+    # the deepest point evaluated: a domain error surfaces before any pass
+    rescaled_eval(map_, scale_at(map_, args.seq, deepest), grid[0])
     kind = args.against or _MATCHED_LIMIT[(args.map, args.seq)]
-    lf = limit_function(map_, kind)
-    rows = []
-    max_dev = 0.0
-    lim = np.atleast_1d(lf.eval_log(grid))
-    for n in n_list:
-        t = scale_at(map_, args.seq, n)
-        res = np.atleast_1d(rescaled_eval(map_, t, grid))
-        dev = np.abs(res - lim)
-        max_dev = max(max_dev, float(dev.max()))
-        for x, g, l, e in zip(grid, res, lim, dev):
-            rows.append((n, t, x, g, l, e))
+    lim = np.atleast_1d(limit_function(map_, kind).eval_log(grid))
+    per_block = max(1, _CHUNK_ROWS // grid.size)
+
+    def blocks():
+        """(scale indices, scales, rescaled values, deviations), a block of
+        scales at a time, rescaled_eval's arithmetic over (scales x grid)."""
+        for lo in range(0, len(ns), per_block):
+            n = np.array(ns[lo:lo + per_block])
+            t = scale_at(map_, args.seq, n)
+            rescaled = map_.eval_log(grid + t[:, None]) - map_.eval_log(t)[:, None]
+            yield n, t, rescaled, np.abs(rescaled - lim)
+
+    # a first pass finds the summary, which JSON writes before the rows
+    max_dev = max(float(dev.max()) for *_, dev in blocks())
+    columns = (
+        (np.repeat(n, grid.size), np.repeat(t, grid.size), np.tile(grid, n.size),
+         rescaled.ravel(), np.tile(lim, n.size), dev.ravel())
+        for n, t, rescaled, dev in blocks()
+    )
     _emit_table(
         cfg,
         "zoom",
         ("n", "log2_t", "log2_r", "rescaled", "matched_limit", "abs_dev"),
-        rows,
+        columns,
         extra={"max_abs_dev": max_dev},
     )
     if max_dev > cfg.tol and not args.no_assert:
@@ -266,12 +315,8 @@ def _cmd_ivt(cfg: RunConfig, args) -> int:
     lam = _one_of(args, "lam", "log2_lam", "lambda")
     t = ivt_sample(f, r0, lam, cfg.tol, period_index=args.period)
     achieved = rescaled_eval(f, t, r0)
-    _emit_table(
-        cfg,
-        "ivt",
-        ("log2_t", "achieved_value", "residual"),
-        [(t, achieved, abs(achieved - lam))],
-    )
+    columns = tuple(np.array([[t], [achieved], [abs(achieved - lam)]]))
+    _emit_table(cfg, "ivt", ("log2_t", "achieved_value", "residual"), [columns])
     return 0
 
 
@@ -279,11 +324,20 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     x0 = _one_of(args, "r", "log2_r", "r")
-    if args.iterates < 0:
-        raise UsageError("--iterates must be >= 0")
-    orbit = h.iterate(x0, np.arange(args.iterates + 1)).tolist()
-    rows = [(m, y, 2.0**y) for m, y in enumerate(orbit)]
-    _emit_table(cfg, "iterate", ("m", "log2_value", "value"), rows)
+    if not 0 <= args.iterates <= MAX_BREAKPOINT_INDEX:
+        raise UsageError("--iterates must lie in 0..2**53")
+    if args.iterates:
+        # the deepest odd iterate is the deepest point h is evaluated at:
+        # a domain error surfaces here, before any row is written
+        h.iterate(x0, args.iterates - 1 + args.iterates % 2)
+
+    def blocks():
+        for lo in range(0, args.iterates + 1, _CHUNK_ROWS):
+            m = np.arange(lo, min(lo + _CHUNK_ROWS, args.iterates + 1))
+            y = h.iterate(x0, m)
+            yield m, y, _exp2(y)
+
+    _emit_table(cfg, "iterate", ("m", "log2_value", "value"), blocks())
     return 0
 
 
@@ -292,30 +346,25 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
         raise UsageError("give exactly one of --map {f,h} or --alpha")
     if args.iterates is not None and args.map != "h":
         raise UsageError("--iterates applies to --map h only")
-    rows = []
     if args.alpha is not None:
         if args.alpha <= 0:
             raise UsageError("--alpha must be > 0")
-        rep = radial_power_distortion(args.alpha, cfg.dimension)
-        rows.append((1, rep.K_O, rep.K_I, rep.K_max))
-        sup = rep
+        reports = [radial_power_distortion(args.alpha, cfg.dimension)]
     else:
         f = build_standard_map(cfg.K)
         h = build_conjugated_map(f)
         if args.map == "f":
-            rep = max_distortion(f, cfg.dimension)
-            rows.append((1, rep.K_O, rep.K_I, rep.K_max))
-            sup = rep
+            reports = [max_distortion(f, cfg.dimension)]
         else:
             m_max = args.iterates if args.iterates is not None else 1
             if m_max < 1:
                 raise UsageError("--iterates must be >= 1 for the conjugated map")
             reports = iterate_max_distortion(h, cfg.dimension, m_max)
-            for m, rep in enumerate(reports, start=1):
-                rows.append((m, rep.K_O, rep.K_I, rep.K_max))
-            sup = max(reports, key=lambda rep: rep.K_max)
-    rows.append(("sup", sup.K_O, sup.K_I, sup.K_max))
-    _emit_table(cfg, "distortion", ("m", "K_O", "K_I", "K_max"), rows)
+    header = ("m", "K_O", "K_I", "K_max")
+    rows = [*reports, max(reports, key=lambda rep: rep.K_max)]
+    labels = np.array([*map(str, range(1, len(reports) + 1)), "sup"])
+    values = (np.array([getattr(rep, key) for rep in rows]) for key in header[1:])
+    _emit_table(cfg, "distortion", header, [(labels, *values)])
     return 0
 
 
@@ -327,7 +376,8 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         grid_points=cfg.grid_points,
         tol=cfg.tol,
     )
-    _write_text(cfg, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _output(cfg) as out:
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
 
 

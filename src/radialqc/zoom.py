@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import (
+    MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
     _eval_cells,
     _f_cells,
@@ -126,14 +127,22 @@ def rescaled_eval(map_, t, r):
 
 
 def scale_at(map_, sequence, n):
-    """log2 scale t_n: the 2n-th breakpoint for "even", the (2n-1)-th for "odd"."""
+    """log2 scale t_n: the 2n-th breakpoint for "even", the (2n-1)-th for "odd".
+
+    ``n`` is an integer or an integer array, each entry in 1..2**52 (so the
+    breakpoint index stays within ``MAX_BREAKPOINT_INDEX``); an array is
+    validated once and gives an array of scales.
+    """
     if sequence not in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
         raise ValueError(f'sequence must be "even" or "odd", got {sequence!r}')
-    n = operator.index(n)
-    if n < 1:
+    na = np.asarray(operator.index(n) if np.ndim(n) == 0 else n)
+    if not np.issubdtype(na.dtype, np.integer):
+        raise TypeError("sequence index n must be an integer within 64 bits")
+    if np.any(na < 1):
         raise ValueError("sequence index n must be >= 1")
-    base = _base_of(map_)
-    return base.breakpoint(2 * n if sequence == EVEN_BREAKPOINTS else 2 * n - 1)
+    if np.any(na > MAX_BREAKPOINT_INDEX // 2):  # before doubling, so 2n cannot wrap
+        raise ValueError("sequence index n must be <= 2**52")
+    return _base_of(map_).breakpoint(2 * na if sequence == EVEN_BREAKPOINTS else 2 * na - 1)
 
 
 def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
@@ -147,16 +156,12 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     base = _base_of(map_)
     if lf.source != base:
         raise ValueError("limit function was built for a different map")
-    grid = np.asarray(r_grid, dtype=float)
+    grid = np.asarray(r_grid, dtype=float).ravel()
     _validate_log_radius(grid, "r_grid", allow_zero_radius=False)
-    lim = np.atleast_1d(lf.eval_log(grid))
-    ts = np.array([scale_at(map_, sequence, n) for n in n_range])
-    # rescaled_eval's arithmetic, with every scale value from one array call
-    worst = 0.0
-    for t, at_t in zip(ts.tolist(), map_.eval_log(ts).tolist()):
-        dev = np.abs(np.atleast_1d(map_.eval_log(grid + t) - at_t) - lim)
-        worst = max(worst, float(dev.max()))
-    return worst
+    ts = scale_at(map_, sequence, np.asarray(n_range))
+    # rescaled_eval's arithmetic over every (scale, grid point) pair at once
+    rescaled = map_.eval_log(grid + ts[:, None]) - map_.eval_log(ts)[:, None]
+    return float(np.abs(rescaled - lf.eval_log(grid)).max(initial=0.0))
 
 
 def ivt_sample(map_, r0, lam, tol, period_index=1):

@@ -5,10 +5,22 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import radialqc
+from radialqc import cli
 from radialqc.cli import main
+from radialqc.distortion import iterate_max_distortion, max_distortion, radial_power_distortion
+from radialqc.powermap import build_standard_map
+from radialqc.uqrmap import build_conjugated_map
+from radialqc.verify import SCHEMA_VERSION
+from radialqc.zoom import ivt_sample, limit_function, rescaled_eval, scale_at
 
 
 def run_cli(capsys, *argv):
@@ -20,6 +32,200 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+# --- reference: the whole-table formatter and row-by-row command bodies that
+# the streaming column writer replaced; outputs must match them byte for byte
+
+
+def ref_fmt_cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def ref_emit_table(output_format, command, header, rows, extra=None):
+    if output_format == "json":
+        payload = {
+            "command": command,
+            "schema_version": SCHEMA_VERSION,
+            "columns": list(header),
+            "rows": [[ref_fmt_cell(c) for c in row] for row in rows],
+        }
+        if extra:
+            payload.update(extra)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([ref_fmt_cell(c) for c in row])
+    for key, value in (extra or {}).items():
+        writer.writerow([key] + [""] * (len(header) - 2) + [ref_fmt_cell(value)])
+    return buf.getvalue()
+
+
+def reference_run(*argv):
+    """(exit code, table text) of a table command, one row at a time."""
+    args = cli.build_parser().parse_args(list(argv))
+    cfg = cli._load_config(args)
+    f = build_standard_map(cfg.K)
+    h = build_conjugated_map(f)
+    code, extra = 0, None
+    if args.command == "eval":
+        target = cli._eval_target(args.map, f, h)
+        rows = []
+        for x in cli._gather_log2_radii(args):
+            y = target.eval_log(x)
+            rows.append((2.0**x, x, 2.0**y, y))
+        header = ("r", "log2_r", "value", "log2_value")
+    elif args.command == "zoom":
+        map_ = f if args.map == "f" else h
+        grid = cli._parse_grid_spec(args.grid, cfg)
+        grid = grid[grid < 0.0]
+        lf = limit_function(map_, args.against or cli._MATCHED_LIMIT[(args.map, args.seq)])
+        lim = np.atleast_1d(lf.eval_log(grid))
+        rows, max_dev = [], 0.0
+        for n in cli._parse_n_spec(args.n)[0]:
+            t = scale_at(map_, args.seq, n)
+            res = np.atleast_1d(rescaled_eval(map_, t, grid))
+            dev = np.abs(res - lim)
+            max_dev = max(max_dev, float(dev.max()))
+            # Python floats format as the numpy scalars did, and faster
+            cols = (grid.tolist(), res.tolist(), lim.tolist(), dev.tolist())
+            rows.extend((n, t, x, g, v, e) for x, g, v, e in zip(*cols))
+        header = ("n", "log2_t", "log2_r", "rescaled", "matched_limit", "abs_dev")
+        extra = {"max_abs_dev": max_dev}
+        code = int(max_dev > cfg.tol and not args.no_assert)
+    elif args.command == "ivt":
+        r0 = cli._one_of(args, "r0", "log2_r0", "r0")
+        lam = cli._one_of(args, "lam", "log2_lam", "lambda")
+        t = ivt_sample(f, r0, lam, cfg.tol, period_index=args.period)
+        achieved = rescaled_eval(f, t, r0)
+        rows = [(t, achieved, abs(achieved - lam))]
+        header = ("log2_t", "achieved_value", "residual")
+    elif args.command == "iterate":
+        x0 = cli._one_of(args, "r", "log2_r", "r")
+        orbit = h.iterate(x0, np.arange(args.iterates + 1)).tolist()
+        rows = [(m, y, 2.0**y) for m, y in enumerate(orbit)]
+        header = ("m", "log2_value", "value")
+    else:
+        if args.alpha is not None:
+            reports = [radial_power_distortion(args.alpha, cfg.dimension)]
+        elif args.map == "f":
+            reports = [max_distortion(f, cfg.dimension)]
+        else:
+            reports = iterate_max_distortion(h, cfg.dimension, args.iterates or 1)
+        rows = [(m, rep.K_O, rep.K_I, rep.K_max) for m, rep in enumerate(reports, start=1)]
+        sup = max(reports, key=lambda rep: rep.K_max)
+        rows.append(("sup", sup.K_O, sup.K_I, sup.K_max))
+        header = ("m", "K_O", "K_I", "K_max")
+    return code, ref_emit_table(cfg.output_format, args.command, header, rows, extra)
+
+
+#: the table command lines of the README
+README_TABLES = (
+    "eval --map f --K 2 --r 0.8",
+    "eval --map P2 --K 2 --log2-r -0.5",
+    "zoom --map f --seq even --n 1..10",
+    "zoom --map h --seq odd --n 1..10 --format json",
+    "ivt --log2-r0 -0.5 --lambda 0.67",
+    "iterate --r 0.8 --iterates 10",
+    "distortion --map h --d 2 --iterates 40",
+    "distortion --alpha 2 --d 3",
+)
+
+
+class TestStreamedTables:
+    @pytest.mark.parametrize("K", ["2", "1.37", "9.99"])
+    def test_readme_lines_match_reference(self, capsys, K):
+        for line in README_TABLES:
+            for fmt in ("csv", "json"):
+                argv = (*line.split(), "--K", K, "--format", fmt)
+                code, out, _ = run_cli(capsys, *argv)
+                assert (code, out) == reference_run(*argv), argv
+
+    def test_other_tables_match_reference(self, capsys, tmp_path):
+        target = tmp_path / "table.out"
+        for line in (
+            "zoom --map f --seq odd --n 3,1,2 --against P1 --no-assert --grid=-9:0:300",
+            "zoom --map h --seq even --n 1..3 --against Q2 --grid=-4:-0.5:40",
+            "eval --map Q2 --r 0.3 --r 1 --log2-r=-inf --log2-r=-700.25",
+            "iterate --log2-r=-3.5 --iterates 0",
+            "distortion --map f --d 3",
+        ):
+            for fmt in ("csv", "json"):
+                argv = (*line.split(), "--K", "1.37", "--format", fmt)
+                want_code, want = reference_run(*argv)
+                assert run_cli(capsys, *argv)[:2] == (want_code, want), argv
+                assert run_cli(capsys, *argv, "--output", str(target))[:2] == (want_code, "")
+                assert target.read_bytes().decode() == want, argv
+
+    def test_chunk_boundaries(self, capsys, monkeypatch):
+        # tables longer than a chunk, and zoom blocks split across chunks
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+        for line in (
+            "zoom --map h --seq odd --n 1..4 --grid=-5:-0.01:30",
+            "zoom --map f --seq even --n 2..5 --grid=-5:-0.01:5",
+            "iterate --r 0.8 --iterates 29",
+            "distortion --map h --iterates 14",
+        ):
+            for fmt in ("csv", "json"):
+                argv = (*line.split(), "--format", fmt)
+                code, out, _ = run_cli(capsys, *argv)
+                assert (code, out) == reference_run(*argv), argv
+
+    def test_signed_zeros_format_apart(self, capsys):
+        # floats are de-duplicated by bit pattern, so -0.0 is not printed as 0
+        col = np.array([0.0, -0.0, 1.5, -0.0, 0.0, np.inf, -np.inf])
+        ints = np.arange(col.size)
+        for fmt in ("csv", "json"):
+            cfg = cli.RunConfig(**{**cli.DEFAULTS, "output_format": fmt})
+            cli._emit_table(cfg, "t", ("i", "x"), [(ints, col)], extra={"s": -0.0})
+            want = ref_emit_table(fmt, "t", ("i", "x"), zip(ints.tolist(), col.tolist()),
+                                  extra={"s": -0.0})
+            assert capsys.readouterr().out == want
+
+
+class TestBounds:
+    def test_index_specs_checked_before_any_row(self, capsys):
+        for spec in ("1..100000000000000000", "0..3", "0,3", "4503599627370497", "5..4"):
+            code, out, err = run_cli(capsys, "zoom", "--map", "f", "--seq", "even", "--n", spec)
+            assert (code, out) == (2, ""), spec
+        # in the index bound but outside the log2 domain: still no partial table
+        code, out, err = run_cli(capsys, "zoom", "--map", "f", "--seq", "even",
+                                 "--n", "3..4503599627370496")
+        assert (code, out) == (2, "")
+
+    def test_iterate_count_checked_before_any_row(self, capsys):
+        for argv in (("--r", "0.5", "--iterates", str(2**53 + 1)),
+                     ("--r", "0.5", "--iterates", "-1"),
+                     ("--r", "1", "--iterates", str(2**53))):  # leaves the log2 domain
+            code, out, _ = run_cli(capsys, "iterate", *argv)
+            assert (code, out) == (2, ""), argv
+
+    def test_zoom_memory_flat_in_rows(self, tmp_path):
+        # one child process writes 9,990 rows, then 99,900 in CSV and in JSON,
+        # and reports its peak RSS after each; the row-list writer took about
+        # 400 B a row, 36 MB more for the larger tables
+        child = (
+            "import resource, sys\n"
+            "from radialqc.cli import main\n"
+            "for n, fmt in (('1..10', 'csv'), ('1..100', 'csv'), ('1..100', 'json')):\n"
+            "    assert main(['zoom', '--map', 'f', '--seq', 'even', '--n', n,\n"
+            "                 '--format', fmt, '--output', sys.argv[1]]) == 0\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(radialqc.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path / "z")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        peaks = [int(v) / 1024.0 for v in out.split()]  # ru_maxrss is in kB on Linux
+        assert len(peaks) == 3
+        assert peaks[-1] - peaks[0] < 10.0, peaks
 
 
 class TestEval:

@@ -34,6 +34,16 @@ from radialqc import (
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 
 
+def loop_zoom_limit_deviation(map_, sequence, lf, n_range, grid):
+    """Reference: one scalar ``scale_at`` and one ``rescaled_eval`` per scale."""
+    lim = lf.eval_log(grid)
+    worst = 0.0
+    for n in n_range:
+        dev = np.abs(rescaled_eval(map_, scale_at(map_, sequence, n), grid) - lim)
+        worst = max(worst, float(dev.max()))
+    return worst
+
+
 @pytest.fixture(scope="module")
 def f():
     return build_standard_map(2.0)
@@ -158,6 +168,19 @@ class TestDeviation:
         assert zoom_limit_deviation(h, "even", limit_function(h, "Q1"), ns, g) <= 1e-9
         assert zoom_limit_deviation(h, "odd", limit_function(h, "Q2"), ns, g) <= 1e-9
 
+    def test_matches_one_scale_at_a_time(self):
+        # the (scales x grid) pass does rescaled_eval's arithmetic: bit-identical
+        for K in (2.0, 3.0, 1.37, 9.99, 1.2001):
+            f = build_standard_map(K)
+            h = build_conjugated_map(f)
+            g = grid3(f, 999)
+            for map_, seq, kind in ((f, "even", "P1"), (f, "odd", "P2"), (h, "even", "Q1"),
+                                    (h, "odd", "Q2"), (f, "even", "P2")):
+                lf = limit_function(map_, kind)
+                assert zoom_limit_deviation(map_, seq, lf, range(1, 51), g) == (
+                    loop_zoom_limit_deviation(map_, seq, lf, range(1, 51), g)
+                ), (K, seq, kind)
+
     def test_mismatched_pair_is_order_one(self, f):
         g = grid3(f, 1000)
         dev = zoom_limit_deviation(f, "even", limit_function(f, "P2"), range(1, 11), g)
@@ -180,6 +203,21 @@ class TestDeviation:
                     scale_at(f, "even", bad)
             with pytest.raises(TypeError):
                 scale_at(f, "odd", 2.5)
+            # the same checks on index arrays, uint64 included (2n would wrap)
+            for bad in ([1, 0], [2**52 + 1], np.array([2**63 + 1], dtype=np.uint64)):
+                with pytest.raises(ValueError):
+                    scale_at(f, "even", np.asarray(bad))
+            with pytest.raises(TypeError):
+                scale_at(f, "odd", np.array([1.0, 2.0]))
+
+    def test_index_array_matches_scalar_calls(self, f, h):
+        ns = np.array([1, 2, 7, 1000, 2**40, 2**52])
+        for map_ in (f, h):
+            for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
+                ts = scale_at(map_, seq, ns)
+                assert ts.shape == ns.shape
+                assert ts.tolist() == [scale_at(map_, seq, int(n)) for n in ns]
+                assert isinstance(scale_at(map_, seq, ns[0]), float)
 
 
 class TestIvtSampler:
