@@ -3,10 +3,12 @@ Uncountably many zoom limits: hitting any value in between
 ==========================================================
 
 At a fixed radius r0 the two closed-form limits bracket a whole interval of
-achievable zoom values.  Since g_t(r0) varies continuously in the scale t,
-bisection finds, for any target in the bracket, a scale realizing it -- and
-one such scale per breakpoint period, giving a decreasing scale sequence for
-every target value.  Each target is therefore its own subsequential limit.
+achievable zoom values.  Between the two breakpoint scales, g_t(r0) is
+non-decreasing and affine in log2 t between at most two knots, so a
+closed-form solve finds, for any target in the bracket, a scale realizing it
+-- and one such scale per breakpoint period, each one period K + 1/K below
+the last, giving a decreasing scale sequence for every target value.  Each
+target is therefore its own subsequential limit.
 """
 
 import numpy as np

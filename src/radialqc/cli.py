@@ -8,8 +8,8 @@ arrays, and it streams them in chunks of ``_CHUNK_ROWS`` rows, formatting
 each distinct value of a column once per chunk, so memory stays flat in the
 row count.  Inputs are checked before the first row is written, and output is
 byte-identical for identical inputs.  Exit codes: 0 success, 1 assertion/
-invariant failure (including an unbracketed ivt target), 2 usage or input
-error.
+invariant failure (an unbracketed ivt target included) or a closed output
+pipe, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import contextlib
 import inspect
 import json
 import operator
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -346,36 +347,35 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
         raise UsageError("give exactly one of --map {f,h} or --alpha")
     if args.iterates is not None and args.map != "h":
         raise UsageError("--iterates applies to --map h only")
+    count = 1 if args.iterates is None else args.iterates
     if args.alpha is not None:
         if args.alpha <= 0:
             raise UsageError("--alpha must be > 0")
         reports = [radial_power_distortion(args.alpha, cfg.dimension)]
+    elif args.map == "f":
+        reports = [max_distortion(build_standard_map(cfg.K), cfg.dimension)]
+    elif 1 <= count <= MAX_BREAKPOINT_INDEX:
+        # the reports of h^m alternate: row m repeats that of m = 1 or m = 2
+        h = build_conjugated_map(build_standard_map(cfg.K))
+        reports = iterate_max_distortion(h, cfg.dimension, min(count, 2))
     else:
-        f = build_standard_map(cfg.K)
-        h = build_conjugated_map(f)
-        if args.map == "f":
-            reports = [max_distortion(f, cfg.dimension)]
-        else:
-            m_max = args.iterates if args.iterates is not None else 1
-            if m_max < 1:
-                raise UsageError("--iterates must be >= 1 for the conjugated map")
-            reports = iterate_max_distortion(h, cfg.dimension, m_max)
-    header = ("m", "K_O", "K_I", "K_max")
-    rows = [*reports, max(reports, key=lambda rep: rep.K_max)]
-    labels = np.array([*map(str, range(1, len(reports) + 1)), "sup"])
-    values = (np.array([getattr(rep, key) for rep in rows]) for key in header[1:])
-    _emit_table(cfg, "distortion", header, [(labels, *values)])
+        raise UsageError("--iterates must lie in 1..2**53")
+    table = np.array([(rep.K_O, rep.K_I, rep.K_max) for rep in reports])
+    sup = table[[np.argmax(table[:, 2])]]  # the first report of the largest K_max
+
+    def blocks():
+        for lo in range(1, count + 1, _CHUNK_ROWS):
+            m = np.arange(lo, min(lo + _CHUNK_ROWS, count + 1))
+            yield (m, *table[(m - 1) % len(reports)].T)
+        yield (np.array(["sup"]), *sup.T)
+
+    _emit_table(cfg, "distortion", ("m", "K_O", "K_I", "K_max"), blocks())
     return 0
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    report = run_verification(
-        K=cfg.K,
-        dimension=cfg.dimension,
-        depth=cfg.depth,
-        grid_points=cfg.grid_points,
-        tol=cfg.tol,
-    )
+    params = inspect.signature(run_verification).parameters
+    report = run_verification(**{key: getattr(cfg, key) for key in params})
     with _output(cfg) as out:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
@@ -456,17 +456,24 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(cfg, args)
-    except BracketError as exc:
+    except (ValueError, TypeError) as exc:  # UsageError and BracketError included
         print(f"radialqc: {exc}", file=sys.stderr)
-        return 1
-    except (UsageError, ValueError, TypeError) as exc:
-        print(f"radialqc: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, BracketError) else 2
 
 
-def console_main():  # pragma: no cover
-    raise SystemExit(main())
+def console_main():
+    """Entry point of ``radialqc`` and ``python -m radialqc``.  A reader that
+    closes the pipe early ends the run quietly with exit 1, stdout pointed at
+    devnull so that the flush at exit cannot fail again (the SIGPIPE note of
+    the ``signal`` module docs)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+if __name__ == "__main__":
+    console_main()

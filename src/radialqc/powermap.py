@@ -88,6 +88,17 @@ def _validate_log_radius(a, name, allow_zero_radius=True):
         raise ValueError(f"{name}: the radius-0 sentinel is not accepted here")
 
 
+def _index_array(n, name, lo, hi):
+    """``n`` as an array: ``TypeError`` unless integral, ``ValueError`` outside lo..hi
+    (``hi`` a power of two, as every index bound of the package is)."""
+    na = np.asarray(n)
+    if not np.issubdtype(na.dtype, np.integer):
+        raise TypeError(f"{name} must be an integer within 64 bits")
+    if np.any(na < lo) or np.any(na > hi):
+        raise ValueError(f"{name} must lie in {lo}..2**{hi.bit_length() - 1}")
+    return na
+
+
 def _scalar_like(x, out1d):
     """Collapse a 1-element working array back to float for scalar input."""
     return float(out1d[0]) if np.ndim(x) == 0 else out1d
@@ -99,11 +110,7 @@ def breakpoint_log2(K, n):
     Closed form; equals the recurrence
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
     """
-    na = np.asarray(n)
-    if not np.issubdtype(na.dtype, np.integer):
-        raise TypeError("breakpoint index must be an integer within 64 bits")
-    if np.any(na < 0) or np.any(na > MAX_BREAKPOINT_INDEX):
-        raise ValueError("breakpoint index must lie in 0..2**53")
+    na = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
     out = _breakpoint_log2(float(K), na.astype(np.int64))
     return float(out) if np.ndim(n) == 0 else out
 

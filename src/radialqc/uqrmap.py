@@ -29,6 +29,7 @@ from .powermap import (
     PiecewisePowerMap,
     _eval_cells,
     _exponent,
+    _index_array,
     _scalar_like,
     _strict_branch_index,
     _validate_log_radius,
@@ -73,11 +74,7 @@ class ConjugatedMap:
         integer array ``m`` broadcasts against ``x``: every entry gets the
         similarity, then the odd entries share one array evaluation of h.
         """
-        ma = np.asarray(m)
-        if not np.issubdtype(ma.dtype, np.integer):
-            raise TypeError("iteration count must be an integer within 64 bits")
-        if np.any(ma < 0) or np.any(ma > MAX_BREAKPOINT_INDEX):
-            raise ValueError("iteration count must lie in 0..2**53")
+        ma = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
         m = int(ma) if ma.ndim == 0 else ma
         xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x")

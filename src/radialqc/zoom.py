@@ -9,8 +9,8 @@ the index at all: it *equals* its limit.  Even-indexed scales t = r_{2n}
 reproduce the base map itself (kind ``P1``; ``Q1`` for the conjugated map),
 odd-indexed scales t = r_{2n-1} give a second, genuinely different limit
 (``P2`` / ``Q2``).  Intermediate scales realize every value in between, which
-``ivt_sample`` locates by bisection; that a single point 0 carries more than
-one zoom limit is the whole point of the construction.
+``ivt_sample`` solves for in closed form; that a single point 0 carries more
+than one zoom limit is the whole point of the construction.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .powermap import (
     PiecewisePowerMap,
     _eval_cells,
     _f_cells,
+    _index_array,
     _validate_log_radius,
 )
 
@@ -135,13 +136,8 @@ def scale_at(map_, sequence, n):
     """
     if sequence not in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
         raise ValueError(f'sequence must be "even" or "odd", got {sequence!r}')
-    na = np.asarray(operator.index(n) if np.ndim(n) == 0 else n)
-    if not np.issubdtype(na.dtype, np.integer):
-        raise TypeError("sequence index n must be an integer within 64 bits")
-    if np.any(na < 1):
-        raise ValueError("sequence index n must be >= 1")
-    if np.any(na > MAX_BREAKPOINT_INDEX // 2):  # before doubling, so 2n cannot wrap
-        raise ValueError("sequence index n must be <= 2**52")
+    na = _index_array(operator.index(n) if np.ndim(n) == 0 else n, "sequence index n",
+                      1, MAX_BREAKPOINT_INDEX // 2)
     return _base_of(map_).breakpoint(2 * na if sequence == EVEN_BREAKPOINTS else 2 * na - 1)
 
 
@@ -167,39 +163,34 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
 def ivt_sample(map_, r0, lam, tol, period_index=1):
     """A log2 scale t whose zoom value at radius r0 hits the target ``lam``.
 
-    The even- and odd-scale limits bracket every achievable zoom value at r0,
-    and within one breakpoint period the rescaled value varies continuously
-    (piecewise affine in log2 t) between them, so bisection over
-    [log2 r_{2k}, log2 r_{2k-1}] with k = ``period_index`` converges.  Calls
-    with increasing k return strictly smaller scales achieving the same value:
-    a scale sequence per target value, hence one subsequential limit per
-    target.
+    On the bracket [log2 r_{2k}, log2 r_{2k-1}], k = ``period_index``, whose
+    ends give the even- and odd-scale limits, the zoom value
+    g(t) = F(r0 + t) - F(t) is non-decreasing and affine between at most two
+    knots t = log2 r_n - r0, with slopes 0 and K - 1/K (K^2 - 1/K^2 for h).
+    So t is solved in closed form on the first bracket, by interpolation on
+    the segment that holds ``lam``, and shifted down k - 1 periods K + 1/K:
+    scales strictly decreasing in k, hence one subsequential limit per target.
 
-    ``r0`` and ``lam`` broadcast against each other.  Each lane runs the
-    bisection of a scalar call (same bracket, midpoints and endpoint snap) and
-    gives that call's result bit for bit; the lanes step in lock-step and a
-    finished lane drops out.  Scalar inputs return a float, arrays an array of
-    the broadcast shape.  One lane outside its bracket raises ``BracketError``.
+    ``tol`` > 0 is only the snap width: a target within it of a limit returns
+    that breakpoint scale.  ``r0`` and ``lam`` broadcast, each lane giving the
+    scalar call's result bit for bit (a float for scalar inputs).  One lane
+    outside its bracket raises ``BracketError``.
     """
     tol = float(tol)
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
     r0a, lama = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float))
     shape = r0a.shape
-    r0a = r0a.ravel()
-    lama = lama.ravel()
+    r0a, lama = r0a.ravel(), lama.ravel()
     base = _base_of(map_)
-    even_kind, odd_kind = ("P1", "P2") if map_ is base else ("Q1", "Q2")
-    a = limit_function(map_, even_kind).eval_log(r0a)
-    b = limit_function(map_, odd_kind).eval_log(r0a)
-    t_even = scale_at(map_, EVEN_BREAKPOINTS, period_index)
-    t_odd = scale_at(map_, ODD_BREAKPOINTS, period_index)
+    kinds = ("P1", "P2") if map_ is base else ("Q1", "Q2")
+    a, b = (limit_function(map_, kind).eval_log(r0a) for kind in kinds)
+    t_even, t_odd = (scale_at(map_, s, period_index) for s in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
     snap_even = np.abs(lama - a) <= tol
     snap_odd = ~snap_even & (np.abs(lama - b) <= tol)
     t = np.where(snap_even, t_even, t_odd)
     lane = np.flatnonzero(~(snap_even | snap_odd))
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     outside = ~((lo[lane] < lama[lane]) & (lama[lane] < hi[lane]))
     if outside.any():
         i = lane[np.argmax(outside)]
@@ -207,25 +198,22 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
             f"target {float(lama[i])} is outside the achievable bracket "
             f"[{float(lo[i])}, {float(hi[i])}] at this radius"
         )
-    r0s, lams, fa = r0a[lane], lama[lane], a[lane] - lama[lane]
-    ta = np.full(lane.size, t_even)
-    tb = np.full(lane.size, t_odd)
-    for _ in range(200):
-        if not lane.size:
-            break
-        tm = 0.5 * (ta + tb)
-        fm = rescaled_eval(map_, tm, r0s) - lams
-        same = (fm < 0.0) == (fa < 0.0)
-        ta = np.where(same, tm, ta)
-        fa = np.where(same, fm, fa)
-        tb = np.where(same, tb, tm)
-        done = np.abs(fm) <= tol
-        if done.any():
-            t[lane[done]] = tm[done]
-            keep = ~done
-            lane, r0s, lams, ta, fa, tb = (v[keep] for v in (lane, r0s, lams, ta, fa, tb))
-    if lane.size:
-        raise ValueError("bisection exhausted: tol is below float64 resolution")
+    r0s, lams = r0a[lane, None], lama[lane, None]
+    _validate_log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
+    # r0 + log2 r_1 lies in [r_n, r_{n-1}], and r_{n+2} = r_n - P is below
+    # r0 + log2 r_2 (the bracket is K < P wide): the knots are r_{n+1} and r_n
+    bottom, top = base.breakpoint(2), base.breakpoint(1)
+    n = base.locate_interval(r0s[:, 0] + top)[:, None]
+    knots = np.clip(base.breakpoint(np.hstack([n + 1, n])) - r0s, bottom, top)
+    ts = np.hstack([np.full_like(r0s, bottom), knots, np.full_like(r0s, top)])
+    gs = rescaled_eval(map_, ts, r0s)
+    seg = np.count_nonzero(gs[:, 1:3] < lams, axis=1)[None, :, None]  # segment holding lam
+    (t_lo, g_lo), (t_hi, g_hi) = (np.take_along_axis(np.stack([ts, gs]), seg + j, 2)
+                                  for j in (0, 1))
+    # a flat or roundoff-reversed segment takes its nearer end
+    frac = np.divide(lams - g_lo, g_hi - g_lo, out=(lams > g_lo) * 1.0, where=g_hi > g_lo)
+    t1 = (t_lo + np.clip(frac, 0.0, 1.0) * (t_hi - t_lo))[:, 0]
+    t[lane] = np.clip(t1 - (period_index - 1) * (base.K + 1.0 / base.K), t_even, t_odd)
     return float(t[0]) if not shape else t.reshape(shape)
 
 

@@ -155,6 +155,8 @@ class TestStreamedTables:
             "eval --map Q2 --r 0.3 --r 1 --log2-r=-inf --log2-r=-700.25",
             "iterate --log2-r=-3.5 --iterates 0",
             "distortion --map f --d 3",
+            "distortion --map h --d 3 --iterates 1",
+            "distortion --map h --d 4 --iterates 2",
         ):
             for fmt in ("csv", "json"):
                 argv = (*line.split(), "--K", "1.37", "--format", fmt)
@@ -206,10 +208,17 @@ class TestBounds:
             code, out, _ = run_cli(capsys, "iterate", *argv)
             assert (code, out) == (2, ""), argv
 
+    def test_distortion_count_checked_before_any_row(self, capsys):
+        for count in ("0", "-1", str(2**53 + 1)):
+            code, out, err = run_cli(capsys, "distortion", "--map", "h", "--iterates", count)
+            assert (code, out) == (2, ""), count
+            assert "--iterates" in err
+
     def test_zoom_memory_flat_in_rows(self, tmp_path):
-        # one child process writes 9,990 rows, then 99,900 in CSV and in JSON,
-        # and reports its peak RSS after each; the row-list writer took about
-        # 400 B a row, 36 MB more for the larger tables
+        # one child process writes 9,990 zoom rows, then 99,900 in CSV and in
+        # JSON, then 500,000 distortion rows, and reports its peak RSS after
+        # each; the row-list writer took about 400 B a zoom row, 36 MB more for
+        # the larger tables, and a list of reports about 70 MB for the last one
         child = (
             "import resource, sys\n"
             "from radialqc.cli import main\n"
@@ -217,6 +226,9 @@ class TestBounds:
             "    assert main(['zoom', '--map', 'f', '--seq', 'even', '--n', n,\n"
             "                 '--format', fmt, '--output', sys.argv[1]]) == 0\n"
             "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "assert main(['distortion', '--map', 'h', '--iterates', '500000',\n"
+            "             '--output', sys.argv[1]]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(radialqc.__file__).parents[1])}
         out = subprocess.run(
@@ -224,8 +236,21 @@ class TestBounds:
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout
         peaks = [int(v) / 1024.0 for v in out.split()]  # ru_maxrss is in kB on Linux
-        assert len(peaks) == 3
+        assert len(peaks) == 4
         assert peaks[-1] - peaks[0] < 10.0, peaks
+
+    def test_closed_pipe_ends_quietly(self):
+        # the reader stops after 100 bytes of a 40 MB table: no traceback
+        env = {**os.environ, "PYTHONPATH": str(Path(radialqc.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "radialqc", "iterate", "--r", "0.5", "--iterates", "1000000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert head.startswith(b"m,log2_value,value\r\n0,-1,0.5\r\n")
+        assert (proc.returncode, err) == (1, b"")
 
 
 class TestEval:

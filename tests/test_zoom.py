@@ -8,13 +8,17 @@ breakpoint.  Frozen values below were computed with those oracles.
 """
 
 import math
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialqc import zoom
 from radialqc import (
     EVEN_BREAKPOINTS,
     ODD_BREAKPOINTS,
@@ -31,6 +35,9 @@ from radialqc import (
     zoom_limit_deviation,
 )
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracle import ExactMaps, error_units  # noqa: E402
+
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 
 
@@ -42,6 +49,41 @@ def loop_zoom_limit_deviation(map_, sequence, lf, n_range, grid):
         dev = np.abs(rescaled_eval(map_, scale_at(map_, sequence, n), grid) - lim)
         worst = max(worst, float(dev.max()))
     return worst
+
+
+def bisect_reference(map_, r0, lam, tol, period_index=1):
+    """Reference: the bisection ``ivt_sample`` used before its closed-form
+    solve, for one lane (same bracket, midpoints and endpoint snap)."""
+    even, odd = ("Q1", "Q2") if hasattr(map_, "source") else ("P1", "P2")
+    a = limit_function(map_, even).eval_log(r0)
+    b = limit_function(map_, odd).eval_log(r0)
+    ta = scale_at(map_, EVEN_BREAKPOINTS, period_index)
+    tb = scale_at(map_, ODD_BREAKPOINTS, period_index)
+    if abs(lam - a) <= tol:
+        return ta
+    if abs(lam - b) <= tol:
+        return tb
+    assert min(a, b) < lam < max(a, b)
+    fa = a - lam
+    for _ in range(200):
+        tm = 0.5 * (ta + tb)
+        fm = rescaled_eval(map_, tm, r0) - lam
+        if abs(fm) <= tol:
+            return tm
+        if (fm < 0.0) == (fa < 0.0):
+            ta, fa = tm, fm
+        else:
+            tb = tm
+    raise AssertionError("bisection exhausted")
+
+
+def ivt_residual_units(map_, r0, lam, t):
+    """|g(t) - lam| for the exact zoom value g of the oracle, in units of
+    eps (|r0| + |t| + 1) s, the envelope of ``tests/test_envelope.py``."""
+    K = map_.K
+    which, slope = ("h", K * K) if hasattr(map_, "source") else ("f", K)
+    ref = ExactMaps(K).evaluate(f"rescaled_{which}", r0, t=t)
+    return error_units(lam, ref, (abs(r0) + abs(t) + 1.0) * slope)
 
 
 @pytest.fixture(scope="module")
@@ -318,12 +360,61 @@ class TestIvtSampler:
         assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == scalar
         assert ivt_sample(f, np.array([]), lam, 1e-9).shape == (0,)
 
-    def test_tol_below_resolution_exhausts_every_shape(self, f):
-        r0 = f.breakpoint(1)
-        lam = math.log2(0.67)
-        for lams in (lam, np.array([lam, -0.5])):
-            with pytest.raises(ValueError, match="bisection exhausted"):
-                ivt_sample(f, r0, lams, 1e-300)
+    def test_tol_below_resolution_still_solves(self, f, h):
+        # tol is only the snap width: a tiny one still gives an in-bracket t
+        for map_ in (f, h):
+            r0s, lams = self.bracketed_targets(map_, 10, seed=11)
+            r0s, lams = r0s[:-2], lams[:-2]  # no snapped lanes
+            lo, hi = scale_at(map_, EVEN_BREAKPOINTS, 1), scale_at(map_, ODD_BREAKPOINTS, 1)
+            ts = ivt_sample(map_, r0s, lams, 1e-300)
+            assert ivt_sample(map_, r0s[0], lams[0], 1e-300) == ts[0]
+            for r0, lam, t in zip(r0s.tolist(), lams.tolist(), ts.tolist()):
+                assert lo <= t <= hi
+                assert ivt_residual_units(map_, r0, lam, t) <= 4.0
+
+    def test_one_zoom_evaluation_per_call(self, f, monkeypatch):
+        calls = []
+        monkeypatch.setattr(zoom, "rescaled_eval",
+                            lambda *args: calls.append(args) or rescaled_eval(*args))
+        r0s, lams = self.bracketed_targets(f, 20, seed=2)
+        ivt_sample(f, r0s, lams, 1e-9, period_index=3)
+        ivt_sample(f, r0s[0], lams[0], 1e-9)
+        assert len(calls) == 2
+
+    def test_bracket_below_log2_domain_raises(self, f):
+        # the bracket of period 2**52 lies below log2 radius -2**52
+        with pytest.raises(ValueError, match="-2\\*\\*52"):
+            ivt_sample(f, f.breakpoint(1), math.log2(0.67), 1e-9, period_index=2**52)
+
+    @pytest.mark.parametrize("period_index", [1, 3, 40])
+    @pytest.mark.parametrize("K", [2.0, 1.37, 9.99])
+    @pytest.mark.parametrize("which", ["f", "h"])
+    def test_matches_bisection_reference(self, which, K, period_index):
+        f = build_standard_map(K)
+        map_ = f if which == "f" else build_conjugated_map(f)
+        r0s, lams = self.bracketed_targets(map_, 12, seed=5)
+        tol = 1e-9
+        ts = ivt_sample(map_, r0s, lams, tol, period_index)
+        lo = scale_at(map_, EVEN_BREAKPOINTS, period_index)
+        hi = scale_at(map_, ODD_BREAKPOINTS, period_index)
+        for r0, lam, t in zip(r0s.tolist(), lams.tolist(), ts.tolist()):
+            t_ref = bisect_reference(map_, r0, lam, tol, period_index)
+            assert abs(t - t_ref) <= tol / (K - 1.0 / K), (r0, lam)
+            assert lo <= t <= hi
+            assert ivt_residual_units(map_, r0, lam, t) <= 4.0, (r0, lam)
+
+    @pytest.mark.parametrize("K", [2.0, 1.37, 9.99])
+    @pytest.mark.parametrize("which", ["f", "h"])
+    def test_periods_shift_by_one_period(self, which, K):
+        # g(t - P) = g(t): the scale for period k is t_1 - (k - 1) P
+        f = build_standard_map(K)
+        map_ = f if which == "f" else build_conjugated_map(f)
+        r0s, lams = self.bracketed_targets(map_, 12, seed=9)
+        t1 = ivt_sample(map_, r0s, lams, 1e-9)
+        for k in (2, 5, 40):
+            tk = ivt_sample(map_, r0s, lams, 1e-9, period_index=k)
+            want = t1 - (k - 1) * (K + 1.0 / K)
+            assert np.all(np.abs(tk - want) <= 4.0 * np.spacing(np.abs(tk))), k
 
     def test_one_lane_out_of_bracket_raises(self, f):
         r0s, lams = self.bracketed_targets(f, 10, seed=3)
