@@ -28,10 +28,8 @@ from .powermap import (
     MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
     _eval_cells,
-    _exponent,
     _index_array,
-    _scalar_like,
-    _strict_branch_index,
+    _local_exponent,
     _validate_log_radius,
 )
 
@@ -90,11 +88,7 @@ class ConjugatedMap:
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""
-        xa = np.asarray(x, dtype=float)
-        _validate_log_radius(xa, "x", allow_zero_radius=False)
-        n = _strict_branch_index(self.source, np.atleast_1d(xa))
-        out = np.asarray(_exponent(self.K * self.K, n), dtype=float)
-        return _scalar_like(x, out)
+        return _local_exponent(self.K, x, self.K * self.K)
 
     def distinct_exponents(self):
         return (self.K * self.K, 1.0 / (self.K * self.K))

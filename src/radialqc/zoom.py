@@ -70,11 +70,11 @@ def _limit_cells(kind, K):
     if kind == "P1":
         return _f_cells(K)
     P = K + 1.0 / K
-    return {
-        "P2": (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0),
-        "Q1": (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P),
-        "Q2": (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P),
-    }[kind]
+    if kind == "P2":
+        return (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
+    if kind == "Q1":
+        return (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
+    return (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     ``tol`` > 0 is only the snap width: a target within it of a limit returns
     that breakpoint scale.  ``r0`` and ``lam`` broadcast, each lane giving the
     scalar call's result bit for bit (a float for scalar inputs).  One lane
-    outside its bracket raises ``BracketError``.
+    outside its bracket (an infinite target included) raises ``BracketError``;
+    a NaN target is an input error, a plain ``ValueError``.
     """
     tol = float(tol)
     if not (tol > 0.0):
@@ -182,6 +183,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     r0a, lama = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float))
     shape = r0a.shape
     r0a, lama = r0a.ravel(), lama.ravel()
+    if np.isnan(lama).any():
+        raise ValueError("lam must be a log2 target value, not NaN")
     base = _base_of(map_)
     kinds = ("P1", "P2") if map_ is base else ("Q1", "Q2")
     a, b = (limit_function(map_, kind).eval_log(r0a) for kind in kinds)

@@ -372,6 +372,13 @@ class TestIvt:
         assert code == 1
         assert "bracket" in err
 
+    def test_nan_target_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ivt", "--K", "2", "--log2-r0", "-0.5", "--log2-lambda", "nan"
+        )
+        assert code == 2 and out == ""
+        assert "not NaN" in err and "bracket" not in err
+
 
 class TestIterate:
     def test_orbit_rows(self, capsys):

@@ -283,6 +283,16 @@ class TestIvtSampler:
             ivt_sample(f, r0, math.log2(0.95), 1e-9)
         with pytest.raises(BracketError):
             ivt_sample(f, r0, math.log2(0.25), 1e-9)
+        for lam in (-math.inf, math.inf):
+            with pytest.raises(BracketError):
+                ivt_sample(f, r0, lam, 1e-9)
+
+    def test_nan_target_is_an_input_error(self, f, h):
+        for map_ in (f, h):
+            for lam in (math.nan, np.array([-1.0, math.nan])):
+                with pytest.raises(ValueError, match="not NaN") as info:
+                    ivt_sample(map_, -0.5, lam, 1e-9)
+                assert not isinstance(info.value, BracketError)
 
     def test_increasing_periods_give_decreasing_scales(self, f):
         r0 = f.breakpoint(1)
