@@ -269,11 +269,11 @@ def _cmd_zoom(cfg: RunConfig, args) -> int:
 
     def blocks():
         """(scale indices, scales, rescaled values, deviations), a block of
-        scales at a time, rescaled_eval's arithmetic over (scales x grid)."""
+        scales at a time."""
         for lo in range(0, len(ns), per_block):
             n = np.array(ns[lo:lo + per_block])
             t = scale_at(map_, args.seq, n)
-            rescaled = map_.eval_log(grid + t[:, None]) - map_.eval_log(t)[:, None]
+            rescaled = rescaled_eval(map_, t[:, None], grid)
             yield n, t, rescaled, np.abs(rescaled - lim)
 
     # a first pass finds the summary, which JSON writes before the rows

@@ -397,7 +397,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
     r0 = f.breakpoint(1)
     lam = 0.5 * (p1.eval_log(r0) + p2.eval_log(r0))
-    scales = [ivt_sample(f, r0, lam, tol, period_index=j) for j in range(1, 11)]
+    scales = ivt_sample(f, r0, lam, tol, period_index=np.arange(1, 11))
     witness(
         "ivt_scales_strictly_decreasing_margin",
         float(np.diff(scales).max() * -1.0),

@@ -154,41 +154,41 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
         raise ValueError("limit function was built for a different map")
     grid = np.asarray(r_grid, dtype=float).ravel()
     _validate_log_radius(grid, "r_grid", allow_zero_radius=False)
-    ts = scale_at(map_, sequence, np.asarray(n_range))
-    # rescaled_eval's arithmetic over every (scale, grid point) pair at once
-    rescaled = map_.eval_log(grid + ts[:, None]) - map_.eval_log(ts)[:, None]
+    rescaled = rescaled_eval(map_, scale_at(map_, sequence, np.asarray(n_range))[:, None], grid)
     return float(np.abs(rescaled - lf.eval_log(grid)).max(initial=0.0))
 
 
 def ivt_sample(map_, r0, lam, tol, period_index=1):
     """A log2 scale t whose zoom value at radius r0 hits the target ``lam``.
 
-    On the bracket [log2 r_{2k}, log2 r_{2k-1}], k = ``period_index``, whose
-    ends give the even- and odd-scale limits, the zoom value
-    g(t) = F(r0 + t) - F(t) is non-decreasing and affine between at most two
-    knots t = log2 r_n - r0, with slopes 0 and K - 1/K (K^2 - 1/K^2 for h).
-    So t is solved in closed form on the first bracket, by interpolation on
-    the segment that holds ``lam``, and shifted down k - 1 periods K + 1/K:
-    scales strictly decreasing in k, hence one subsequential limit per target.
+    On the bracket [log2 r_{2j}, log2 r_{2j-1}], j = ``period_index``, whose
+    ends give the even- and odd-scale limits, the zoom value of F = f or h is
+    g(t) = F(r0 + t) - F(t).  On the first bracket F(t) has slope 1/k (k = K
+    for f, K^2 for h), so g(t) - G(r0 + t) is constant for G(s) = F(s) - s/k,
+    a cell map flat on one piece of each period cell.  So t is its inverse
+    cell map, evaluated once, shifted down j - 1 periods K + 1/K: scales
+    strictly decreasing in j, hence one subsequential limit per target.
 
-    ``tol`` > 0 is only the snap width: a target within it of a limit returns
-    that breakpoint scale.  ``r0`` and ``lam`` broadcast, each lane giving the
-    scalar call's result bit for bit (a float for scalar inputs).  One lane
-    outside its bracket (an infinite target included) raises ``BracketError``;
-    a NaN target is an input error, a plain ``ValueError``.
+    ``tol``, a finite real > 0, is only the snap width: a target within it of
+    a limit returns that breakpoint scale.  ``r0``, ``lam`` and
+    ``period_index`` broadcast, each lane giving the scalar call's result bit
+    for bit (a float for scalar inputs).  One lane outside its bracket (an
+    infinite target included) raises ``BracketError``; a NaN target is an
+    input error, a plain ``ValueError``.
     """
     tol = float(tol)
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    r0a, lama = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float))
-    shape = r0a.shape
-    r0a, lama = r0a.ravel(), lama.ravel()
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be a finite real > 0")
+    bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
+    lanes = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float),
+                                np.asarray(period_index), *bracket)
+    shape = lanes[0].shape
+    r0a, lama, ka, t_even, t_odd = (v.ravel() for v in lanes)
     if np.isnan(lama).any():
         raise ValueError("lam must be a log2 target value, not NaN")
     base = _base_of(map_)
     kinds = ("P1", "P2") if map_ is base else ("Q1", "Q2")
     a, b = (limit_function(map_, kind).eval_log(r0a) for kind in kinds)
-    t_even, t_odd = (scale_at(map_, s, period_index) for s in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
     snap_even = np.abs(lama - a) <= tol
     snap_odd = ~snap_even & (np.abs(lama - b) <= tol)
     t = np.where(snap_even, t_even, t_odd)
@@ -201,22 +201,19 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
             f"target {float(lama[i])} is outside the achievable bracket "
             f"[{float(lo[i])}, {float(hi[i])}] at this radius"
         )
-    r0s, lams = r0a[lane, None], lama[lane, None]
+    r0s, t_even, t_odd = r0a[lane], t_even[lane], t_odd[lane]
     _validate_log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
-    # r0 + log2 r_1 lies in [r_n, r_{n-1}], and r_{n+2} = r_n - P is below
-    # r0 + log2 r_2 (the bracket is K < P wide): the knots are r_{n+1} and r_n
-    bottom, top = base.breakpoint(2), base.breakpoint(1)
-    n = base.locate_interval(r0s[:, 0] + top)[:, None]
-    knots = np.clip(base.breakpoint(np.hstack([n + 1, n])) - r0s, bottom, top)
-    ts = np.hstack([np.full_like(r0s, bottom), knots, np.full_like(r0s, top)])
-    gs = rescaled_eval(map_, ts, r0s)
-    seg = np.count_nonzero(gs[:, 1:3] < lams, axis=1)[None, :, None]  # segment holding lam
-    (t_lo, g_lo), (t_hi, g_hi) = (np.take_along_axis(np.stack([ts, gs]), seg + j, 2)
-                                  for j in (0, 1))
-    # a flat or roundoff-reversed segment takes its nearer end
-    frac = np.divide(lams - g_lo, g_hi - g_lo, out=(lams > g_lo) * 1.0, where=g_hi > g_lo)
-    t1 = (t_lo + np.clip(frac, 0.0, 1.0) * (t_hi - t_lo))[:, 0]
-    t[lane] = np.clip(t1 - (period_index - 1) * (base.K + 1.0 / base.K), t_even, t_odd)
+    P = base.K + 1.0 / base.K
+    k = map_.distinct_exponents()[0]
+    F0, F_P = map_.eval_log(0.0), map_.eval_log(-P)
+    # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
+    # inverse is c y on (-V, 0] (G's flat piece is a jump), shifted by P per cell.
+    # Only for h at K > 1.6e5, within a period of -2**52, can y leave the domain.
+    V = F0 - F_P - P / k
+    c = 1.0 / (k - 1.0 / k)
+    s = _eval_cells(lama[lane] + F_P - (r0s - P) / k - F0, (V, -V, c, 0.0, c, 0.0, P),
+                    "r0 + t")
+    t[lane] = np.clip(s - r0s - (ka[lane] - 1) * P, t_even, t_odd)
     return float(t[0]) if not shape else t.reshape(shape)
 
 

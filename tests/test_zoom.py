@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radialqc import zoom
@@ -34,6 +34,8 @@ from radialqc import (
     scale_at,
     zoom_limit_deviation,
 )
+from radialqc.powermap import PiecewisePowerMap
+from test_envelope import K_VALUES as ENVELOPE_K_VALUES
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 from oracle import ExactMaps, error_units  # noqa: E402
@@ -211,7 +213,7 @@ class TestDeviation:
         assert zoom_limit_deviation(h, "odd", limit_function(h, "Q2"), ns, g) <= 1e-9
 
     def test_matches_one_scale_at_a_time(self):
-        # the (scales x grid) pass does rescaled_eval's arithmetic: bit-identical
+        # one (scales x grid) rescaled_eval pass equals one call per scale, bit for bit
         for K in (2.0, 3.0, 1.37, 9.99, 1.2001):
             f = build_standard_map(K)
             h = build_conjugated_map(f)
@@ -382,19 +384,75 @@ class TestIvtSampler:
                 assert lo <= t <= hi
                 assert ivt_residual_units(map_, r0, lam, t) <= 4.0
 
-    def test_one_zoom_evaluation_per_call(self, f, monkeypatch):
-        calls = []
-        monkeypatch.setattr(zoom, "rescaled_eval",
-                            lambda *args: calls.append(args) or rescaled_eval(*args))
-        r0s, lams = self.bracketed_targets(f, 20, seed=2)
-        ivt_sample(f, r0s, lams, 1e-9, period_index=3)
-        ivt_sample(f, r0s[0], lams[0], 1e-9)
-        assert len(calls) == 2
+    def test_no_zoom_evaluation_or_interval_search(self, f, h, monkeypatch):
+        # the solve inverts a cell map: a search over knots must not come back
+        def forbidden(*args):
+            raise AssertionError("ivt_sample evaluated a zoom or searched an interval")
+
+        monkeypatch.setattr(zoom, "rescaled_eval", forbidden)
+        monkeypatch.setattr(PiecewisePowerMap, "locate_interval", forbidden)
+        for map_ in (f, h):
+            r0s, lams = self.bracketed_targets(map_, 20, seed=2)
+            ivt_sample(map_, r0s, lams, 1e-9, period_index=3)
+            ivt_sample(map_, r0s[0], lams[0], 1e-9)
+
+    @pytest.mark.parametrize("which", ["f", "h"])
+    def test_array_period_index_with_snapped_lanes(self, f, h, which):
+        map_ = f if which == "f" else h
+        r0s, lams = self.bracketed_targets(map_, 10, seed=4)
+        ks = np.array([1, 2, 3, 40, 2**20, 7, 1, 5, 11, 2**40, 3, 2**30])
+        t = ivt_sample(map_, r0s, lams, 1e-9, ks)
+        loop = [ivt_sample(map_, r0, lam, 1e-9, int(k)) for r0, lam, k in zip(r0s, lams, ks)]
+        assert t.tobytes() == np.array(loop).tobytes()
+        assert t[-2] == scale_at(map_, EVEN_BREAKPOINTS, int(ks[-2]))
+        assert t[-1] == scale_at(map_, ODD_BREAKPOINTS, int(ks[-1]))
+
+    def test_lam_and_period_index_broadcast(self, f):
+        r0 = f.breakpoint(1)
+        lams = np.array([[-0.9], [math.log2(0.67)], [-0.3]])
+        ks = np.array([[1, 2, 9, 1000]])
+        t = ivt_sample(f, r0, lams, 1e-9, ks)
+        assert t.shape == (3, 4)
+        loop = [[ivt_sample(f, r0, float(lam), 1e-9, int(k)) for k in ks[0]] for lam in lams[:, 0]]
+        assert t.tobytes() == np.array(loop).tobytes()
+
+    def test_non_finite_tol_rejected(self, f):
+        r0 = f.breakpoint(1)
+        for lam in (math.inf, 5.0, math.log2(0.67)):
+            for tol in (math.inf, math.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match="tol must be a finite real > 0"):
+                    ivt_sample(f, r0, lam, tol)
+
+    @pytest.mark.parametrize("which", ["f", "h"])
+    @given(K=ENVELOPE_K_VALUES, data=st.data())
+    @settings(max_examples=25)
+    def test_within_envelope_at_any_K_and_period(self, which, K, data):
+        f = build_standard_map(K)
+        map_ = f if which == "f" else build_conjugated_map(f)
+        even, odd = ("P1", "P2") if which == "f" else ("Q1", "Q2")
+        period = K + 1.0 / K
+        r0 = data.draw(st.one_of(st.floats(-4.0 * period, 0.0),
+                                 st.floats(-30.0, 40.0).map(lambda e: -(2.0**e))))
+        lo, hi = sorted((limit_function(map_, even).eval_log(r0),
+                         limit_function(map_, odd).eval_log(r0)))
+        assume(lo < hi)
+        lam = min(max(lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+        k = data.draw(st.one_of(st.integers(1, 40), st.integers(1, 10**6)))
+        t = ivt_sample(map_, r0, lam, 1e-300, k)
+        assert scale_at(map_, EVEN_BREAKPOINTS, k) <= t <= scale_at(map_, ODD_BREAKPOINTS, k)
+        assert ivt_residual_units(map_, r0, lam, t) <= 4.0, (r0, lam, k)
 
     def test_bracket_below_log2_domain_raises(self, f):
         # the bracket of period 2**52 lies below log2 radius -2**52
         with pytest.raises(ValueError, match="-2\\*\\*52"):
             ivt_sample(f, f.breakpoint(1), math.log2(0.67), 1e-9, period_index=2**52)
+        # at K above about 1.6e5 the inverse cell map of h leaves the log2
+        # domain within a period of its bottom: the same error, no wrong value
+        h = build_conjugated_map(build_standard_map(1.04e6))
+        r0 = -(2.0**52) + h.K + 1.0 / h.K
+        lam = 0.5 * sum(limit_function(h, kind).eval_log(r0) for kind in ("Q1", "Q2"))
+        with pytest.raises(ValueError, match="r0 \\+ t must be >= -2\\*\\*52"):
+            ivt_sample(h, r0, lam, 1e-9)
 
     @pytest.mark.parametrize("period_index", [1, 3, 40])
     @pytest.mark.parametrize("K", [2.0, 1.37, 9.99])
