@@ -30,7 +30,7 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import MAX_BREAKPOINT_INDEX, build_standard_map
+from .powermap import MAX_BREAKPOINT_INDEX, _period, build_standard_map
 from .uqrmap import build_conjugated_map
 from .verify import SCHEMA_VERSION, run_verification
 from .zoom import (
@@ -208,15 +208,14 @@ def _parse_n_spec(spec):
 
 def _parse_grid_spec(spec, cfg: RunConfig):
     if spec is None:
-        period = cfg.K + 1.0 / cfg.K
-        return np.linspace(-3.0 * period, 0.0, cfg.grid_points)
+        return np.linspace(-3.0 * _period(cfg.K), 0.0, cfg.grid_points)
     try:
         lo, hi, count = spec.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: use lo:hi:count in log2") from exc
-    if not (lo < hi <= 0.0 and count >= 2):
-        raise UsageError("grid spec needs lo < hi <= 0 and count >= 2")
+    if not (np.isfinite(lo) and lo < hi <= 0.0 and count >= 2):
+        raise UsageError("grid spec needs finite lo < hi <= 0 and count >= 2")
     return np.linspace(lo, hi, count)
 
 
@@ -248,7 +247,7 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     h = build_conjugated_map(f)
     target = _eval_target(args.map, f, h)
     xs = np.array(_gather_log2_radii(args))
-    ys = np.atleast_1d(target.eval_log(xs))
+    ys = target.eval_log(xs)
     _emit_table(cfg, "eval", ("r", "log2_r", "value", "log2_value"),
                 [(_exp2(xs), xs, _exp2(ys), ys)])
     return 0
@@ -264,7 +263,7 @@ def _cmd_zoom(cfg: RunConfig, args) -> int:
     # the deepest point evaluated: a domain error surfaces before any pass
     rescaled_eval(map_, scale_at(map_, args.seq, deepest), grid[0])
     kind = args.against or _MATCHED_LIMIT[(args.map, args.seq)]
-    lim = np.atleast_1d(limit_function(map_, kind).eval_log(grid))
+    lim = limit_function(map_, kind).eval_log(grid)
     per_block = max(1, _CHUNK_ROWS // grid.size)
 
     def blocks():

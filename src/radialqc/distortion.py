@@ -163,7 +163,7 @@ def iterate_max_distortion(h, d, m_max):
     m_max = operator.index(m_max)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    odd = _supremum(sorted({h.K**2, h.K**-2}), d)
+    odd = _supremum(h.distinct_exponents(), d)
     even = _supremum([1.0], d)
     return [odd if m % 2 else even for m in range(1, m_max + 1)]
 

@@ -16,17 +16,19 @@ affine in base-2 logarithmic coordinates:
 The breakpoints shrink like 2^{-(K + 1/K) n / 2} and underflow any linear
 float representation after a few hundred indices, so this library works in
 log2 throughout: a radius in (0, 1] is represented by its log2 value (a float
-<= 0), and the radius 0 by the sentinel ``RADIUS_ZERO_LOG2 = -inf``.  All
-evaluators accept scalars or numpy arrays and return the matching kind.
+<= 0), and the radius 0 by the sentinel ``RADIUS_ZERO_LOG2 = -inf``.
 
-Every cell spec and the interval walk have two drivers.  Arrays (0-d ones
-included) and every other input go through numpy; a Python float
-(``np.float64`` included) goes through ``math``, with no numpy call, which
+Every map of the package (f, f^{-1}, h and the zoom limits P1 = f, P2, Q1,
+Q2) is one row of the cell-spec table ``_cell_spec``, and ``_period`` gives
+their common period K + 1/K.  The cell spec and the interval walk have two
+drivers.  A point (a Python float or any 0-d input: ``np.float64``, ``int``,
+a 0-d array) goes through ``math``, with no numpy call for a float, which
 brings a one-point ``eval_log`` from about 22 us to about 0.4 us (best of 5
-timeit repeats, 2-CPU virtual machine, Python 3.11, numpy 2.4).  The two make
-the same float operations in the same order, so a float call returns exactly
-what the 1-element array call returns, bit for bit (signed zeros and the -inf
-sentinel included), and raises the same exception with the same message.
+timeit repeats, 2-CPU virtual machine, Python 3.11, numpy 2.4); arrays with
+ndim >= 1 go through numpy.  The two make the same float operations in the
+same order, so a point returns exactly what the 1-element array call
+returns, bit for bit (signed zeros and the -inf sentinel included), and
+raises the same exception with the same message.
 
 Useful consequences of the layout, relied on elsewhere in the package:
 
@@ -108,15 +110,17 @@ def _validate_log_radius(a, name, allow_zero_radius=True):
 
 
 def _check_log_radius(x, name, allow_zero_radius=True):
-    """``_validate_log_radius`` for one float, in plain Python; returns float(x)."""
+    """``_validate_log_radius`` for one point, in plain Python; returns float(x)."""
     x = float(x)
+    if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
+        return x
     if x != x or x == math.inf:
         raise ValueError(_NOT_FINITE.format(name))
     if x > 0.0:
         raise ValueError(_POSITIVE.format(name))
-    if x < -MAX_ABS_LOG2_RADIUS and x != RADIUS_ZERO_LOG2:
+    if x != RADIUS_ZERO_LOG2:
         raise ValueError(_TOO_DEEP.format(name))
-    if not allow_zero_radius and x == RADIUS_ZERO_LOG2:
+    if not allow_zero_radius:
         raise ValueError(_SENTINEL.format(name))
     return x
 
@@ -132,19 +136,22 @@ def _index_array(n, name, lo, hi):
     return na
 
 
-def _scalar_like(x, out1d):
-    """Collapse a 1-element working array back to float for scalar input."""
-    return float(out1d[0]) if np.ndim(x) == 0 else out1d
+def _check_K(K):
+    """K as a float, after checking that it is a finite real > 1."""
+    K = float(K)
+    if not math.isfinite(K) or K <= 1.0:
+        raise ValueError("K must be a finite real > 1 (the two exponents must differ)")
+    return K
 
 
 def breakpoint_log2(K, n):
-    """log2 of the n-th breakpoint radius, for 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
+    """log2 of the n-th breakpoint radius, for K > 1 and 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
 
     Closed form; equals the recurrence
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
     """
     na = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
-    out = _breakpoint_log2(float(K), na.astype(np.int64))
+    out = _breakpoint_log2(_check_K(K), na.astype(np.int64))
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -155,23 +162,46 @@ def _breakpoint_log2(K, na):
     return -((na // 2) * K + ((na + 1) // 2) / K) + 0.0  # normalize -0.0 at n = 0
 
 
+def _period(K):
+    """K + 1/K: log2 r_n - log2 r_{n+2}, the period of f, h and the zoom limits."""
+    return K + 1.0 / K
+
+
+def _cell_spec(name, K):
+    """Row ``name`` of the cell-spec table (see ``_eval_cells``) at parameter K:
+    "P1" is f, slope K on [r_1, r_0] and 1/K with log2 C_2 = 1/K^2 - 1 on
+    [r_2, r_1]; "f_inv" inverts those branches on the value cell (-2, 0]; "h"
+    has slopes K^2, 1/K^2 on f's intervals.  Q1 has h's slopes, anchored to fix
+    the even breakpoints; P2 and Q2 switch branch at -K in the top cell."""
+    P = _period(K)
+    if name == "P1":
+        return (P, -1.0 / K, K, 0.0, 1.0 / K, 1.0 / (K * K) - 1.0, 2.0)
+    if name == "h":
+        return (P, -1.0 / K, K * K, -1.0 / K, 1.0 / (K * K), 1.0 / K**3 - 1.0 / K - K, P)
+    if name == "f_inv":
+        return (2.0, -1.0, 1.0 / K, 0.0, K, K - 1.0 / K, P)
+    if name == "P2":
+        return (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
+    if name == "Q1":
+        return (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
+    return (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)  # Q2
+
+
 def _eval_cells(x, cells, name="x"):
     """log2 y(2^x) for a log-periodic map given by its cell spec.
 
-    ``cells`` is (period, split, a_hi, b_hi, a_lo, b_lo, shift): every map of
-    the package satisfies y(x - period) = y(x) - shift and is affine on the
-    two pieces of the cell (-period, 0] above and below ``split``.  So x is
+    ``cells`` is (period, split, a_hi, b_hi, a_lo, b_lo, shift), a row of
+    ``_cell_spec``: y(x - period) = y(x) - shift, and y is affine on the two
+    pieces of the cell (-period, 0] above and below ``split``.  So x is
     reduced by m = floor(-x / period) periods (Cody-Waite style) to u in the
     top cell, evaluated there, and shifted back down by m * shift.  Validates
-    x, passes the radius-0 sentinel through and returns the kind of x.
-
-    The spec has two drivers.  A Python float (``np.float64`` included) takes
-    the ``math`` one, with no numpy call; arrays and every other input take
-    the numpy one.  Both make the same float operations in the same order, so
-    they agree bit for bit, and raise the same errors.
+    x and passes the radius-0 sentinel through.  A Python float or any 0-d
+    input takes the ``math`` driver and gives a float, an array with ndim >= 1
+    the numpy one and an array of its shape; both make the same float
+    operations in the same order, so they agree bit for bit, errors included.
     """
     period, split, a_hi, b_hi, a_lo, b_lo, shift = cells
-    if isinstance(x, float):
+    if isinstance(x, float) or np.ndim(x) == 0:
         x = _check_log_radius(x, name)
         if x == RADIUS_ZERO_LOG2:
             return x
@@ -180,15 +210,14 @@ def _eval_cells(x, cells, name="x"):
         return (b_hi + a_hi * u if u >= split else b_lo + a_lo * u) - m * shift
     xa = np.asarray(x, dtype=float)
     _validate_log_radius(xa, name)
-    xa1 = np.atleast_1d(xa)
-    out = np.full(xa1.shape, RADIUS_ZERO_LOG2)
-    fin = np.isfinite(xa1)
+    out = np.full(xa.shape, RADIUS_ZERO_LOG2)
+    fin = np.isfinite(xa)
     if fin.any():
-        xf = xa1[fin]
+        xf = xa[fin]
         m = np.floor(-xf / period)
         u = xf + m * period
         out[fin] = np.where(u >= split, b_hi + a_hi * u, b_lo + a_lo * u) - m * shift
-    return _scalar_like(x, out)
+    return out
 
 
 def _locate(K, x):
@@ -198,7 +227,7 @@ def _locate(K, x):
     index wins ties even when the estimate rounds high.  A float takes the
     same steps on Python ints and returns an int."""
     if isinstance(x, float):
-        n = max(2 * math.floor(-x / (K + 1.0 / K)) - 1, 1)
+        n = max(2 * math.floor(-x / _period(K)) - 1, 1)
         for _ in range(_LOCATE_STEPS + 1):
             if _breakpoint_log2(K, n) <= x:
                 break
@@ -208,7 +237,7 @@ def _locate(K, x):
         if n > 1 and x >= _breakpoint_log2(K, n - 1):
             n -= 1
         return n
-    n = np.maximum(2 * np.floor(-x / (K + 1.0 / K)).astype(np.int64) - 1, 1)
+    n = np.maximum(2 * np.floor(-x / _period(K)).astype(np.int64) - 1, 1)
     for _ in range(_LOCATE_STEPS + 1):
         up = _breakpoint_log2(K, n) > x
         if not up.any():
@@ -235,20 +264,13 @@ def _strict_branch_index(K, x):
 def _local_exponent(K, x, k):
     """Branch exponent at x of a map on f's intervals with exponents k (odd
     intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
-    the radius-0 sentinel are rejected; a float takes the ``math`` driver."""
-    if isinstance(x, float):
+    the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
+    if isinstance(x, float) or np.ndim(x) == 0:
         x = _check_log_radius(x, "x", allow_zero_radius=False)
         return k if _strict_branch_index(K, x) % 2 == 1 else 1.0 / k
     xa = np.asarray(x, dtype=float)
     _validate_log_radius(xa, "x", allow_zero_radius=False)
-    n = _strict_branch_index(K, np.atleast_1d(xa))
-    return _scalar_like(x, np.where(n % 2 == 1, k, 1.0 / k))
-
-
-def _f_cells(K):
-    """Cell spec of f (and of its even-scale zoom limit P1): slope K on
-    [r_1, r_0], slope 1/K with log2 C_2 = 1/K^2 - 1 on [r_2, r_1]."""
-    return (K + 1.0 / K, -1.0 / K, K, 0.0, 1.0 / K, 1.0 / (K * K) - 1.0, 2.0)
+    return np.where(_strict_branch_index(K, xa) % 2 == 1, k, 1.0 / k)
 
 
 @dataclass(frozen=True)
@@ -275,16 +297,15 @@ class PiecewisePowerMap:
         breakpoints.  When x is exactly a breakpoint the smaller index is
         returned; continuity makes evaluation agree either way.
         """
-        if isinstance(x, float):
+        if isinstance(x, float) or np.ndim(x) == 0:
             return _locate(self.K, _check_log_radius(x, "x", allow_zero_radius=False))
         xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x", allow_zero_radius=False)
-        out = _locate(self.K, np.atleast_1d(xa))
-        return int(out[0]) if np.ndim(x) == 0 else out
+        return _locate(self.K, xa)
 
     def eval_log(self, x):
         """log2 f(2^x); the radius-0 sentinel maps to itself."""
-        return _eval_cells(x, _f_cells(self.K))
+        return _eval_cells(x, _cell_spec("P1", self.K))
 
     def inverse_eval_log(self, y):
         """log2 of f^{-1}(2^y).
@@ -292,8 +313,7 @@ class PiecewisePowerMap:
         f maps [r_2, r_0] onto [-2, 0] in log2, so f^{-1} is log-periodic with
         period 2 and shift K + 1/K, its pieces the inverted branches of f.
         """
-        K = self.K
-        return _eval_cells(y, (2.0, -1.0, 1.0 / K, 0.0, K, K - 1.0 / K, K + 1.0 / K), "y")
+        return _eval_cells(y, _cell_spec("f_inv", self.K), "y")
 
     def eval(self, r):
         """f(r) on the linear scale, for r in [0, 1].
@@ -345,8 +365,6 @@ def build_standard_map(K) -> PiecewisePowerMap:
     ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
     deep zooms.
     """
-    K = float(K)
-    if not math.isfinite(K) or K <= 1.0:
-        raise ValueError("K must be a finite real > 1 (the two exponents must differ)")
+    K = _check_K(K)
     _distinct_breakpoints_log2(K, GUARD_DEPTH)
     return PiecewisePowerMap(K=K)

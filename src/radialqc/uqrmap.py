@@ -27,9 +27,11 @@ import numpy as np
 from .powermap import (
     MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
+    _cell_spec,
     _eval_cells,
     _index_array,
     _local_exponent,
+    _period,
     _validate_log_radius,
 )
 
@@ -56,12 +58,9 @@ class ConjugatedMap:
         return self.source.locate_interval(x)
 
     def eval_log(self, x):
-        """log2 h(2^x) from the closed branches on the period cell [r_2, r_0]
-        (h(x - (K + 1/K)) = h(x) - (K + 1/K)), not through f's inverse."""
-        K = self.K
-        P = K + 1.0 / K
-        return _eval_cells(x, (P, -1.0 / K, K * K, -1.0 / K, 1.0 / (K * K),
-                               1.0 / K**3 - 1.0 / K - K, P))
+        """log2 h(2^x) from h's row of ``powermap._cell_spec`` (its branches on
+        [r_2, r_0], not f's inverse); a float or 0-d input gives a float."""
+        return _eval_cells(x, _cell_spec("h", self.source.K))
 
     def iterate(self, x, m):
         """log2 h^m(2^x) for integer counts 0 <= m <= ``MAX_BREAKPOINT_INDEX``.
@@ -76,14 +75,14 @@ class ConjugatedMap:
         m = int(ma) if ma.ndim == 0 else ma
         xa = np.asarray(x, dtype=float)
         _validate_log_radius(xa, "x")
-        y = xa - (m // 2) * (self.K + 1.0 / self.K)
+        y = xa - (m // 2) * _period(self.K)
         if ma.ndim:
             odd = np.broadcast_to(m % 2 == 1, y.shape)
             if odd.any():
                 y[odd] = self.eval_log(y[odd])
             return y
         if m % 2:
-            return self.eval_log(float(y) if np.ndim(x) == 0 else y)
+            return self.eval_log(y)
         return float(y) if np.ndim(x) == 0 else y
 
     def local_exponent(self, x):

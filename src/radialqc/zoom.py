@@ -24,8 +24,8 @@ import numpy as np
 from .powermap import (
     MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
+    _cell_spec,
     _eval_cells,
-    _f_cells,
     _index_array,
     _validate_log_radius,
 )
@@ -60,23 +60,6 @@ def _base_of(map_):
     return getattr(map_, "source", map_)
 
 
-def _limit_cells(kind, K):
-    """Cell spec (see ``powermap._eval_cells``) of one zoom limit.
-
-    P1 is f itself.  Q1 has h's slopes on f's intervals, anchored so that the
-    even breakpoints are fixed.  P2 and Q2 switch branch at the shifted
-    breakpoint -K of the top cell, -((m+1) K + m/K) in the m-th.
-    """
-    if kind == "P1":
-        return _f_cells(K)
-    P = K + 1.0 / K
-    if kind == "P2":
-        return (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
-    if kind == "Q1":
-        return (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
-    return (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)
-
-
 @dataclass(frozen=True)
 class LimitFunction:
     """One of the four closed-form zoom limits, evaluable piecewise in log2.
@@ -91,7 +74,7 @@ class LimitFunction:
 
     def eval_log(self, x):
         """log2 of the limit at 2^x; the radius-0 sentinel maps to itself."""
-        return _eval_cells(x, _limit_cells(self.kind, self.source.K))
+        return _eval_cells(x, _cell_spec(self.kind, self.source.K))
 
 
 def limit_function(map_, kind) -> LimitFunction:
@@ -99,9 +82,10 @@ def limit_function(map_, kind) -> LimitFunction:
 
     ``P1``/``P2`` are the even/odd-scale limits of the base piecewise power
     map, ``Q1``/``Q2`` those of its conjugated (halving) map.  The recorded
-    source is always the base map: its K alone fixes the limit's cell spec
-    (period, split point, two slopes, two offsets, shift), evaluated by the
-    same cell kernel as f and h.  P1 is f's own spec.
+    source is always the base map: its K alone fixes the limit's row of
+    ``powermap._cell_spec`` (period, split point, two slopes, two offsets,
+    shift), evaluated by the same cell kernel as f and h; P1 is f's own row.
+    A float or 0-d input gives a float, an array an array.
     """
     if kind not in LIMIT_KINDS:
         raise ValueError(f"kind must be one of {LIMIT_KINDS}, got {kind!r}")
@@ -203,9 +187,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         )
     r0s, t_even, t_odd = r0a[lane], t_even[lane], t_odd[lane]
     _validate_log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
-    P = base.K + 1.0 / base.K
-    k = map_.distinct_exponents()[0]
-    F0, F_P = map_.eval_log(0.0), map_.eval_log(-P)
+    P, _, k, F0, _, _, shift = _cell_spec("P1" if map_ is base else "h", base.K)
+    F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
     # inverse is c y on (-V, 0] (G's flat piece is a jump), shifted by P per cell.
     # Only for h at K > 1.6e5, within a period of -2**52, can y leave the domain.

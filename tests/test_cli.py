@@ -341,10 +341,13 @@ class TestZoom:
         assert float(rows[-1][-1]) >= 0.3
 
     def test_bad_grid_spec(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "zoom", "--map", "f", "--seq", "even", "--n", "1", "--grid=oops"
-        )
-        assert code == 2
+        # a -inf lo would make linspace emit NaNs, which zoom trips over
+        # (-inf:0:5) or silently drops (-inf:-1:2)
+        for grid in ("oops", "-inf:0:5", "-inf:-1:2", "nan:0:5"):
+            code, out, _ = run_cli(
+                capsys, "zoom", "--map", "f", "--seq", "even", "--n", "1", f"--grid={grid}"
+            )
+            assert (code, out) == (2, ""), grid
 
 
 class TestIvt:

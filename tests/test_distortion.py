@@ -3,6 +3,8 @@ suprema, iterate uniformity, and the radial linear-distortion consistency
 check.
 """
 
+import csv
+import io
 import math
 import warnings
 
@@ -22,6 +24,7 @@ from radialqc import (
     pointwise_distortion,
     radial_power_distortion,
 )
+from radialqc.cli import main
 
 ALPHAS = st.floats(min_value=0.05, max_value=8.0, allow_nan=False)
 
@@ -214,6 +217,17 @@ class TestIterateDistortion:
             assert est3.K_max == pytest.approx(4.0, rel=1e-4)
             est2 = finite_difference_distortion(squared, 2, float(x), 1e-7 * 2.0**x)
             assert est2.K_max == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_odd_report_is_that_of_h(self, capsys, d):
+        # h^1 = h; at this K, K**-2 and 1 / K**2 differ in the last bit
+        K = 1.0590145072536268
+        h = build_conjugated_map(build_standard_map(K))
+        want = max_distortion(h, d)
+        assert iterate_max_distortion(h, d, 1)[0] == want
+        assert main(["distortion", "--map", "h", "--K", repr(K), "--d", str(d)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [float(v) for v in rows[1][1:]] == [want.K_O, want.K_I, want.K_max]
 
     def test_rejects_zero_iterations(self, h):
         with pytest.raises(ValueError):

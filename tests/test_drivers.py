@@ -1,10 +1,11 @@
 """The two drivers of the cell spec agree, and the float one uses no numpy.
 
-A Python float takes the ``math`` driver of ``powermap._eval_cells``, of the
-interval walk ``powermap._locate`` and of the local exponent; an array takes
+A Python float or any 0-d input (``np.float64``, ``int``, a 0-d array) takes
+the ``math`` driver of ``powermap._eval_cells``, of the interval walk
+``powermap._locate`` and of the local exponent; an array with ndim >= 1 takes
 the numpy driver.  For every map, ``locate_interval`` and ``local_exponent``,
-the float call must return exactly what the 1-element array call returns:
-the same bits, the sign of zero and the -inf sentinel included, and the same
+a point call must return exactly what the 1-element array call returns: the
+same bits, the sign of zero and the -inf sentinel included, and the same
 exception class and message on every input error.
 """
 
@@ -57,10 +58,13 @@ def outcome(fn, arg):
 
 
 def assert_drivers_agree(K, x):
+    integral = math.isfinite(x) and x.is_integer()
     for name, fn in callables(K).items():
         want = outcome(fn, np.array([x]))
-        assert outcome(fn, x) == want, (name, x)
-        assert outcome(fn, np.float64(x)) == want, (name, x)
+        for arg in (x, np.float64(x), np.array(x)):
+            assert outcome(fn, arg) == want, (name, repr(arg))
+        if integral:
+            assert outcome(fn, int(x)) == outcome(fn, np.array([int(x)])), (name, x)
 
 
 @given(K=K_VALUES, data=st.data())

@@ -80,6 +80,14 @@ class TestConstruction:
                 with pytest.raises(ValueError):
                     build_standard_map(bad_K)
 
+    def test_breakpoint_log2_rejects_bad_K(self):
+        # K = 0 would divide by zero; 0.5, -2 and 1 would give breakpoints of no map
+        for bad_K in (0, 0.5, -2, 1, float("nan"), float("inf")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="K must be a finite real > 1"):
+                    breakpoint_log2(bad_K, 3)
+
     def test_normalization(self):
         for K in (1.1, 2.0, 3.7):
             f = build_standard_map(K)
