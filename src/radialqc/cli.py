@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands: eval, zoom, ivt, iterate, distortion, verify.  Configuration
-precedence is CLI flags > JSON config file > built-in defaults.  Tables are
-CSV (RFC 4180, floats at 17 significant digits) or JSON, written to stdout or
-a file by one column writer, ``_emit_table``: each command hands it column
-arrays, and it streams them in chunks of ``_CHUNK_ROWS`` rows, formatting
-each distinct value of a column once per chunk, so memory stays flat in the
-row count.  Inputs are checked before the first row is written, and output is
-byte-identical for identical inputs.  Exit codes: 0 success, 1 assertion/
-invariant failure (an unbracketed ivt target included) or a closed output
-pipe, 2 usage or input error.
+Subcommands: eval, zoom, ivt, iterate, distortion, verify.  Each takes
+``--config`` and the flags (``_FLAGS``) of the ``RunConfig`` fields it reads;
+a config file may hold any field for any command.  Precedence is CLI flags >
+JSON config file > built-in defaults.  Tables are CSV (RFC 4180, floats at 17
+significant digits) or JSON, written to stdout or a file by one column writer,
+``_emit_table``: each command hands it column arrays, and it streams them in
+chunks of ``_CHUNK_ROWS`` rows, formatting each distinct value of a column
+once per chunk, so memory stays flat in the row count.  Inputs are checked
+before the first row is written, and output is byte-identical for identical
+inputs.  Exit codes: 0 success, 1 assertion/invariant failure (an unbracketed
+ivt target included) or a closed output pipe, 2 usage or input error (a count
+too large to allocate included).
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Options shared by every subcommand, each also a config-file key and the
-    ``dest`` of its flag; only ``verify`` reads ``depth``."""
+    """Options of the subcommands, each a config-file key of every command and
+    the ``dest`` of its flag in ``_FLAGS``."""
 
     K: float
     dimension: int
@@ -79,7 +81,7 @@ _COERCE = {"float": float, "int": operator.index, "str": str}
 
 def _load_config(args) -> RunConfig:
     merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -93,10 +95,7 @@ def _load_config(args) -> RunConfig:
         if any(v is None or isinstance(v, bool) for v in loaded.values()):
             raise UsageError("config values must be numbers or strings, not null or booleans")
         merged.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update({key: value for key, value in vars(args).items() if key in DEFAULTS})
     try:
         cfg = RunConfig(**{f.name: _COERCE[f.type](merged[f.name]) for f in fields(RunConfig)})
     except (TypeError, ValueError) as exc:
@@ -219,19 +218,21 @@ def _parse_grid_spec(spec, cfg: RunConfig):
     return np.linspace(lo, hi, count)
 
 
-def _gather_log2_radii(args):
-    out = []
-    for r in args.r or []:
-        if not (0.0 < r <= 1.0):
-            raise UsageError("--r values must lie in (0, 1]")
-        out.append(float(np.log2(r)))
-    for x in args.log2_r or []:
-        if x > 0.0:
-            raise UsageError("--log2-r values must be <= 0")
-        out.append(float(x))
-    if not out:
-        raise UsageError("give at least one radius via --r or --log2-r")
-    return out
+def _log2_inputs(args, flag, repeatable=False):
+    """Log2 values of an input given as ``--{flag}`` in (0, 1] or as
+    ``--log2-{flag}`` <= 0 (a NaN passes, for the callee to judge), linear ones
+    first: all of a repeatable input, else the one flag given, whose last
+    occurrence wins."""
+    linear, log2 = getattr(args, flag) or [], getattr(args, "log2_" + flag) or []
+    if not repeatable:
+        linear, log2 = linear[-1:], log2[-1:]
+        if len(linear) + len(log2) != 1:
+            raise UsageError(f"give exactly one of --{flag} or --log2-{flag}")
+    if not all(0.0 < r <= 1.0 for r in linear):
+        raise UsageError(f"--{flag} must lie in (0, 1]")
+    if any(x > 0.0 for x in log2):
+        raise UsageError(f"--log2-{flag} must be <= 0")
+    return [float(np.log2(r)) for r in linear] + [float(x) for x in log2]
 
 
 def _eval_target(name, f, h):
@@ -246,7 +247,9 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     target = _eval_target(args.map, f, h)
-    xs = np.array(_gather_log2_radii(args))
+    xs = np.array(_log2_inputs(args, "r", repeatable=True))
+    if not xs.size:
+        raise UsageError("give at least one radius via --r or --log2-r")
     ys = target.eval_log(xs)
     _emit_table(cfg, "eval", ("r", "log2_r", "value", "log2_value"),
                 [(_exp2(xs), xs, _exp2(ys), ys)])
@@ -295,24 +298,10 @@ def _cmd_zoom(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _one_of(args, linear_name, log_name, what):
-    linear = getattr(args, linear_name)
-    logv = getattr(args, log_name)
-    if (linear is None) == (logv is None):
-        raise UsageError(f"give exactly one of --{what} or --log2-{what}")
-    if linear is not None:
-        if not (0.0 < linear <= 1.0):
-            raise UsageError(f"--{what} must lie in (0, 1]")
-        return float(np.log2(linear))
-    if logv > 0.0:
-        raise UsageError(f"--log2-{what} must be <= 0")
-    return float(logv)
-
-
 def _cmd_ivt(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
-    r0 = _one_of(args, "r0", "log2_r0", "r0")
-    lam = _one_of(args, "lam", "log2_lam", "lambda")
+    [r0] = _log2_inputs(args, "r0")
+    [lam] = _log2_inputs(args, "lambda")
     t = ivt_sample(f, r0, lam, cfg.tol, period_index=args.period)
     achieved = rescaled_eval(f, t, r0)
     columns = tuple(np.array([[t], [achieved], [abs(achieved - lam)]]))
@@ -323,7 +312,7 @@ def _cmd_ivt(cfg: RunConfig, args) -> int:
 def _cmd_iterate(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
-    x0 = _one_of(args, "r", "log2_r", "r")
+    [x0] = _log2_inputs(args, "r")
     if not 0 <= args.iterates <= MAX_BREAKPOINT_INDEX:
         raise UsageError("--iterates must lie in 0..2**53")
     if args.iterates:
@@ -380,16 +369,24 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def _add_common(parser):
+#: the flag of each ``RunConfig`` field; one not given sets no attribute of the args
+_FLAGS = {
+    "K": ("--K", {"type": float, "help": "distortion parameter K > 1"}),
+    "dimension": ("--d", {"type": int, "help": "ambient dimension (>= 2)"}),
+    "depth": ("--depth", {"type": int, "help": "breakpoint depth of the verify checks"}),
+    "grid_points": ("--grid-points", {"type": int, "help": "default grid size"}),
+    "tol": ("--tol", {"type": float, "help": "tolerance for assertions"}),
+    "output_format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
+    "output_path": ("--output", {"help": 'output path, or "-" for stdout'}),
+}
+
+
+def _add_config(parser, *keys):
+    """``--config`` and the flags of the ``RunConfig`` fields ``keys``."""
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--K", type=float, help="distortion parameter K > 1")
-    parser.add_argument("--d", dest="dimension", type=int, help="ambient dimension (>= 2)")
-    parser.add_argument("--depth", type=int, help="breakpoint depth of the verify checks")
-    parser.add_argument("--grid-points", dest="grid_points", type=int, help="default grid size")
-    parser.add_argument("--tol", type=float, help="tolerance for assertions")
-    parser.add_argument("--format", dest="output_format", choices=("csv", "json"),
-                        help="output format")
-    parser.add_argument("--output", dest="output_path", help='output path, or "-" for stdout')
+    for key in keys:
+        flag, kwargs = _FLAGS[key]
+        parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,15 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate f, h, or a zoom limit at given radii")
-    _add_common(p)
+    _add_config(p, "K", "output_format", "output_path")
     p.add_argument("--map", required=True, choices=("f", "h", "P1", "P2", "Q1", "Q2"))
     p.add_argument("--r", type=float, action="append", help="radius in (0, 1]; repeatable")
-    p.add_argument("--log2-r", dest="log2_r", type=float, action="append",
-                   help="log2 radius <= 0; repeatable")
+    p.add_argument("--log2-r", type=float, action="append", help="log2 radius <= 0; repeatable")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("zoom", help="rescaled zoom family vs its closed-form limit")
-    _add_common(p)
+    _add_config(p, "K", "grid_points", "tol", "output_format", "output_path")
     p.add_argument("--map", required=True, choices=("f", "h"))
     p.add_argument("--seq", required=True, choices=("even", "odd"))
     p.add_argument("--n", required=True, help="scale indices: N, a,b,c or a..b")
@@ -420,30 +416,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zoom)
 
     p = sub.add_parser("ivt", help="find a scale whose zoom value hits a target")
-    _add_common(p)
-    p.add_argument("--r0", type=float, help="radius in (0, 1]")
-    p.add_argument("--log2-r0", dest="log2_r0", type=float)
-    p.add_argument("--lambda", dest="lam", type=float, help="target value in (0, 1]")
-    p.add_argument("--log2-lambda", dest="log2_lam", type=float)
+    _add_config(p, "K", "tol", "output_format", "output_path")
+    p.add_argument("--r0", type=float, action="append", help="radius in (0, 1]")
+    p.add_argument("--log2-r0", type=float, action="append")
+    p.add_argument("--lambda", type=float, action="append", help="target value in (0, 1]")
+    p.add_argument("--log2-lambda", type=float, action="append")
     p.add_argument("--period", type=int, default=1, help="breakpoint period index (>= 1)")
     p.set_defaults(func=_cmd_ivt)
 
     p = sub.add_parser("iterate", help="iterate the conjugated map from a start radius")
-    _add_common(p)
-    p.add_argument("--r", type=float)
-    p.add_argument("--log2-r", dest="log2_r", type=float)
+    _add_config(p, "K", "output_format", "output_path")
+    p.add_argument("--r", type=float, action="append")
+    p.add_argument("--log2-r", type=float, action="append")
     p.add_argument("--iterates", type=int, default=10, help="number of steps (>= 0)")
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("distortion", help="distortion reports for f, h iterates, or a power map")
-    _add_common(p)
+    _add_config(p, "K", "dimension", "output_format", "output_path")
     p.add_argument("--map", choices=("f", "h"))
     p.add_argument("--alpha", type=float, help="pure radial power exponent")
     p.add_argument("--iterates", type=int, help="iterate count for --map h")
     p.set_defaults(func=_cmd_distortion)
 
     p = sub.add_parser("verify", help="run the invariant suite, emit a JSON report")
-    _add_common(p)
+    _add_config(p, "K", "dimension", "depth", "grid_points", "tol", "output_path")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -455,8 +451,9 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(cfg, args)
-    except (ValueError, TypeError) as exc:  # UsageError and BracketError included
-        print(f"radialqc: {exc}", file=sys.stderr)
+    # UsageError, BracketError, and a count too large to allocate (MemoryError)
+    except (ValueError, TypeError, MemoryError) as exc:
+        print(f"radialqc: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1 if isinstance(exc, BracketError) else 2
 
 

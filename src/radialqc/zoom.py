@@ -163,6 +163,9 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     tol = float(tol)
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be a finite real > 0")
+    # checked here, so that an error names this parameter and not scale_at's n
+    period_index = _index_array(operator.index(period_index) if np.ndim(period_index) == 0
+                                else period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
     lanes = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float),
                                 np.asarray(period_index), *bracket)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, exit codes, output schemas,
 config precedence, and byte-level determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import radialqc
-from radialqc import cli
+from radialqc import cli, verify
 from radialqc.cli import main
 from radialqc.distortion import iterate_max_distortion, max_distortion, radial_power_distortion
 from radialqc.powermap import build_standard_map
@@ -77,7 +78,7 @@ def reference_run(*argv):
     if args.command == "eval":
         target = cli._eval_target(args.map, f, h)
         rows = []
-        for x in cli._gather_log2_radii(args):
+        for x in cli._log2_inputs(args, "r", repeatable=True):
             y = target.eval_log(x)
             rows.append((2.0**x, x, 2.0**y, y))
         header = ("r", "log2_r", "value", "log2_value")
@@ -100,14 +101,14 @@ def reference_run(*argv):
         extra = {"max_abs_dev": max_dev}
         code = int(max_dev > cfg.tol and not args.no_assert)
     elif args.command == "ivt":
-        r0 = cli._one_of(args, "r0", "log2_r0", "r0")
-        lam = cli._one_of(args, "lam", "log2_lam", "lambda")
+        [r0] = cli._log2_inputs(args, "r0")
+        [lam] = cli._log2_inputs(args, "lambda")
         t = ivt_sample(f, r0, lam, cfg.tol, period_index=args.period)
         achieved = rescaled_eval(f, t, r0)
         rows = [(t, achieved, abs(achieved - lam))]
         header = ("log2_t", "achieved_value", "residual")
     elif args.command == "iterate":
-        x0 = cli._one_of(args, "r", "log2_r", "r")
+        [x0] = cli._log2_inputs(args, "r")
         orbit = h.iterate(x0, np.arange(args.iterates + 1)).tolist()
         rows = [(m, y, 2.0**y) for m, y in enumerate(orbit)]
         header = ("m", "log2_value", "value")
@@ -253,6 +254,75 @@ class TestBounds:
         assert (proc.returncode, err) == (1, b"")
 
 
+#: the RunConfig fields each subcommand reads, hence the only shared flags it takes
+COMMAND_FIELDS = {
+    "eval": ("K", "output_format", "output_path"),
+    "zoom": ("K", "grid_points", "tol", "output_format", "output_path"),
+    "ivt": ("K", "tol", "output_format", "output_path"),
+    "iterate": ("K", "output_format", "output_path"),
+    "distortion": ("K", "dimension", "output_format", "output_path"),
+    "verify": ("K", "dimension", "depth", "grid_points", "tol", "output_path"),
+}
+FIELD_FLAGS = {"K": "--K", "dimension": "--d", "depth": "--depth", "grid_points": "--grid-points",
+               "tol": "--tol", "output_format": "--format", "output_path": "--output"}
+
+
+class TestFlags:
+    def test_each_command_takes_the_flags_of_the_fields_it_reads(self):
+        [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(COMMAND_FIELDS)
+        shared = {"--config", *FIELD_FLAGS.values()}
+        taken = 0
+        for command, parser in sub.choices.items():
+            dest = {o: a.dest for a in parser._actions for o in a.option_strings if o in shared}
+            want = {"--config": "config"} | {FIELD_FLAGS[k]: k for k in COMMAND_FIELDS[command]}
+            assert dest == want, command
+            taken += len(dest)
+        assert taken == 31  # each command took all eight, 48 in all
+
+    @pytest.mark.parametrize("line", [
+        "eval --map f --r 0.5 --depth 5",
+        "ivt --log2-r0 -0.5 --lambda 0.67 --d 3",
+        "iterate --r 0.8 --tol 1e-3",
+        "distortion --map f --grid-points 9",
+        "verify --format csv",
+    ])
+    def test_flag_of_a_field_not_read_is_a_usage_error(self, capsys, line):
+        with pytest.raises(SystemExit) as exc:
+            main(line.split())
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        lines = [line.split()[1:] for line in block.splitlines() if line.startswith("radialqc ")]
+        assert len(lines) >= 9
+        for argv in lines:
+            cli.build_parser().parse_args(argv)  # a flag the command does not take exits 2
+
+    def test_allocation_failure_is_a_usage_error(self, capsys, monkeypatch):
+        # stands in for numpy's error at verify --depth 3000000000 or a zoom grid
+        # of 3e9 points, which would try to allocate tens of GB
+        text = "Unable to allocate 22.4 GiB for an array with shape (3000000000,)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(text)
+
+        def bare(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(verify, "_distinct_breakpoints_log2", no_memory)
+        assert run_cli(capsys, "verify", "--depth", "3000000000") == (2, "", f"radialqc: {text}\n")
+        monkeypatch.setattr(np, "linspace", no_memory)
+        zoom = ("zoom", "--map", "f", "--seq", "even", "--n", "1")
+        for grid in ("--grid=-5:-1:3000000000", "--grid-points=3000000000"):
+            assert run_cli(capsys, *zoom, grid) == (2, "", f"radialqc: {text}\n"), grid
+        monkeypatch.setattr(np, "linspace", bare)  # still a one-line message
+        assert run_cli(capsys, *zoom) == (2, "", "radialqc: MemoryError\n")
+
+
 class TestEval:
     def test_f_linear_radius(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--map", "f", "--K", "2", "--r", "0.8")
@@ -374,6 +444,13 @@ class TestIvt:
         )
         assert code == 1
         assert "bracket" in err
+
+    def test_bad_period_exits_two(self, capsys):
+        for period in ("0", "-3", str(2**53)):
+            code, out, err = run_cli(capsys, "ivt", "--log2-r0", "-0.5", "--lambda", "0.67",
+                                     "--period", period)
+            assert (code, out) == (2, ""), period
+            assert "period_index must lie in 1..2**52" in err
 
     def test_nan_target_exits_two(self, capsys):
         code, out, err = run_cli(

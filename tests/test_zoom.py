@@ -423,6 +423,15 @@ class TestIvtSampler:
                 with pytest.raises(ValueError, match="tol must be a finite real > 0"):
                     ivt_sample(f, r0, lam, tol)
 
+    def test_bad_period_index_named_in_error(self, f):
+        # scale_at checks it too, but under its own parameter name n
+        r0 = f.breakpoint(1)
+        for k in (0, -3, 2**53, [1, 0]):
+            with pytest.raises(ValueError, match="period_index must lie in 1..2"):
+                ivt_sample(f, r0, math.log2(0.67), 1e-9, period_index=k)
+        with pytest.raises(TypeError, match="period_index"):
+            ivt_sample(f, r0, math.log2(0.67), 1e-9, period_index=2**70)
+
     @pytest.mark.parametrize("which", ["f", "h"])
     @given(K=ENVELOPE_K_VALUES, data=st.data())
     @settings(max_examples=25)
