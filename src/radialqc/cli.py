@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, choices=("f", "h", "P1", "P2", "Q1", "Q2"))
     p.add_argument("--r", type=float, action="append", help="radius in (0, 1]; repeatable")
     p.add_argument("--log2-r", type=float, action="append", help="log2 radius <= 0; repeatable")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, parser=p)
 
     p = sub.add_parser("zoom", help="rescaled zoom family vs its closed-form limit")
     _add_config(p, "K", "grid_points", "tol", "output_format", "output_path")
@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare against this limit instead of the matched one")
     p.add_argument("--no-assert", dest="no_assert", action="store_true",
                    help="report deviation without failing the exit code")
-    p.set_defaults(func=_cmd_zoom)
+    p.set_defaults(func=_cmd_zoom, parser=p)
 
     p = sub.add_parser("ivt", help="find a scale whose zoom value hits a target")
     _add_config(p, "K", "tol", "output_format", "output_path")
@@ -422,32 +422,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=float, action="append", help="target value in (0, 1]")
     p.add_argument("--log2-lambda", type=float, action="append")
     p.add_argument("--period", type=int, default=1, help="breakpoint period index (>= 1)")
-    p.set_defaults(func=_cmd_ivt)
+    p.set_defaults(func=_cmd_ivt, parser=p)
 
     p = sub.add_parser("iterate", help="iterate the conjugated map from a start radius")
     _add_config(p, "K", "output_format", "output_path")
     p.add_argument("--r", type=float, action="append")
     p.add_argument("--log2-r", type=float, action="append")
     p.add_argument("--iterates", type=int, default=10, help="number of steps (>= 0)")
-    p.set_defaults(func=_cmd_iterate)
+    p.set_defaults(func=_cmd_iterate, parser=p)
 
     p = sub.add_parser("distortion", help="distortion reports for f, h iterates, or a power map")
     _add_config(p, "K", "dimension", "output_format", "output_path")
     p.add_argument("--map", choices=("f", "h"))
     p.add_argument("--alpha", type=float, help="pure radial power exponent")
     p.add_argument("--iterates", type=int, help="iterate count for --map h")
-    p.set_defaults(func=_cmd_distortion)
+    p.set_defaults(func=_cmd_distortion, parser=p)
 
     p = sub.add_parser("verify", help="run the invariant suite, emit a JSON report")
     _add_config(p, "K", "dimension", "depth", "grid_points", "tol", "output_path")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the usage of the subcommand that did not take them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _load_config(args)
         return args.func(cfg, args)

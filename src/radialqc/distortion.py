@@ -35,6 +35,11 @@ __all__ = [
 #: location marker for reports that hold at (almost) every radius.
 SUPREMUM = "supremum"
 
+#: the sampling of ``linear_distortion_radial``: log2 radii, directions per radius, rng seed
+_H_LOG2_RADII = (-4.0, -2.0, -1.0, -0.5, -0.25)
+_H_DIRECTIONS = 64
+_H_SEED = 7
+
 
 @dataclass(frozen=True)
 class DistortionReport:
@@ -168,9 +173,7 @@ def iterate_max_distortion(h, d, m_max):
     return [odd if m % 2 else even for m in range(1, m_max + 1)]
 
 
-def linear_distortion_radial(
-    map_, d=2, log2_radii=(-4.0, -2.0, -1.0, -0.5, -0.25), num_directions=64, seed=7,
-):
+def linear_distortion_radial(map_, d=2):
     """Linear distortion H at the origin: limsup of max/min image-sphere radii.
 
     A radial map sends each sphere about the origin to a sphere, so H = 1
@@ -180,10 +183,10 @@ def linear_distortion_radial(
     """
     d = _check_dimension(d)
     f = _linear_radial_eval(map_)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_H_SEED)
     worst = 1.0
-    for lx in log2_radii:
-        u = rng.normal(size=(int(num_directions), d))
+    for lx in _H_LOG2_RADII:
+        u = rng.normal(size=(_H_DIRECTIONS, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts = (2.0**lx) * u
         radii = np.linalg.norm(pts, axis=1)

@@ -21,14 +21,18 @@ log2 throughout: a radius in (0, 1] is represented by its log2 value (a float
 Every map of the package (f, f^{-1}, h and the zoom limits P1 = f, P2, Q1,
 Q2) is one row of the cell-spec table ``_cell_spec``, and ``_period`` gives
 their common period K + 1/K.  The cell spec and the interval walk have two
-drivers.  A point (a Python float or any 0-d input: ``np.float64``, ``int``,
-a 0-d array) goes through ``math``, with no numpy call for a float, which
-brings a one-point ``eval_log`` from about 22 us to about 0.4 us (best of 5
-timeit repeats, 2-CPU virtual machine, Python 3.11, numpy 2.4); arrays with
-ndim >= 1 go through numpy.  The two make the same float operations in the
-same order, so a point returns exactly what the 1-element array call
-returns, bit for bit (signed zeros and the -inf sentinel included), and
-raises the same exception with the same message.
+drivers, picked by ``_log_radius``, the one check of every log2-radius input.
+A point (a Python float or any 0-d input: ``np.float64``, ``int``, a 0-d
+array) goes through ``math``, with no numpy call for a float, which brings a
+one-point ``eval_log`` from about 22 us to about 0.4 us (best of 5 timeit
+repeats, 2-CPU virtual machine, Python 3.11, numpy 2.4); arrays with ndim
+>= 1 go through numpy.  The two make the same float operations in the same
+order, so a point returns exactly what the 1-element array call returns, bit
+for bit (signed zeros and the -inf sentinel included), and raises the same
+exception with the same message.  ``_log_radius`` serves every ``eval_log``,
+``inverse_eval_log``, ``locate_interval``, ``local_exponent`` and
+``h.iterate``, and in ``zoom`` ``rescaled_eval`` (``t`` and ``r``),
+``zoom_limit_deviation``, ``ivt_sample`` and ``homogeneity_defect``.
 
 Useful consequences of the layout, relied on elsewhere in the package:
 
@@ -40,12 +44,12 @@ Useful consequences of the layout, relied on elsewhere in the package:
   * value intervals:   f maps [r_n, r_{n-1}] onto [2^-n, 2^-(n-1)], so f^{-1}
     is log-periodic too, with period 2 in log2 value.
 
-Supported domain, shared by every evaluator in the package: breakpoint
-indices 0 <= n <= ``MAX_BREAKPOINT_INDEX`` (2^53, where integers stop being
-exact doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so
-every interval index reached from x stays within the index bound), plus the
--inf sentinel.  Inputs outside it raise ``ValueError`` before any integer
-cast, so no index wraps around.
+Supported domain, shared by every evaluator in the package: breakpoint indices
+0 <= n <= ``MAX_BREAKPOINT_INDEX`` (2^53, where integers stop being exact
+doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so every
+interval index reached from x stays within the index bound), plus the -inf
+sentinel.  Inputs outside it raise ``ValueError`` before any integer cast, so
+no index wraps around.  A non-integer index (a bool too) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -91,43 +95,39 @@ class NotDifferentiableError(ValueError):
     """A derivative-based quantity was requested at a breakpoint radius."""
 
 
-#: the domain errors of a log2 radius, raised alike by the array and the float validator
+#: the domain errors of a log2 radius, raised alike on both drivers by ``_log_radius``
 _NOT_FINITE = "{} must be a log2 radius, not NaN or +inf"
 _POSITIVE = "{} must be <= 0 (base-2 log of a radius in (0, 1])"
 _TOO_DEEP = "{} must be >= -2**52 (or the radius-0 sentinel -inf)"
 _SENTINEL = "{}: the radius-0 sentinel is not accepted here"
 
 
-def _validate_log_radius(a, name, allow_zero_radius=True):
-    if np.any(np.isnan(a)) or np.any(a == np.inf):
+def _log_radius(x, name, allow_zero_radius=True):
+    """``x`` checked against the log2-radius domain: a Python float or any 0-d input
+    in plain Python and returned as a float (the ``math`` driver), anything else
+    with numpy and returned as a float array.  Both raise the same errors."""
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
+            return x
+        some = bool
+    else:
+        x = np.asarray(x, dtype=float)
+        some = np.any
+    if some(x != x) or some(x == math.inf):
         raise ValueError(_NOT_FINITE.format(name))
-    if np.any(a > 0.0):
+    if some(x > 0.0):
         raise ValueError(_POSITIVE.format(name))
-    if np.any((a < -MAX_ABS_LOG2_RADIUS) & (a != RADIUS_ZERO_LOG2)):
+    if some((x < -MAX_ABS_LOG2_RADIUS) & (x != RADIUS_ZERO_LOG2)):
         raise ValueError(_TOO_DEEP.format(name))
-    if not allow_zero_radius and np.any(np.isneginf(a)):
-        raise ValueError(_SENTINEL.format(name))
-
-
-def _check_log_radius(x, name, allow_zero_radius=True):
-    """``_validate_log_radius`` for one point, in plain Python; returns float(x)."""
-    x = float(x)
-    if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
-        return x
-    if x != x or x == math.inf:
-        raise ValueError(_NOT_FINITE.format(name))
-    if x > 0.0:
-        raise ValueError(_POSITIVE.format(name))
-    if x != RADIUS_ZERO_LOG2:
-        raise ValueError(_TOO_DEEP.format(name))
-    if not allow_zero_radius:
+    if not allow_zero_radius and some(x == RADIUS_ZERO_LOG2):
         raise ValueError(_SENTINEL.format(name))
     return x
 
 
 def _index_array(n, name, lo, hi):
-    """``n`` as an array: ``TypeError`` unless integral, ``ValueError`` outside lo..hi
-    (``hi`` a power of two, as every index bound of the package is)."""
+    """``n`` as an array: ``TypeError`` unless integral (a bool is not), ``ValueError``
+    outside lo..hi (``hi`` a power of two, as every index bound of the package is)."""
     na = np.asarray(n)
     if not np.issubdtype(na.dtype, np.integer):
         raise TypeError(f"{name} must be an integer within 64 bits")
@@ -194,26 +194,24 @@ def _eval_cells(x, cells, name="x"):
     ``_cell_spec``: y(x - period) = y(x) - shift, and y is affine on the two
     pieces of the cell (-period, 0] above and below ``split``.  So x is
     reduced by m = floor(-x / period) periods (Cody-Waite style) to u in the
-    top cell, evaluated there, and shifted back down by m * shift.  Validates
-    x and passes the radius-0 sentinel through.  A Python float or any 0-d
-    input takes the ``math`` driver and gives a float, an array with ndim >= 1
-    the numpy one and an array of its shape; both make the same float
-    operations in the same order, so they agree bit for bit, errors included.
+    top cell, evaluated there, and shifted back down by m * shift.  Passes
+    the radius-0 sentinel through.  A float from ``_log_radius`` takes the
+    ``math`` driver and gives a float, an array the numpy one and an array of
+    its shape; both make the same float operations in the same order, so they
+    agree bit for bit, errors included.
     """
     period, split, a_hi, b_hi, a_lo, b_lo, shift = cells
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = _check_log_radius(x, name)
+    x = _log_radius(x, name)
+    if isinstance(x, float):
         if x == RADIUS_ZERO_LOG2:
             return x
         m = math.floor(-x / period)  # an int below 2**51: float(m) is exact, as in numpy
         u = x + m * period
         return (b_hi + a_hi * u if u >= split else b_lo + a_lo * u) - m * shift
-    xa = np.asarray(x, dtype=float)
-    _validate_log_radius(xa, name)
-    out = np.full(xa.shape, RADIUS_ZERO_LOG2)
-    fin = np.isfinite(xa)
+    out = np.full(x.shape, RADIUS_ZERO_LOG2)
+    fin = np.isfinite(x)
     if fin.any():
-        xf = xa[fin]
+        xf = x[fin]
         m = np.floor(-xf / period)
         u = xf + m * period
         out[fin] = np.where(u >= split, b_hi + a_hi * u, b_lo + a_lo * u) - m * shift
@@ -265,12 +263,9 @@ def _local_exponent(K, x, k):
     """Branch exponent at x of a map on f's intervals with exponents k (odd
     intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
     the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = _check_log_radius(x, "x", allow_zero_radius=False)
-        return k if _strict_branch_index(K, x) % 2 == 1 else 1.0 / k
-    xa = np.asarray(x, dtype=float)
-    _validate_log_radius(xa, "x", allow_zero_radius=False)
-    return np.where(_strict_branch_index(K, xa) % 2 == 1, k, 1.0 / k)
+    x = _log_radius(x, "x", allow_zero_radius=False)
+    odd = _strict_branch_index(K, x) % 2 == 1
+    return (k if odd else 1.0 / k) if isinstance(x, float) else np.where(odd, k, 1.0 / k)
 
 
 @dataclass(frozen=True)
@@ -297,11 +292,7 @@ class PiecewisePowerMap:
         breakpoints.  When x is exactly a breakpoint the smaller index is
         returned; continuity makes evaluation agree either way.
         """
-        if isinstance(x, float) or np.ndim(x) == 0:
-            return _locate(self.K, _check_log_radius(x, "x", allow_zero_radius=False))
-        xa = np.asarray(x, dtype=float)
-        _validate_log_radius(xa, "x", allow_zero_radius=False)
-        return _locate(self.K, xa)
+        return _locate(self.K, _log_radius(x, "x", allow_zero_radius=False))
 
     def eval_log(self, x):
         """log2 f(2^x); the radius-0 sentinel maps to itself."""

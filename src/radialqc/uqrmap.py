@@ -31,8 +31,8 @@ from .powermap import (
     _eval_cells,
     _index_array,
     _local_exponent,
+    _log_radius,
     _period,
-    _validate_log_radius,
 )
 
 __all__ = ["ConjugatedMap", "build_conjugated_map", "h_via_conjugacy"]
@@ -73,17 +73,13 @@ class ConjugatedMap:
         """
         ma = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
         m = int(ma) if ma.ndim == 0 else ma
-        xa = np.asarray(x, dtype=float)
-        _validate_log_radius(xa, "x")
-        y = xa - (m // 2) * _period(self.K)
+        y = _log_radius(x, "x") - (m // 2) * _period(self.K)
         if ma.ndim:
             odd = np.broadcast_to(m % 2 == 1, y.shape)
             if odd.any():
                 y[odd] = self.eval_log(y[odd])
             return y
-        if m % 2:
-            return self.eval_log(y)
-        return float(y) if np.ndim(x) == 0 else y
+        return self.eval_log(y) if m % 2 else y
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""

@@ -131,6 +131,20 @@ def continuity_worst(K, depth):
     return float(np.max(np.abs(left - right)))
 
 
+def _worst_row_residual(s, rows, shift):
+    """Worst |s[j] + s[:L - j] - s[j:] + shift| over the rows j, L = len(s)."""
+    L = len(s)
+    buf = np.empty(L)
+    worst = 0.0
+    for j in rows:
+        res = np.add(s[j], s[: L - j], out=buf[: L - j])
+        np.subtract(res, s[j:], out=res)
+        if shift:
+            np.add(res, shift, out=res)
+        worst = max(worst, float(res.max()), -float(res.min()))
+    return worst
+
+
 def product_identities_worst(K, depth):
     """Worst residuals of the two breakpoint product identities over all index
     pairs that stay within ``depth``:
@@ -139,25 +153,9 @@ def product_identities_worst(K, depth):
         log2 r_{2n+1} + log2 r_{2m+1} = log2 r_{2(n+m)+1} - 1/K
     """
     lr = breakpoint_log2(K, np.arange(depth + 1))
-    buf = np.empty(depth + 1)
-    worst_even = 0.0
-    for n in range(1, depth // 2 + 1):
-        # row n, m = 0 .. depth - 2n: lr[2n] + lr[m] - lr[2n + m]
-        size = depth - 2 * n + 1
-        res = np.add(lr[2 * n], lr[:size], out=buf[:size])
-        np.subtract(res, lr[2 * n : 2 * n + size], out=res)
-        worst_even = max(worst_even, float(res.max()), -float(res.min()))
-    worst_odd = 0.0
-    shift = 1.0 / K
     odd = np.ascontiguousarray(lr[1::2])  # odd[j] = log2 r_{2j+1}
-    top = (depth - 1) // 2
-    for n in range(0, top + 1):
-        size = top - n + 1
-        res = np.add(odd[n], odd[:size], out=buf[:size])
-        np.subtract(res, odd[n : n + size], out=res)
-        np.add(res, shift, out=res)
-        worst_odd = max(worst_odd, float(res.max()), -float(res.min()))
-    return worst_even, worst_odd
+    return (_worst_row_residual(lr, range(2, depth + 1, 2), 0.0),
+            _worst_row_residual(odd, range(len(odd)), 1.0 / K))
 
 
 def breakpoint_image_worst(f, depth):

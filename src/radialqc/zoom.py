@@ -16,7 +16,6 @@ than one zoom limit is the whole point of the construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .powermap import (
     _cell_spec,
     _eval_cells,
     _index_array,
-    _validate_log_radius,
+    _log_radius,
 )
 
 __all__ = [
@@ -102,26 +101,24 @@ def rescaled_eval(map_, t, r):
     sentinel, which passes through.  The value at r = 1 (log2 0) is exactly 0:
     the normalization preserves the unit-ball measure.
     """
-    ta = np.asarray(t, dtype=float)
-    _validate_log_radius(ta, "t", allow_zero_radius=False)
-    if np.any(ta == 0.0):
+    t = _log_radius(t, "t", allow_zero_radius=False)
+    at_one = t == 0.0
+    if at_one if isinstance(t, float) else at_one.any():
         raise ValueError("t must be strictly negative: zooming needs a scale below 1")
-    ra = np.asarray(r, dtype=float)
-    _validate_log_radius(ra, "r")
-    return map_.eval_log(ra + ta) - map_.eval_log(ta)
+    r = _log_radius(r, "r")
+    return map_.eval_log(r + t) - map_.eval_log(t)
 
 
 def scale_at(map_, sequence, n):
     """log2 scale t_n: the 2n-th breakpoint for "even", the (2n-1)-th for "odd".
 
-    ``n`` is an integer or an integer array, each entry in 1..2**52 (so the
-    breakpoint index stays within ``MAX_BREAKPOINT_INDEX``); an array is
-    validated once and gives an array of scales.
+    ``n`` is an integer or an integer array (not a bool), each entry in
+    1..2**52 (so the breakpoint index stays within ``MAX_BREAKPOINT_INDEX``);
+    an array is validated once and gives an array of scales.
     """
     if sequence not in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
         raise ValueError(f'sequence must be "even" or "odd", got {sequence!r}')
-    na = _index_array(operator.index(n) if np.ndim(n) == 0 else n, "sequence index n",
-                      1, MAX_BREAKPOINT_INDEX // 2)
+    na = _index_array(n, "sequence index n", 1, MAX_BREAKPOINT_INDEX // 2)
     return _base_of(map_).breakpoint(2 * na if sequence == EVEN_BREAKPOINTS else 2 * na - 1)
 
 
@@ -136,8 +133,7 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     base = _base_of(map_)
     if lf.source != base:
         raise ValueError("limit function was built for a different map")
-    grid = np.asarray(r_grid, dtype=float).ravel()
-    _validate_log_radius(grid, "r_grid", allow_zero_radius=False)
+    grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
     rescaled = rescaled_eval(map_, scale_at(map_, sequence, np.asarray(n_range))[:, None], grid)
     return float(np.abs(rescaled - lf.eval_log(grid)).max(initial=0.0))
 
@@ -164,8 +160,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be a finite real > 0")
     # checked here, so that an error names this parameter and not scale_at's n
-    period_index = _index_array(operator.index(period_index) if np.ndim(period_index) == 0
-                                else period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
+    period_index = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
     lanes = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float),
                                 np.asarray(period_index), *bracket)
@@ -189,7 +184,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
             f"[{float(lo[i])}, {float(hi[i])}] at this radius"
         )
     r0s, t_even, t_odd = r0a[lane], t_even[lane], t_odd[lane]
-    _validate_log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
+    _log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
     P, _, k, F0, _, _, shift = _cell_spec("P1" if map_ is base else "h", base.K)
     F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
@@ -217,7 +212,7 @@ def homogeneity_defect(lf, samples):
     xs = np.asarray(samples, dtype=float)
     if xs.ndim != 1 or np.unique(xs).size < 3:
         raise ValueError("need at least 3 distinct sample radii")
-    _validate_log_radius(xs, "samples", allow_zero_radius=False)
+    _log_radius(xs, "samples", allow_zero_radius=False)
     evalf = lf.eval_log if hasattr(lf, "eval_log") else lf
     ys = np.asarray([float(evalf(float(v))) for v in xs])
     slope = float(np.dot(xs, ys)) / float(np.dot(xs, xs))

@@ -293,6 +293,7 @@ class TestFlags:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert "unrecognized arguments" in err
+        assert err.startswith(f"usage: radialqc {line.split()[0]} ")  # the command's usage
 
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

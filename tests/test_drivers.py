@@ -3,7 +3,9 @@
 A Python float or any 0-d input (``np.float64``, ``int``, a 0-d array) takes
 the ``math`` driver of ``powermap._eval_cells``, of the interval walk
 ``powermap._locate`` and of the local exponent; an array with ndim >= 1 takes
-the numpy driver.  For every map, ``locate_interval`` and ``local_exponent``,
+the numpy driver; ``powermap._log_radius`` checks the input and picks the
+driver.  For every map, ``locate_interval``, ``local_exponent``, either
+argument of ``rescaled_eval`` and ``h.iterate`` with an odd and an even count,
 a point call must return exactly what the 1-element array call returns: the
 same bits, the sign of zero and the -inf sentinel included, and the same
 exception class and message on every input error.
@@ -26,6 +28,7 @@ from radialqc import (
     build_standard_map,
     limit_function,
     pointwise_distortion,
+    rescaled_eval,
 )
 from radialqc.zoom import LIMIT_KINDS
 
@@ -38,7 +41,10 @@ def callables(K):
     h = build_conjugated_map(f)
     out = {"f": f.eval_log, "f_inv": f.inverse_eval_log, "h": h.eval_log,
            "f.locate_interval": f.locate_interval, "h.locate_interval": h.locate_interval,
-           "f.local_exponent": f.local_exponent, "h.local_exponent": h.local_exponent}
+           "f.local_exponent": f.local_exponent, "h.local_exponent": h.local_exponent,
+           "rescaled_eval r": lambda r: rescaled_eval(f, -1.5, r),
+           "rescaled_eval t": lambda t: rescaled_eval(h, t, -0.75),
+           "h.iterate odd": lambda x: h.iterate(x, 3), "h.iterate even": lambda x: h.iterate(x, 2)}
     for kind in LIMIT_KINDS:
         out[kind] = limit_function(h if kind[0] == "Q" else f, kind).eval_log
     return out

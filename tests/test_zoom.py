@@ -245,8 +245,9 @@ class TestDeviation:
             for bad in (0, 2**62, 2**52 + 1):
                 with pytest.raises(ValueError):
                     scale_at(f, "even", bad)
-            with pytest.raises(TypeError):
-                scale_at(f, "odd", 2.5)
+            for bad in (2.5, True):  # a bool is not an index
+                with pytest.raises(TypeError):
+                    scale_at(f, "odd", bad)
             # the same checks on index arrays, uint64 included (2n would wrap)
             for bad in ([1, 0], [2**52 + 1], np.array([2**63 + 1], dtype=np.uint64)):
                 with pytest.raises(ValueError):
@@ -429,8 +430,9 @@ class TestIvtSampler:
         for k in (0, -3, 2**53, [1, 0]):
             with pytest.raises(ValueError, match="period_index must lie in 1..2"):
                 ivt_sample(f, r0, math.log2(0.67), 1e-9, period_index=k)
-        with pytest.raises(TypeError, match="period_index"):
-            ivt_sample(f, r0, math.log2(0.67), 1e-9, period_index=2**70)
+        for bad in (2**70, True):
+            with pytest.raises(TypeError, match="period_index"):
+                ivt_sample(f, r0, math.log2(0.67), 1e-9, period_index=bad)
 
     @pytest.mark.parametrize("which", ["f", "h"])
     @given(K=ENVELOPE_K_VALUES, data=st.data())
