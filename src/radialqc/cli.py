@@ -20,10 +20,9 @@ import argparse
 import contextlib
 import inspect
 import json
-import operator
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +31,9 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import MAX_BREAKPOINT_INDEX, _period, build_standard_map
+from .powermap import MAX_BREAKPOINT_INDEX, _index_array, _period, build_standard_map
 from .uqrmap import build_conjugated_map
-from .verify import SCHEMA_VERSION, run_verification
+from .verify import SCHEMA_VERSION, _checked_settings, run_verification
 from .zoom import (
     BracketError,
     ivt_sample,
@@ -58,7 +57,8 @@ class UsageError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """Options of the subcommands, each a config-file key of every command and
-    the ``dest`` of its flag in ``_FLAGS``."""
+    the ``dest`` of its flag in ``_FLAGS``, checked for every command; the
+    numbers by ``verify._checked_settings``, which takes no bool and no str."""
 
     K: float
     dimension: int
@@ -69,14 +69,13 @@ class RunConfig:
     output_path: str
 
 
-#: the numeric defaults are those of ``run_verification``, stated there once
+#: the numeric settings, their defaults and checks are those of ``run_verification``
+_SETTINGS = inspect.signature(run_verification).parameters
 DEFAULTS = {
-    **{key: p.default for key, p in inspect.signature(run_verification).parameters.items()},
+    **{key: p.default for key, p in _SETTINGS.items()},
     "output_format": "csv",
     "output_path": "-",
 }
-#: coercion by field type; counts go through ``operator.index``, never truncated
-_COERCE = {"float": float, "int": operator.index, "str": str}
 
 
 def _load_config(args) -> RunConfig:
@@ -97,17 +96,10 @@ def _load_config(args) -> RunConfig:
         merged.update(loaded)
     merged.update({key: value for key, value in vars(args).items() if key in DEFAULTS})
     try:
-        cfg = RunConfig(**{f.name: _COERCE[f.type](merged[f.name]) for f in fields(RunConfig)})
+        cfg = RunConfig(**_checked_settings(**{key: merged[key] for key in _SETTINGS}),
+                        **{key: str(merged[key]) for key in ("output_format", "output_path")})
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration value: {exc}") from exc
-    if not cfg.K > 1.0:
-        raise UsageError("K must be > 1")
-    if cfg.dimension < 2:
-        raise UsageError("dimension must be >= 2")
-    if cfg.grid_points < 2:
-        raise UsageError("grid_points must be >= 2")
-    if not (np.isfinite(cfg.tol) and cfg.tol > 0.0):
-        raise UsageError("tol must be a finite real > 0")
     if cfg.output_format not in ("csv", "json"):
         raise UsageError('output format must be "csv" or "json"')
     return cfg
@@ -200,8 +192,7 @@ def _parse_n_spec(spec):
             least, most = min(ns), max(ns)
     except ValueError as exc:
         raise UsageError(f"bad index spec {spec!r}: use N, a,b,c or a..b") from exc
-    if least < 1 or most > MAX_BREAKPOINT_INDEX // 2:
-        raise UsageError("zoom sequence indices must lie in 1..2**52")
+    _index_array([least, most], "zoom sequence indices", 1, MAX_BREAKPOINT_INDEX // 2)
     return ns, most
 
 
@@ -313,8 +304,7 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     [x0] = _log2_inputs(args, "r")
-    if not 0 <= args.iterates <= MAX_BREAKPOINT_INDEX:
-        raise UsageError("--iterates must lie in 0..2**53")
+    _index_array(args.iterates, "--iterates", 0, MAX_BREAKPOINT_INDEX)
     if args.iterates:
         # the deepest odd iterate is the deepest point h is evaluated at:
         # a domain error surfaces here, before any row is written
@@ -336,18 +326,15 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
     if args.iterates is not None and args.map != "h":
         raise UsageError("--iterates applies to --map h only")
     count = 1 if args.iterates is None else args.iterates
+    _index_array(count, "--iterates", 1, MAX_BREAKPOINT_INDEX)
     if args.alpha is not None:
-        if args.alpha <= 0:
-            raise UsageError("--alpha must be > 0")
         reports = [radial_power_distortion(args.alpha, cfg.dimension)]
     elif args.map == "f":
         reports = [max_distortion(build_standard_map(cfg.K), cfg.dimension)]
-    elif 1 <= count <= MAX_BREAKPOINT_INDEX:
+    else:
         # the reports of h^m alternate: row m repeats that of m = 1 or m = 2
         h = build_conjugated_map(build_standard_map(cfg.K))
         reports = iterate_max_distortion(h, cfg.dimension, min(count, 2))
-    else:
-        raise UsageError("--iterates must lie in 1..2**53")
     table = np.array([(rep.K_O, rep.K_I, rep.K_max) for rep in reports])
     sup = table[[np.argmax(table[:, 2])]]  # the first report of the largest K_max
 
@@ -362,8 +349,7 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
-    params = inspect.signature(run_verification).parameters
-    report = run_verification(**{key: getattr(cfg, key) for key in params})
+    report = run_verification(**{key: getattr(cfg, key) for key in _SETTINGS})
     with _output(cfg) as out:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1

@@ -16,10 +16,11 @@ A central-difference oracle recomputes the same quantities numerically.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .powermap import _count, _real
 
 __all__ = [
     "SUPREMUM",
@@ -55,25 +56,15 @@ class DistortionReport:
         return max(self.K_O, self.K_I)
 
 
-def _check_dimension(d) -> int:
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise TypeError("dimension must be an integer >= 2") from None
-    if d < 2:
-        raise ValueError("dimension must be an integer >= 2")
-    return d
-
-
 def radial_power_distortion(alpha, d, location=SUPREMUM) -> DistortionReport:
-    """Closed-form distortion of the radial stretch with exponent ``alpha``."""
-    a = float(alpha)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ValueError("alpha must be a positive real")
-    d = _check_dimension(d)
-    if a >= 1.0:
-        return DistortionReport(K_O=a ** (d - 1), K_I=a, dimension=d, location=location)
-    return DistortionReport(K_O=1.0 / a, K_I=a ** (1 - d), dimension=d, location=location)
+    """Closed-form distortion of the radial stretch r^alpha; an overflow raises ValueError."""
+    a = _real(alpha, "alpha")
+    d = _count(d, "dimension", 2)
+    try:
+        K_O, K_I = (a ** (d - 1), a) if a >= 1.0 else (1.0 / a, a ** (1 - d))
+    except OverflowError:
+        raise ValueError(f"distortion of alpha = {a} in dimension {d} overflows float64") from None
+    return DistortionReport(K_O, K_I, d, location)
 
 
 def pointwise_distortion(map_, d, x) -> DistortionReport:
@@ -103,13 +94,11 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     from their definitions.  Serves as the independent oracle for the closed
     forms; steps that cross a breakpoint are rejected for maps that have them.
     """
-    d = _check_dimension(d)
+    d = _count(d, "dimension", 2)
     x = float(x)
-    step = float(step)
     if not (math.isfinite(x) and x <= 0.0):
         raise ValueError("x must be a finite log2 radius <= 0")
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be a positive real")
+    step = _real(step, "step")
     r = 2.0**x
     if r - step <= 0.0:
         raise ValueError("step too large: r - step must stay positive")
@@ -138,7 +127,7 @@ def max_distortion(map_, d) -> DistortionReport:
     over radii collapses to a componentwise maximum over the finitely many
     branch exponents.
     """
-    d = _check_dimension(d)
+    d = _count(d, "dimension", 2)
     return _supremum(map_.distinct_exponents(), d)
 
 
@@ -164,10 +153,8 @@ def iterate_max_distortion(h, d, m_max):
     are similarities (exponent 1, distortion 1) and odd iterates match h
     itself: two reports, alternating, bounded independent of m.
     """
-    d = _check_dimension(d)
-    m_max = operator.index(m_max)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    d = _count(d, "dimension", 2)
+    m_max = _count(m_max, "m_max", 1)
     odd = _supremum(h.distinct_exponents(), d)
     even = _supremum([1.0], d)
     return [odd if m % 2 else even for m in range(1, m_max + 1)]
@@ -181,7 +168,7 @@ def linear_distortion_radial(map_, d=2):
     and returns the worst max/min ratio, a consistency check of the radial
     representation rather than new information.
     """
-    d = _check_dimension(d)
+    d = _count(d, "dimension", 2)
     f = _linear_radial_eval(map_)
     rng = np.random.default_rng(_H_SEED)
     worst = 1.0

@@ -49,12 +49,15 @@ Supported domain, shared by every evaluator in the package: breakpoint indices
 doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so every
 interval index reached from x stays within the index bound), plus the -inf
 sentinel.  Inputs outside it raise ``ValueError`` before any integer cast, so
-no index wraps around.  A non-integer index (a bool too) raises ``TypeError``.
+no index wraps around.  ``_index_array`` checks every index, ``_count`` every
+count and ``_real`` every real setting (K, tol, alpha, ...), each with one
+message; a wrong type (a bool for any, a str for a real) raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +139,35 @@ def _index_array(n, name, lo, hi):
     return na
 
 
-def _check_K(K):
-    """K as a float, after checking that it is a finite real > 1."""
-    K = float(K)
-    if not math.isfinite(K) or K <= 1.0:
-        raise ValueError("K must be a finite real > 1 (the two exponents must differ)")
-    return K
+def _real(v, name, above=0):
+    """``v`` as a float: ``TypeError`` unless a real number (a bool or a str is not),
+    ``ValueError`` unless finite and > ``above``."""
+    if type(v) is float and above < v < math.inf:  # in the domain: the usual case
+        return v
+    message = f"{name} must be a finite real > {above}"
+    if isinstance(v, (bool, np.bool_)) or not hasattr(v, "__float__"):
+        raise TypeError(message)
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not above < x < math.inf:
+        raise ValueError(message)
+    return x
+
+
+def _count(n, name, least):
+    """``n`` as an int: ``TypeError`` unless integral (a bool is not), never
+    truncated, and ``ValueError`` below ``least``."""
+    if type(n) is int and n >= least:  # in the domain: the usual case
+        return n
+    message = f"{name} must be an integer >= {least}"
+    if isinstance(n, bool) or not hasattr(n, "__index__"):
+        raise TypeError(message)
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(message)
+    return n
 
 
 def breakpoint_log2(K, n):
@@ -151,7 +177,7 @@ def breakpoint_log2(K, n):
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
     """
     na = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
-    out = _breakpoint_log2(_check_K(K), na.astype(np.int64))
+    out = _breakpoint_log2(_real(K, "K", 1), na.astype(np.int64))
     return float(out) if np.ndim(n) == 0 else out
 
 
@@ -356,6 +382,6 @@ def build_standard_map(K) -> PiecewisePowerMap:
     ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
     deep zooms.
     """
-    K = _check_K(K)
+    K = _real(K, "K", 1)
     _distinct_breakpoints_log2(K, GUARD_DEPTH)
     return PiecewisePowerMap(K=K)

@@ -10,13 +10,11 @@ strict monotonicity margins) pass when the measured value is >= a threshold.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import (
-    _check_dimension,
     finite_difference_distortion,
     iterate_max_distortion,
     linear_distortion_radial,
@@ -25,7 +23,9 @@ from .distortion import (
 )
 from .powermap import (
     GUARD_DEPTH,
+    _count,
     _distinct_breakpoints_log2,
+    _real,
     breakpoint_log2,
     build_standard_map,
 )
@@ -164,19 +164,20 @@ def breakpoint_image_worst(f, depth):
     return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
 
 
+def _checked_settings(K, dimension, depth, grid_points, tol):
+    """The parameters of ``run_verification`` (the CLI's numeric settings), checked, by name."""
+    return {"K": _real(K, "K", 1), "dimension": _count(dimension, "dimension", 2),
+            "depth": _count(depth, "depth", 2),
+            "grid_points": _count(grid_points, "grid_points", 2), "tol": _real(tol, "tol")}
+
+
 def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
     """Run every invariant check and return a machine-readable report dict.
 
     Every parameter is checked before any check runs.  Raises ``ValueError``
     when consecutive breakpoints coincide in float64 within ``depth``.
     """
-    _check_dimension(dimension)
-    if operator.index(grid_points) < 2:
-        raise ValueError("grid_points must be an integer >= 2")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be a positive real")
-    if operator.index(depth) < 2:
-        raise ValueError("depth must be >= 2")
+    _checked_settings(K, dimension, depth, grid_points, tol)
     f = build_standard_map(K)
     lr = _distinct_breakpoints_log2(f.K, depth)
     h = build_conjugated_map(f)

@@ -15,7 +15,6 @@ than one zoom limit is the whole point of the construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .powermap import (
     _eval_cells,
     _index_array,
     _log_radius,
+    _real,
 )
 
 __all__ = [
@@ -156,9 +156,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     infinite target included) raises ``BracketError``; a NaN target is an
     input error, a plain ``ValueError``.
     """
-    tol = float(tol)
-    if not (0.0 < tol < math.inf):
-        raise ValueError("tol must be a finite real > 0")
+    tol = _real(tol, "tol")
     # checked here, so that an error names this parameter and not scale_at's n
     period_index = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
@@ -228,9 +226,7 @@ def _two_slope_line(x):
 def example_1d_mean_radius(delta):
     """Mean radius of the image of (-1, 1) under x -> f(delta x) for the 1-D
     two-slope model: half the image interval's length, i.e. 3 delta / 4."""
-    d = float(delta)
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError("delta must be a positive real")
+    d = _real(delta, "delta")
     return 0.5 * (float(_two_slope_line(d)) - float(_two_slope_line(-d)))
 
 

@@ -507,6 +507,13 @@ class TestDistortion:
         )
         assert code == 2
 
+    def test_overflow_is_an_input_error(self, capsys):
+        for argv in (("--alpha", "2", "--d", "2000"), ("--alpha", "1e300", "--d", "3"),
+                     ("--map", "f", "--d", "2000"), ("--map", "h", "--d", "2000")):
+            code, out, err = run_cli(capsys, "distortion", *argv)
+            assert (code, out) == (2, ""), argv
+            assert "overflows" in err
+
     def test_iterates_only_with_map_h(self, capsys):
         for target in (("--map", "f"), ("--alpha", "2")):
             code, _, err = run_cli(capsys, "distortion", *target, "--iterates", "5")
@@ -564,6 +571,7 @@ class TestConfigAndOutput:
         for bad in (
             {"kay": 3.0}, {"dimension": 2.9}, {"grid_points": 3.7}, {"depth": 300.5},
             {"output_path": None}, {"tol": True}, {"K": None}, {"dimension": False},
+            {"depth": 1}, {"depth": -5}, {"K": "2"},
         ):
             cfg.write_text(json.dumps(bad))
             code, _, _ = run_cli(

@@ -60,6 +60,10 @@ class TestPowerClosedForm:
             radial_power_distortion(-1.0, 2)
         with pytest.raises(ValueError):
             radial_power_distortion(2.0, 1)
+        # alpha ** (d - 1) and alpha ** (1 - d) beyond float64 used to raise OverflowError
+        for alpha, d in ((2.0, 2000), (1e300, 3), (1e-300, 3)):
+            with pytest.raises(ValueError, match="overflows"):
+                radial_power_distortion(alpha, d)
 
     @given(alpha=ALPHAS, d=st.integers(2, 5))
     @settings(max_examples=100, deadline=None)
@@ -235,6 +239,8 @@ class TestIterateDistortion:
             iterate_max_distortion(h, 2, 0)
         with pytest.raises(TypeError):
             iterate_max_distortion(h, 2, 2.5)
+        with pytest.raises(TypeError):
+            iterate_max_distortion(h, 2, True)
 
 
 class TestLinearDistortion:

@@ -26,8 +26,11 @@ import radialqc.zoom
 from radialqc import (
     build_conjugated_map,
     build_standard_map,
+    iterate_max_distortion,
     limit_function,
+    max_distortion,
     pointwise_distortion,
+    radial_power_distortion,
     rescaled_eval,
 )
 from radialqc.zoom import LIMIT_KINDS
@@ -113,12 +116,14 @@ def test_float_path_uses_no_numpy(monkeypatch):
     x = -3.7
     want = [f.eval_log(x), f.inverse_eval_log(-1.5), h.eval_log(x),
             *(lf.eval_log(x) for lf in limits), f.locate_interval(x), h.local_exponent(x),
-            pointwise_distortion(h, 3, x), f.eval_log(np.float64(x))]
+            pointwise_distortion(h, 3, x), f.eval_log(np.float64(x)),
+            radial_power_distortion(2.5, 3), max_distortion(h, 3), iterate_max_distortion(h, 3, 4)]
     for mod in (radialqc.powermap, radialqc.zoom, radialqc.uqrmap, radialqc.distortion):
         monkeypatch.setattr(mod, "np", _NoNumpy())
     got = [f.eval_log(x), f.inverse_eval_log(-1.5), h.eval_log(x),
            *(lf.eval_log(x) for lf in limits), f.locate_interval(x), h.local_exponent(x),
-           pointwise_distortion(h, 3, x), f.eval_log(np.float64(x))]
+           pointwise_distortion(h, 3, x), f.eval_log(np.float64(x)),
+           radial_power_distortion(2.5, 3), max_distortion(h, 3), iterate_max_distortion(h, 3, 4)]
     assert got == want
     with pytest.raises(ValueError, match="not NaN"):
         f.eval_log(math.nan)

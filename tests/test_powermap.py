@@ -79,6 +79,9 @@ class TestConstruction:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError):
                     build_standard_map(bad_K)
+        for bad_K in ("2", True):
+            with pytest.raises(TypeError):
+                build_standard_map(bad_K)
 
     def test_breakpoint_log2_rejects_bad_K(self):
         # K = 0 would divide by zero; 0.5, -2 and 1 would give breakpoints of no map

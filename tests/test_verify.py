@@ -81,6 +81,6 @@ def test_parameters_checked_before_any_check_runs(monkeypatch):
     for bad in (0, 1):
         with pytest.raises(ValueError, match="grid_points"):
             run_verification(grid_points=bad)
-    for bad in ({"dimension": 2.5}, {"grid_points": 3.5}, {"tol": "1e-9"}):
+    for bad in ({"dimension": 2.5}, {"grid_points": 3.5}, {"tol": "1e-9"}, {"tol": True}):
         with pytest.raises(TypeError):
             run_verification(**bad)
