@@ -49,9 +49,11 @@ Supported domain, shared by every evaluator in the package: breakpoint indices
 doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so every
 interval index reached from x stays within the index bound), plus the -inf
 sentinel.  Inputs outside it raise ``ValueError`` before any integer cast, so
-no index wraps around.  ``_index_array`` checks every index, ``_count`` every
-count and ``_real`` every real setting (K, tol, alpha, ...), each with one
-message; a wrong type (a bool for any, a str for a real) raises ``TypeError``.
+no index wraps around; so does a Python int beyond the float range given as a
+log2 radius.  ``_index_array`` checks every index, ``_count`` every count and
+``_real`` every real setting (K, tol, alpha, ...), each with one message; a
+wrong type (a bool for any, a str for a real, an array that is not 0-d for a
+real or a count) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -110,7 +112,10 @@ def _log_radius(x, name, allow_zero_radius=True):
     in plain Python and returned as a float (the ``math`` driver), anything else
     with numpy and returned as a float array.  Both raise the same errors."""
     if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the float range, never +-inf: -inf is radius 0
+            raise ValueError((_POSITIVE if x > 0 else _TOO_DEEP).format(name)) from None
         if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
             return x
         some = bool
@@ -151,6 +156,8 @@ def _real(v, name, above=0):
         x = float(v)
     except OverflowError:  # an int beyond the float range
         x = math.inf
+    except TypeError:  # an array that is not 0-d
+        raise TypeError(message) from None
     if not above < x < math.inf:
         raise ValueError(message)
     return x
@@ -164,7 +171,10 @@ def _count(n, name, least):
     message = f"{name} must be an integer >= {least}"
     if isinstance(n, bool) or not hasattr(n, "__index__"):
         raise TypeError(message)
-    n = operator.index(n)
+    try:
+        n = operator.index(n)
+    except TypeError:  # an array that is not 0-d or not integral
+        raise TypeError(message) from None
     if n < least:
         raise ValueError(message)
     return n

@@ -65,6 +65,20 @@ class TestPowerClosedForm:
             with pytest.raises(ValueError, match="overflows"):
                 radial_power_distortion(alpha, d)
 
+    def test_array_real_setting_raises_the_checkers_message(self):
+        # _real: numpy's "only 0-dimensional arrays ..." TypeError used to escape
+        for bad in (np.array([2.0]), np.array([[2.0]]), np.array([]), np.array([2])):
+            with pytest.raises(TypeError, match="alpha must be a finite real > 0"):
+                radial_power_distortion(bad, 3)
+        assert radial_power_distortion(np.array(2.0), 3) == radial_power_distortion(2.0, 3)
+
+    def test_array_count_raises_the_checkers_message(self):
+        # _count: numpy's "only integer scalar arrays ..." TypeError used to escape
+        for bad in (np.array([3]), np.array([[3]]), np.array([], dtype=int), np.array(3.0)):
+            with pytest.raises(TypeError, match="dimension must be an integer >= 2"):
+                radial_power_distortion(2.0, bad)
+        assert radial_power_distortion(2.0, np.array(3)) == radial_power_distortion(2.0, 3)
+
     @given(alpha=ALPHAS, d=st.integers(2, 5))
     @settings(max_examples=100, deadline=None)
     def test_duality_under_inversion(self, alpha, d):

@@ -23,6 +23,7 @@ from radialqc import (
     build_conjugated_map,
     build_standard_map,
     limit_function,
+    rescaled_eval,
 )
 from radialqc import powermap
 from radialqc.powermap import _breakpoint_log2
@@ -326,6 +327,20 @@ class TestInverse:
             deep = breakpoint_log2(2.0, 2**40)
             assert f.eval_log(deep) == -(2.0**40)
             assert f.inverse_eval_log(-(2.0**40)) == deep
+
+    def test_int_beyond_float_range_is_a_domain_error(self):
+        # float(10**400) overflows; the value is not mapped to +-inf, as -inf is radius 0
+        f = build_standard_map(2.0)
+        h = build_conjugated_map(f)
+        calls = (f.eval_log, f.inverse_eval_log, f.locate_interval,
+                 lambda x: h.iterate(x, 3), lambda t: rescaled_eval(f, t, -0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError, match=r"must be <= 0"):
+                    call(10**400)
+                with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                    call(-(10**400))
 
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=150, deadline=None)

@@ -13,7 +13,8 @@ from radialqc.verify import product_identities_worst
 
 
 def product_identities_reference(K, depth):
-    """All-pairs residuals row by row through fancy indexing."""
+    """All-pairs residuals row by row through fancy indexing: full rows, no
+    mirrored pairs skipped and no tiles."""
     lr = breakpoint_log2(K, np.arange(depth + 1))
     worst_even = 0.0
     for n in range(1, depth // 2 + 1):
@@ -30,10 +31,42 @@ def product_identities_reference(K, depth):
     return worst_even, worst_odd
 
 
-@pytest.mark.parametrize("K", [2.0, 3.0, 1.37, 9.99])
-@pytest.mark.parametrize("depth", [2, 3, 1999, 2000])
+_ROWS, _COLUMNS = verify._TILE
+#: depths around every tile edge of the committed tile shape: the last row block
+#: of even + odd ends near depth 2 * rows, those of the two mirrored families near
+#: 4 * rows, and the first column tile of each family near 2 * columns; each range
+#: makes a block or tile one short of its edge, exactly on it and one past it
+TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLUMNS)
+                           for k in range(-4, 5)})
+
+
+@pytest.mark.parametrize("K", [2.0, 3.0, 1.37, 9.99, 1000.0])
+@pytest.mark.parametrize("depth", [2, 3, 1999, 2000, *TILE_EDGE_DEPTHS])
 def test_product_identities_match_reference(K, depth):
     assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
+
+
+#: ``measured`` of the construction checks, as ``float.hex``, taken before the
+#: product-identity scan was tiled; they use only + - * / on doubles, so every
+#: IEEE platform gives these bits
+CONSTRUCTION_CHECKS = ("breakpoints_closed_form_vs_recurrence", "coefficient_anchor_identity",
+                       "branch_continuity_at_breakpoints", "breakpoint_product_identity_even",
+                       "breakpoint_product_identity_odd_shifted")
+GOLDEN_MEASURED = {
+    (2.0, 10_000): ("0x0.0p+0",) * 5,
+    (3.0, 10_000): ("0x0.0p+0", "0x1.0000000000000p-40", "0x1.0000000000000p-40",
+                    "0x1.0000000000000p-38", "0x1.5556000000000p-39"),
+    (1.37, 10_000): ("0x1.0000000000000p-39", "0x1.0000000000000p-38", "0x1.0000000000000p-38",
+                     "0x1.0000000000000p-38", "0x1.a470000000000p-39"),
+    (2.0, 30_000): ("0x0.0p+0",) * 5,
+}
+
+
+@pytest.mark.parametrize("K, depth", sorted(GOLDEN_MEASURED))
+def test_construction_checks_match_golden_values(K, depth):
+    report = run_verification(K=K, depth=depth)
+    measured = tuple(_check(report, name)["measured"].hex() for name in CONSTRUCTION_CHECKS)
+    assert measured == GOLDEN_MEASURED[(K, depth)]
 
 
 def _check(report, name):
