@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .powermap import _count, _real
+from .powermap import _count, _float, _real
 
 __all__ = [
     "SUPREMUM",
@@ -90,12 +90,15 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     """Numerical distortion estimate from central differences on the linear scale.
 
     Forms the singular values (f'(r), f(r)/r x (d-1)) with f'(r) estimated by
-    a symmetric difference of half-width ``step`` and assembles K_O and K_I
-    from their definitions.  Serves as the independent oracle for the closed
-    forms; steps that cross a breakpoint are rejected for maps that have them.
+    a symmetric difference of half-width ``step`` and assembles K_O = max^d / J
+    and K_I = J / min^d from their definitions, in ratio form so that no power
+    of a singular value underflows.  Serves as the independent oracle for the
+    closed forms; steps that cross a breakpoint are rejected for maps that
+    have them, and so is a difference quotient that is not positive (a step
+    below the float resolution at r).  An overflow raises ``ValueError``.
     """
     d = _count(d, "dimension", 2)
-    x = float(x)
+    x = _float(x)
     if not (math.isfinite(x) and x <= 0.0):
         raise ValueError("x must be a finite log2 radius <= 0")
     step = _real(step, "step")
@@ -113,11 +116,18 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     f_r = f(r)
     radial = (f(r + step) - f(r - step)) / (2.0 * step)
     tangential = f_r / r
-    sigma = np.array([radial] + [tangential] * (d - 1))
-    jac = float(np.prod(sigma))
-    hi = float(sigma.max())
-    lo = float(sigma.min())
-    return DistortionReport(K_O=hi**d / jac, K_I=jac / lo**d, dimension=d, location=x)
+    hi, lo = max(radial, tangential), min(radial, tangential)
+    if not lo > 0.0:
+        raise ValueError("finite-difference derivative estimate is not positive: a step "
+                         "below the float resolution at r, or a map that is not increasing")
+    try:  # the radial singular value once, the tangential one d - 1 times
+        K_O = (hi / radial) * (hi / tangential) ** (d - 1)
+        K_I = (radial / lo) * (tangential / lo) ** (d - 1)
+    except OverflowError:
+        K_O = K_I = math.inf
+    if max(K_O, K_I) == math.inf:
+        raise ValueError(f"finite-difference distortion in dimension {d} overflows float64")
+    return DistortionReport(K_O=K_O, K_I=K_I, dimension=d, location=x)
 
 
 def max_distortion(map_, d) -> DistortionReport:

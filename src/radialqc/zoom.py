@@ -24,6 +24,7 @@ from .powermap import (
     PiecewisePowerMap,
     _cell_spec,
     _eval_cells,
+    _float_array,
     _index_array,
     _log_radius,
     _real,
@@ -160,7 +161,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     # checked here, so that an error names this parameter and not scale_at's n
     period_index = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
-    lanes = np.broadcast_arrays(np.asarray(r0, dtype=float), np.asarray(lam, dtype=float),
+    lanes = np.broadcast_arrays(_float_array(r0), _float_array(lam),
                                 np.asarray(period_index), *bracket)
     shape = lanes[0].shape
     r0a, lama, ka, t_even, t_odd = (v.ravel() for v in lanes)

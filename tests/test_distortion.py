@@ -71,6 +71,9 @@ class TestPowerClosedForm:
             with pytest.raises(TypeError, match="alpha must be a finite real > 0"):
                 radial_power_distortion(bad, 3)
         assert radial_power_distortion(np.array(2.0), 3) == radial_power_distortion(2.0, 3)
+        for bad in (np.array(True), np.array(False)):  # a 0-d bool array is no real either
+            with pytest.raises(TypeError, match="alpha must be a finite real > 0"):
+                radial_power_distortion(bad, 3)
 
     def test_array_count_raises_the_checkers_message(self):
         # _count: numpy's "only integer scalar arrays ..." TypeError used to escape
@@ -155,6 +158,18 @@ class TestFiniteDifferenceOracle:
         r1 = 2.0 ** f.breakpoint(1)
         with pytest.raises(ValueError):
             finite_difference_distortion(f, 2, math.log2(r1 + 1e-9), 1e-6)
+
+    def test_underflow_and_overflow_raise_value_error(self, f):
+        # the product of the singular values used to underflow to 0.0 and
+        # raise ZeroDivisionError; a huge dimension built a d-element array
+        rep = finite_difference_distortion(f, 200, -3.7, 1e-6)
+        assert rep.K_I == pytest.approx(2.0**199, rel=1e-6)
+        assert rep.K_O == pytest.approx(2.0, rel=1e-6)
+        for d in (2000, 2**63, 10**400):
+            with pytest.raises(ValueError, match="overflows"):
+                finite_difference_distortion(f, d, -3.7, 1e-6)
+        with pytest.raises(ValueError, match="not positive"):
+            finite_difference_distortion(f, 2, -3.7, 1e-320)
 
     def test_bad_step_rejected(self, f):
         with pytest.raises(ValueError):

@@ -9,9 +9,16 @@ argument of ``rescaled_eval`` and ``h.iterate`` with an odd and an even count,
 a point call must return exactly what the 1-element array call returns: the
 same bits, the sign of zero and the -inf sentinel included, and the same
 exception class and message on every input error.
+
+The numpy driver evaluates every lane without a mask and picks each branch
+bit by bit, so each lane of an array call, for every cell-spec row and for
+ivt's inverse cell map, must also be the ``math`` driver's float; and an
+array mixing bad lanes raises the message of the first check that fails
+over all lanes, in the order NaN or +inf, positive, too deep, sentinel.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,3 +134,93 @@ def test_float_path_uses_no_numpy(monkeypatch):
     assert got == want
     with pytest.raises(ValueError, match="not NaN"):
         f.eval_log(math.nan)
+
+
+#: K up to the builder's limit, and close to 1 where ivt's inverse cell is narrow
+DRIVER_K = (1.0001, 1.01, 1.37, 2.0, 3.0, 9.99, 1000.0, 1.05e6)
+
+#: every row of the cell-spec table, and ivt's inverse cell map of f
+SPEC_ROWS = ("P1", "h", "f_inv", "P2", "Q1", "Q2", "ivt")
+
+
+def spec(name, K):
+    if name != "ivt":
+        return radialqc.powermap._cell_spec(name, K)
+    # zoom.ivt_sample's inverse cell map for f: its period 1 - 1/K^2 is about 2e-4
+    # at K = 1.0001, so lanes near -2**52 reduce by m near 2**64 periods
+    V = 1.0 - 1.0 / (K * K)
+    c = 1.0 / (K - 1.0 / K)
+    return (V, -V, c, 0.0, c, 0.0, K + 1.0 / K)
+
+
+def driver_inputs(rng, cells, n):
+    """Permuted log2 radii: log-uniform down to -2**52 and to subnormals, a few
+    periods of the top cells, and the edge values of the domain."""
+    x = np.concatenate([
+        -np.exp2(rng.uniform(-60.0, 52.0, n)),
+        -np.exp2(rng.uniform(-1074.0, -1000.0, n // 8)),
+        rng.uniform(-4.0 * cells[0], 0.0, n),
+        [0.0, -0.0, -(2.0**52), float(np.nextafter(-(2.0**52), 0.0)), -5e-324,
+         -2.2250738585072014e-308, -math.inf, -math.inf, cells[1]],
+    ])
+    return x[rng.permutation(x.size)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", SPEC_ROWS)
+@pytest.mark.parametrize("K", DRIVER_K)
+def test_array_driver_matches_math_driver_lane_by_lane(K, name):
+    # the numpy driver evaluates every lane without a mask and picks each
+    # branch bit by bit: each lane must still be the math driver's float
+    eval_cells = radialqc.powermap._eval_cells
+    cells = spec(name, K)
+    rng = np.random.default_rng([DRIVER_K.index(K), SPEC_ROWS.index(name)])
+    x = driver_inputs(rng, cells, 400)
+    for arg in (x, x[:-1].reshape(2, -1), x[:0], x[:0].reshape(3, 0)):
+        before = arg.copy()
+        arg.setflags(write=False)  # a read-only input works and is never written
+        out = eval_cells(arg, cells)
+        assert out.shape == arg.shape and out.dtype == np.float64
+        assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+        want = np.array([eval_cells(v, cells) for v in arg.ravel().tolist()], dtype=float)
+        assert np.array_equal(out.ravel().view(np.int64), want.view(np.int64)), (K, name)
+
+
+def first_error(x, allow_zero_radius):
+    """The message of the first failing domain check, each check over every lane
+    in turn: the reference order of ``_log_radius``."""
+    pm = radialqc.powermap
+    if np.any(np.isnan(x)) or np.any(x == math.inf):
+        return pm._NOT_FINITE
+    if np.any(x > 0.0):
+        return pm._POSITIVE
+    if np.any((x < -pm.MAX_ABS_LOG2_RADIUS) & (x != -math.inf)):
+        return pm._TOO_DEEP
+    if not allow_zero_radius and np.any(x == -math.inf):
+        return pm._SENTINEL
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("allow_zero_radius", [True, False])
+def test_mixed_bad_lanes_raise_the_first_check(allow_zero_radius):
+    # every subset of NaN, +inf, a positive value, a too-deep value and the
+    # sentinel, among in-domain lanes, permuted and also as a 2-D array
+    bad = (math.nan, math.inf, 0.5, -(2.0**53), -math.inf)
+    rng = np.random.default_rng(17)
+    f = build_standard_map(2.0)
+    for subset in range(2**len(bad)):
+        lanes = [v for i, v in enumerate(bad) if subset >> i & 1] * 2
+        x = np.concatenate([lanes, -rng.uniform(0.0, 50.0, 9)])
+        for arg in (x[rng.permutation(x.size)], x[rng.permutation(x.size)][:-1].reshape(2, -1)):
+            want = first_error(arg, allow_zero_radius)
+            try:
+                radialqc.powermap._log_radius(arg, "x", allow_zero_radius)
+            except ValueError as exc:
+                assert want is not None and str(exc) == want.format("x"), (subset, str(exc))
+            else:
+                assert want is None, subset
+            call = f.eval_log if allow_zero_radius else f.locate_interval
+            if want is not None:
+                with pytest.raises(ValueError, match=re.escape(want.format("x"))):
+                    call(arg)

@@ -337,10 +337,15 @@ class TestInverse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
-                with pytest.raises(ValueError, match=r"must be <= 0"):
-                    call(10**400)
-                with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
-                    call(-(10**400))
+                for big in (10**400, np.array([-1.0, 10**400], dtype=object)):
+                    with pytest.raises(ValueError, match=r"must be <= 0"):
+                        call(big)
+                for deep in (-(10**400), np.array([-(10**400)], dtype=object), [-1.0, -(10**400)]):
+                    with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                        call(deep)
+            for r in (10**400, -(10**400), [0.5, 10**400]):
+                with pytest.raises(ValueError, match=r"r must lie in \[0, 1\]"):
+                    f.eval(r)
 
     @given(K=K_VALUES, x=LOG_RADII)
     @settings(max_examples=150, deadline=None)

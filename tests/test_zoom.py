@@ -290,6 +290,17 @@ class TestIvtSampler:
             with pytest.raises(BracketError):
                 ivt_sample(f, r0, lam, 1e-9)
 
+    def test_int_beyond_float_range_is_a_domain_error(self, f, h):
+        # np.asarray(10**400, dtype=float) used to raise a bare OverflowError
+        for map_ in (f, h):
+            with pytest.raises(ValueError, match="must be <= 0"):
+                ivt_sample(map_, 10**400, -1.0, 1e-9)
+            with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                ivt_sample(map_, [-0.5, -(10**400)], -1.0, 1e-9)
+            for lam in (10**400, -(10**400), [-1.0, 10**400]):
+                with pytest.raises(BracketError):
+                    ivt_sample(map_, -0.5, lam, 1e-9)
+
     def test_nan_target_is_an_input_error(self, f, h):
         for map_ in (f, h):
             for lam in (math.nan, np.array([-1.0, math.nan])):
