@@ -103,4 +103,6 @@ def h_via_conjugacy(f: PiecewisePowerMap, x):
     with :class:`ConjugatedMap`: comparing the routes checks h's cell spec
     against those of f and f^{-1}, not separate code.
     """
-    return f.inverse_eval_log(f.eval_log(x) - 1.0)
+    y = f.eval_log(x)  # a fresh array or a float: halve in place
+    y -= 1.0
+    return f.inverse_eval_log(y)

@@ -10,6 +10,9 @@ strict monotonicity margins) pass when the measured value is >= a threshold.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,15 +134,91 @@ def continuity_worst(K, depth):
     return float(np.max(np.abs(left - right)))
 
 
-#: rows x columns of one tile of ``_worst_pair_residual``, the fastest of the shapes
+#: rows x columns of one tile of ``_worst_pair_residuals``, the fastest of the shapes
 #: tried from 8 x 4096 to 512 x 128: smaller tiles pay more numpy calls per pair,
 #: and wider ones waste more work past the anti-diagonal a + b = len(t) - 1
 _TILE = (128, 512)
 
 
-def _worst_pair_residual(s, first, t, shift, mirror):
-    """Worst |s[a] + t[b] - t[a + b] + shift| over rows a >= first and columns
-    b >= 0 with a + b < len(t), computed as ((s[a] + t[b]) - t[a + b]) + shift.
+def _cpu_count():
+    """Number of CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_block_extremes(table, a0, rows, buf):
+    """(max, min) of ((s[a] + t[b]) - t[a + b]) over the row block a0 <= a <
+    a0 + rows of one padded family ``table`` of ``_worst_pair_residuals``,
+    NaN pairs skipped; ``rows`` and ``buf`` are the caller's tile buffers."""
+    s, t, diagonal, L, mirror = table
+    rows_per_tile, width = _TILE
+    np.copyto(rows, s[a0:a0 + rows_per_tile, None])
+    hi, lo = -np.inf, np.inf
+    for b0 in range(a0 if mirror else 0, L - a0, width):
+        np.add(rows, t[b0:b0 + width], out=buf)
+        np.subtract(buf, diagonal[a0 + b0:a0 + b0 + rows_per_tile], out=buf)
+        hi = max(hi, float(np.fmax.reduce(buf, axis=None)))
+        lo = min(lo, float(np.fmin.reduce(buf, axis=None)))
+    return hi, lo
+
+
+def _scan_on_all_cpus(tables, blocks):
+    """Per table, the (max, min) over ``blocks``, a list of (table index, first
+    row) pairs, split over n = min(``_cpu_count()``, len(blocks)) threads, the
+    calling one included: thread i scans every n-th block from the i-th with
+    tile buffers of its own, then the maxima and minima of the n are combined.
+
+    The threads run only numpy, which releases the GIL inside each tile's
+    ufuncs, in a copy of the caller's context (so under its ``np.errstate``).
+    The first exception of any thread is raised again here; on one, the other
+    threads stop after their current row block, and every thread is joined
+    before this returns or raises.
+    """
+    n = max(1, min(_cpu_count(), len(blocks)))
+    stop = threading.Event()
+    results = [None] * n
+
+    def work(i):
+        rows, buf = np.empty(_TILE), np.empty(_TILE)
+        extremes = [(-np.inf, np.inf)] * len(tables)
+        try:
+            for f, a0 in blocks[i::n]:
+                if stop.is_set():
+                    break
+                hi, lo = _row_block_extremes(tables[f], a0, rows, buf)
+                extremes[f] = (max(extremes[f][0], hi), min(extremes[f][1], lo))
+        except BaseException as exc:  # raised again by the calling thread
+            results[i] = exc
+            stop.set()
+        else:
+            results[i] = extremes
+
+    started = []
+    try:
+        for i in range(1, n):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, i))
+            thread.start()
+            started.append(thread)
+        work(0)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [(max(part[f][0] for part in results), min(part[f][1] for part in results))
+            for f in range(len(tables))]
+
+
+def _worst_pair_residuals(*families):
+    """For each family (s, first, t, shift, mirror), the worst
+    |s[a] + t[b] - t[a + b] + shift| over rows a >= first and columns b >= 0
+    with a + b < len(t), computed as ((s[a] + t[b]) - t[a + b]) + shift.
 
     The pairs go in tiles of ``_TILE`` rows by columns: t[a + b] is read through
     a sliding window of t, and t is padded with NaN past its end, which the
@@ -149,26 +228,29 @@ def _worst_pair_residual(s, first, t, shift, mirror):
     IEEE sum as (a, b), as fl(x + y) = fl(y + x), so each row block reads only the
     columns b >= its first row: every pair read is in the set, and every pair of
     the set with b >= first is read once or twice, so the max is the same float.
-    ``shift`` is added to the extremes alone: rounding is monotone, so
+
+    The row blocks of all families are independent, so ``_scan_on_all_cpus``
+    deals them out over every CPU the process may run on, interleaved, as the
+    mirrored families' rows get shorter.  Which thread scans a tile, and in
+    which order, cannot change the result: each tile's values are the same
+    floats, and the max and min of a set of floats (never NaN here: every tile
+    holds a pair inside the set) depend on no order, except for the sign of a
+    zero extreme, and adding ``shift`` (0.0 or 1/K) to -0.0 or +0.0 gives the
+    same float.  ``shift`` is added to the extremes alone: rounding is monotone, so
     max fl(x + shift) = fl(max x + shift), and the same for the min.
     """
     rows_per_tile, width = _TILE
-    L = len(t)
     pad = np.full(rows_per_tile + width, np.nan)
-    s = np.concatenate([s, pad])
-    t = np.concatenate([t, pad])
-    diagonal = np.lib.stride_tricks.sliding_window_view(t, width)  # [k, j] = t[k + j]
-    rows = np.empty((rows_per_tile, width))
-    buf = np.empty((rows_per_tile, width))
-    hi, lo = -np.inf, np.inf
-    for a0 in range(first, (L + 1) // 2 if mirror else L, rows_per_tile):
-        np.copyto(rows, s[a0:a0 + rows_per_tile, None])
-        for b0 in range(a0 if mirror else 0, L - a0, width):
-            np.add(rows, t[b0:b0 + width], out=buf)
-            np.subtract(buf, diagonal[a0 + b0:a0 + b0 + rows_per_tile], out=buf)
-            hi = max(hi, float(np.fmax.reduce(buf, axis=None)))
-            lo = min(lo, float(np.fmin.reduce(buf, axis=None)))
-    return max(0.0, hi + shift, -(lo + shift))
+    tables, blocks = [], []
+    for f, (s, first, t, _, mirror) in enumerate(families):
+        L = len(t)
+        t = np.concatenate([t, pad])
+        s = t if mirror else np.concatenate([s, pad])
+        diagonal = np.lib.stride_tricks.sliding_window_view(t, width)  # [k, j] = t[k + j]
+        tables.append((s, t, diagonal, L, mirror))
+        blocks += [(f, a0) for a0 in range(first, (L + 1) // 2 if mirror else L, rows_per_tile)]
+    return [max(0.0, hi + shift, -(lo + shift))
+            for (hi, lo), (_, _, _, shift, _) in zip(_scan_on_all_cpus(tables, blocks), families)]
 
 
 def product_identities_worst(K, depth):
@@ -180,16 +262,17 @@ def product_identities_worst(K, depth):
 
     Split by the parity of m, with even[j] = log2 r_{2j} and odd[j] = log2 r_{2j+1},
     the first identity is the families even + even and even + odd (rows n >= 1),
-    the second odd + odd, each scanned by ``_worst_pair_residual``.  The two
-    same-parity families are symmetric and read only m >= n; even + even thereby
-    skips its column m = 0, whose residuals r_{2n} + r_0 - r_{2n} are exactly
-    +0.0, as log2 r_0 = +0.0.
+    the second odd + odd, scanned together by ``_worst_pair_residuals``: one
+    split of their row blocks over the CPUs the process may run on, with the
+    same bits for any CPU count.  The two same-parity families are symmetric
+    and read only m >= n; even + even thereby skips its column m = 0, whose
+    residuals r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
     """
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
-    return (max(_worst_pair_residual(even, 1, even, 0.0, True),
-                _worst_pair_residual(even, 1, odd, 0.0, False)),
-            _worst_pair_residual(odd, 0, odd, 1.0 / K, True))
+    even_even, even_odd, odd_odd = _worst_pair_residuals(
+        (even, 1, even, 0.0, True), (even, 1, odd, 0.0, False), (odd, 0, odd, 1.0 / K, True))
+    return max(even_even, even_odd), odd_odd
 
 
 def breakpoint_image_worst(f, depth):

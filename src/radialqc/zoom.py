@@ -107,7 +107,9 @@ def rescaled_eval(map_, t, r):
     if at_one if isinstance(t, float) else at_one.any():
         raise ValueError("t must be strictly negative: zooming needs a scale below 1")
     r = _log_radius(r, "r")
-    return map_.eval_log(r + t) - map_.eval_log(t)
+    out = map_.eval_log(r + t)  # a fresh array or a float: subtract in place
+    out -= map_.eval_log(t)
+    return out
 
 
 def scale_at(map_, sequence, n):

@@ -1,7 +1,11 @@
-"""Verify-suite helpers against reference implementations kept here, and a
+"""Verify-suite helpers against reference implementations kept here, the
+product-identity scan at any worker count and with a failing worker, and a
 mutation check that the linear-scan check really compares two routes.
 """
 
+import itertools
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -44,6 +48,106 @@ TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLU
 @pytest.mark.parametrize("depth", [2, 3, 1999, 2000, *TILE_EDGE_DEPTHS])
 def test_product_identities_match_reference(K, depth):
     assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
+
+
+def row_blocks(depth):
+    """Row blocks of the three product-identity families at ``depth``: even + even
+    and odd + odd read rows below half their length, even + odd every row from 1."""
+    n_even, n_odd = depth // 2 + 1, (depth + 1) // 2
+    return (len(range(1, (n_even + 1) // 2, _ROWS)) + len(range(1, n_odd, _ROWS))
+            + len(range(0, (n_odd + 1) // 2, _ROWS)))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of CPUs the process may run on, as the scan sees it."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return set_cpus
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in order."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    return started
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("K", [3.0, 1.37])
+@pytest.mark.parametrize("depth", [2, 3, *TILE_EDGE_DEPTHS])
+def test_product_identities_equal_at_any_worker_count(K, depth, workers, cpus, thread_starts):
+    cpus(workers)
+    before = threading.active_count()
+    assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
+    assert threading.active_count() == before
+    # the calling thread scans a share itself, and no thread goes without a row block
+    assert len(thread_starts) == min(workers, row_blocks(depth)) - 1
+    assert not any(thread.is_alive() for thread in thread_starts)
+
+
+def test_cpu_count_falls_back_to_the_machine_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert verify._cpu_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._cpu_count() == 1
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def fail_with_an_exception():
+    raise WorkerFailure("a row block failed")
+
+
+def fail_with_a_warning():
+    warnings.warn("a row block warned", RuntimeWarning)
+
+
+def fail_under_the_callers_errstate():
+    np.sqrt(np.array(-1.0))  # invalid: raises only under the caller's errstate
+
+
+@pytest.mark.parametrize("fail, error", [(fail_with_an_exception, WorkerFailure),
+                                         (fail_with_a_warning, RuntimeWarning),
+                                         (fail_under_the_callers_errstate, FloatingPointError)])
+def test_a_failing_row_block_fails_the_call_and_joins_every_thread(
+        monkeypatch, cpus, thread_starts, fail, error):
+    cpus(3)
+    caller = threading.current_thread()
+    worker_calls, late_calls = itertools.count(), itertools.count()
+    failed = threading.Event()
+    scan_row_block = verify._row_block_extremes
+
+    def fail_on_a_workers_second_row_block(*args):
+        if failed.is_set():
+            next(late_calls)
+        if threading.current_thread() is not caller and next(worker_calls) == 1:
+            failed.set()
+            fail()
+        return scan_row_block(*args)
+
+    monkeypatch.setattr(verify, "_row_block_extremes", fail_on_a_workers_second_row_block)
+    before = threading.active_count()
+    with warnings.catch_warnings(), np.errstate(invalid="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            product_identities_worst(3.0, 4000)
+    assert threading.active_count() == before
+    assert len(thread_starts) == 2
+    assert not any(thread.is_alive() for thread in thread_starts)
+    # the other two threads stop within one row block of the failure, not after 32
+    assert next(late_calls) <= 2
 
 
 #: ``measured`` of the construction checks, as ``float.hex``, taken before the
