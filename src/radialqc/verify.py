@@ -26,6 +26,7 @@ from .distortion import (
 )
 from .powermap import (
     GUARD_DEPTH,
+    PiecewisePowerMap,
     _count,
     _distinct_breakpoints_log2,
     _real,
@@ -98,24 +99,33 @@ def recurrence_vs_closed_worst(K, depth):
     compensated (Neumaier) sum: a plain float64 running sum gathers roundoff
     with every step (1.2e-9 by n = 10^4 at K = 3), which is the
     accumulation's error, not the closed form's.
+
+    The sum is two sequential accumulations.  ``np.cumsum`` of the steps
+    -1/k_n gives the running totals.  With ``prev`` the total before each step
+    (0.0 before the first), each addition's rounding error is Neumaier's
+    (prev - total) + step where |prev| >= |step|, else (step - total) + prev,
+    taken lane by lane, and the recurrence is the total plus ``np.cumsum`` of
+    these errors.  ``np.cumsum`` adds strictly left to right, unlike the
+    pairwise ``np.sum``, so each lane makes the IEEE operations of a scalar
+    Neumaier loop over the steps (the reference in the tests) in the loop's
+    order, and gives its bits.  The one possible difference is the first
+    addition of each accumulation, the loop's 0.0 + x against a plain x: they
+    differ only in the sign of a zero error, and a zero of either sign added to
+    a total leaves it unchanged, as no total is zero (every step is negative).
     """
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
     n = np.arange(1, depth + 1)
-    k_n = np.where(n % 2 == 1, K, 1.0 / K)
-    recurrence = np.empty(depth)
-    total = comp = 0.0
-    for i, step in enumerate((-1.0 / k_n).tolist()):
-        t = total + step
-        if abs(total) >= abs(step):
-            comp += (total - t) + step
-        else:
-            comp += (step - t) + total
-        total = t
-        recurrence[i] = total + comp
+    step = -1.0 / np.where(n % 2 == 1, K, 1.0 / K)
+    total = np.cumsum(step)
+    prev = np.concatenate(([0.0], total[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(step), (prev - total) + step, (step - total) + prev)
+    recurrence = total + np.cumsum(err)
     return float(np.max(np.abs(breakpoint_log2(K, n) - recurrence)))
 
 
 def anchor_identity_worst(K, depth):
     """Worst |log2 C_n + n + k_n log2 r_n| over n <= depth."""
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
     n = np.arange(1, depth + 1)
     lr = breakpoint_log2(K, n)
     k_n = np.where(n % 2 == 1, K, 1.0 / K)
@@ -124,6 +134,7 @@ def anchor_identity_worst(K, depth):
 
 def continuity_worst(K, depth):
     """Worst branch mismatch at the breakpoints: interval n vs n+1 formulas."""
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
     n = np.arange(1, depth)
     lr = breakpoint_log2(K, n)
     k_n = np.where(n % 2 == 1, K, 1.0 / K)
@@ -268,6 +279,7 @@ def product_identities_worst(K, depth):
     and read only m >= n; even + even thereby skips its column m = 0, whose
     residuals r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
     """
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
     even_even, even_odd, odd_odd = _worst_pair_residuals(
@@ -277,6 +289,9 @@ def product_identities_worst(K, depth):
 
 def breakpoint_image_worst(f, depth):
     """Worst |log2 f(r_n) + n| over n <= depth (breakpoints map to halves)."""
+    if not isinstance(f, PiecewisePowerMap):
+        raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
+    depth = _count(depth, "depth", 2)
     n = np.arange(0, depth + 1)
     return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
 
@@ -321,13 +336,13 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     residual("breakpoint_image_is_halving", breakpoint_image_worst(f, depth))
 
     # --- forward/inverse evaluation ----------------------------------------
+    values = f.eval_log(grid)
     shifts = np.arange(1, 26)
     mult = max(
-        float(np.max(np.abs(f.eval_log(grid + f.breakpoint(2 * j)) - f.eval_log(grid) + 2 * j)))
-        for j in shifts
+        float(np.max(np.abs(f.eval_log(grid + scale) - values + 2 * j)))
+        for j, scale in zip(shifts, f.breakpoint(2 * shifts))
     )
     residual("even_scale_multiplicativity", mult)
-    values = f.eval_log(grid)
     witness("eval_strictly_increasing_margin", float(np.diff(values).min()), tol)
     residual("inverse_roundtrip", float(np.max(np.abs(f.inverse_eval_log(values) - grid))))
     residual(
@@ -370,7 +385,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
     residual(
         "limit_p1_coincides_with_map",
-        float(np.max(np.abs(p1.eval_log(grid) - f.eval_log(grid)))),
+        float(np.max(np.abs(p1.eval_log(grid) - values))),
     )
     residual(
         "limits_fix_unit_radius",

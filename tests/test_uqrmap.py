@@ -167,6 +167,14 @@ class TestIterates:
             assert grid.shape == (41, 41)
             assert np.array_equal(grid[:, 5], h.iterate(xs, 5))
 
+    def test_odd_count_shifted_below_the_domain_raises(self, h):
+        # x is in the domain, but x - (m // 2)(K + 1/K) is not: the last
+        # application of h checks the shifted value again and rejects it
+        x = -(2.0**52) + 1.0
+        for m in (3, np.array([1, 3])):
+            with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                h.iterate(x, m)
+
     def test_sentinel_orbit(self, h):
         assert h.iterate(RADIUS_ZERO_LOG2, 7) == RADIUS_ZERO_LOG2
 

@@ -1,6 +1,7 @@
 """Verify-suite helpers against reference implementations kept here, the
-product-identity scan at any worker count and with a failing worker, and a
-mutation check that the linear-scan check really compares two routes.
+product-identity scan at any worker count and with a failing worker, the
+helpers' input checks, and a mutation check that the linear-scan check really
+compares two routes.
 """
 
 import itertools
@@ -13,7 +14,7 @@ import pytest
 
 from radialqc import build_standard_map, run_verification, verify
 from radialqc.powermap import PiecewisePowerMap, breakpoint_log2
-from radialqc.verify import product_identities_worst
+from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
 
 def product_identities_reference(K, depth):
@@ -33,6 +34,50 @@ def product_identities_reference(K, depth):
         res = np.abs(lr[2 * n + 1] + lr[2 * m + 1] - lr[2 * (n + m) + 1] + shift)
         worst_odd = max(worst_odd, float(res.max()))
     return worst_even, worst_odd
+
+
+def recurrence_reference(K, depth):
+    """The recurrence one step at a time through a Python Neumaier loop."""
+    n = np.arange(1, depth + 1)
+    k_n = np.where(n % 2 == 1, K, 1.0 / K)
+    recurrence = np.empty(depth)
+    total = comp = 0.0
+    for i, step in enumerate((-1.0 / k_n).tolist()):
+        t = total + step
+        if abs(total) >= abs(step):
+            comp += (total - t) + step
+        else:
+            comp += (step - t) + total
+        total = t
+        recurrence[i] = total + comp
+    return float(np.max(np.abs(breakpoint_log2(K, n) - recurrence)))
+
+
+def multiplicativity_reference(f, grid):
+    """Worst even-scale multiplicativity residual, f.eval_log(grid) evaluated
+    again and each scale taken by a one-point call, shift by shift."""
+    return max(
+        float(np.max(np.abs(f.eval_log(grid + f.breakpoint(2 * j)) - f.eval_log(grid) + 2 * j)))
+        for j in np.arange(1, 26)
+    )
+
+
+BIT_CHECK_KS = [2.0, 3.0, 1.37, 9.99, 1000.0, 1e5, 1.0001]
+
+
+@pytest.mark.parametrize("K", BIT_CHECK_KS)
+@pytest.mark.parametrize("depth", [2, 3, 8191, 8192, 8193, 10_000, 30_000])
+def test_recurrence_matches_the_loop_bit_for_bit(K, depth):
+    assert recurrence_vs_closed_worst(K, depth).hex() == recurrence_reference(K, depth).hex()
+
+
+@pytest.mark.parametrize("K", BIT_CHECK_KS)
+@pytest.mark.parametrize("grid_points", [2, 1000])
+def test_multiplicativity_matches_the_per_shift_expression(K, grid_points):
+    report = run_verification(K=K, depth=2, grid_points=grid_points)
+    grid = np.linspace(-3.0 * (K + 1.0 / K), 0.0, grid_points)  # run_verification's grid
+    expected = multiplicativity_reference(build_standard_map(K), grid)
+    assert _check(report, "even_scale_multiplicativity")["measured"].hex() == expected.hex()
 
 
 _ROWS, _COLUMNS = verify._TILE
@@ -204,6 +249,33 @@ def test_breakpoints_guarded_within_the_verify_depth():
                 run_verification(depth=bad_depth)
         with pytest.raises(TypeError):
             run_verification(depth=200.5)
+
+
+BAD_HELPER_INPUTS = [
+    ("anchor_identity_worst", (2.0, True), TypeError, "depth"),
+    ("breakpoint_image_worst", (build_standard_map(2.0), True), TypeError, "depth"),
+    ("product_identities_worst", (2.0, 0), ValueError, "depth"),
+    ("continuity_worst", (2.0, 1), ValueError, "depth"),
+    ("recurrence_vs_closed_worst", (2.0, 0), ValueError, "depth"),
+    ("recurrence_vs_closed_worst", (2.0, 2.5), TypeError, "depth"),
+    ("breakpoint_image_worst", ("f", 10), TypeError, "PiecewisePowerMap"),
+    ("recurrence_vs_closed_worst", (1.0, 10), ValueError, "K"),
+    ("anchor_identity_worst", (True, 10), TypeError, "K"),
+    ("continuity_worst", ("2", 10), TypeError, "K"),
+    ("product_identities_worst", (float("nan"), 10), ValueError, "K"),
+]
+
+
+@pytest.mark.parametrize("helper, args, error, match", BAD_HELPER_INPUTS,
+                         ids=[f"{name}{args!r}" for name, args, _, _ in BAD_HELPER_INPUTS])
+def test_helpers_check_their_inputs_before_any_work(monkeypatch, helper, args, error, match):
+    def no_work(*args):
+        raise AssertionError("a helper computed before checking its inputs")
+
+    monkeypatch.setattr(verify, "breakpoint_log2", no_work)
+    monkeypatch.setattr(PiecewisePowerMap, "breakpoint", no_work)
+    with pytest.raises(error, match=match):
+        getattr(verify, helper)(*args)
 
 
 def test_parameters_checked_before_any_check_runs(monkeypatch):

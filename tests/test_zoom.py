@@ -131,6 +131,14 @@ class TestRescaled:
     def test_sentinel_radius_passes_through(self, f):
         assert rescaled_eval(f, -2.5, float("-inf")) == float("-inf")
 
+    def test_shifted_radius_below_the_domain_raises(self, f):
+        # r and t each lie in the domain, but r + t does not: the kernel's own
+        # check of r + t is what catches it
+        deep = -1.5 * 2.0**51
+        for r in (deep, np.array([-1.0, deep])):
+            with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                rescaled_eval(f, deep, r)
+
     def test_monotone_in_radius(self, f):
         t = -3.21
         vals = rescaled_eval(f, t, grid3(f))
