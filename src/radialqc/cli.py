@@ -306,9 +306,9 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
     [x0] = _log2_inputs(args, "r")
     _index_array(args.iterates, "--iterates", 0, MAX_BREAKPOINT_INDEX)
     if args.iterates:
-        # the deepest odd iterate is the deepest point h is evaluated at:
-        # a domain error surfaces here, before any row is written
-        h.iterate(x0, args.iterates - 1 + args.iterates % 2)
+        # the two deepest iterates, one odd and one even: a domain error of
+        # either surfaces here, before any row is written
+        h.iterate(x0, np.array([args.iterates - 1, args.iterates]))
 
     def blocks():
         for lo in range(0, args.iterates + 1, _CHUNK_ROWS):

@@ -70,16 +70,19 @@ class ConjugatedMap:
         accumulates over long orbits; an odd count applies h once more.  An
         integer array ``m`` broadcasts against ``x``: every entry gets the
         similarity, then the odd entries share one array evaluation of h.
+        A shifted value below -2**52 raises ``ValueError`` for every count,
+        as h's own check of it does for the odd ones.
         """
         ma = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
         m = int(ma) if ma.ndim == 0 else ma
         y = _log_radius(x, "x") - (m // 2) * _period(self.K)
         if ma.ndim:
+            y = _log_radius(y, "x")  # every lane: the even ones are returned as they are
             odd = np.broadcast_to(m % 2 == 1, y.shape)
             if odd.any():
                 y[odd] = self.eval_log(y[odd])
             return y
-        return self.eval_log(y) if m % 2 else y
+        return self.eval_log(y) if m % 2 else _log_radius(y, "x")
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""

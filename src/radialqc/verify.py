@@ -145,9 +145,9 @@ def continuity_worst(K, depth):
     return float(np.max(np.abs(left - right)))
 
 
-#: rows x columns of one tile of ``_worst_pair_residuals``, the fastest of the shapes
-#: tried from 8 x 4096 to 512 x 128: smaller tiles pay more numpy calls per pair,
-#: and wider ones waste more work past the anti-diagonal a + b = len(t) - 1
+#: rows x diagonals of one tile of ``_worst_pair_residuals``, the fastest of the shapes
+#: tried from 32 x 2048 to 512 x 128 (none beat it beyond noise): smaller tiles pay
+#: more numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1
 _TILE = (128, 512)
 
 
@@ -162,17 +162,26 @@ def _cpu_count():
 def _row_block_extremes(table, a0, rows, buf):
     """(max, min) of ((s[a] + t[b]) - t[a + b]) over the row block a0 <= a <
     a0 + rows of one padded family ``table`` of ``_worst_pair_residuals``,
-    NaN pairs skipped; ``rows`` and ``buf`` are the caller's tile buffers."""
-    s, t, diagonal, L, mirror = table
+    NaN pairs skipped; ``rows`` and ``buf`` are the caller's tile buffers.
+
+    A tile is the rows by ``width`` diagonals k = a + b from k0, buf[i, j] =
+    s[a0 + i] + t[k0 + j - a0 - i]; its ``fmax``/``fmin`` over the rows go
+    straight into ``extremes``, as each k lies in one tile of the block.  Then
+    t[k] (NaN from len(t) on) is subtracted once per diagonal: rounding is
+    monotone, so max fl(x - t[k]) = fl(max x - t[k]), and the same for the min.
+    """
+    s, t, windows, L, mirror = table
     rows_per_tile, width = _TILE
     np.copyto(rows, s[a0:a0 + rows_per_tile, None])
-    hi, lo = -np.inf, np.inf
-    for b0 in range(a0 if mirror else 0, L - a0, width):
-        np.add(rows, t[b0:b0 + width], out=buf)
-        np.subtract(buf, diagonal[a0 + b0:a0 + b0 + rows_per_tile], out=buf)
-        hi = max(hi, float(np.fmax.reduce(buf, axis=None)))
-        lo = min(lo, float(np.fmin.reduce(buf, axis=None)))
-    return hi, lo
+    start = 2 * a0 if mirror else a0  # the first diagonal with b >= a0, or b >= 0
+    extremes = np.empty((2, -(-(L - start) // width) * width))
+    for j in range(0, L - start, width):
+        c = start + j - a0  # row i of the tile reads t[c - i:c - i + width]
+        np.add(rows, windows[c + 1:c + rows_per_tile + 1][::-1], out=buf)
+        np.fmax.reduce(buf, axis=0, out=extremes[0, j:j + width])
+        np.fmin.reduce(buf, axis=0, out=extremes[1, j:j + width])
+    extremes -= t[start:start + extremes.shape[1]]
+    return float(np.fmax.reduce(extremes[0])), float(np.fmin.reduce(extremes[1]))
 
 
 def _scan_on_all_cpus(tables, blocks):
@@ -231,34 +240,33 @@ def _worst_pair_residuals(*families):
     |s[a] + t[b] - t[a + b] + shift| over rows a >= first and columns b >= 0
     with a + b < len(t), computed as ((s[a] + t[b]) - t[a + b]) + shift.
 
-    The pairs go in tiles of ``_TILE`` rows by columns: t[a + b] is read through
-    a sliding window of t, and t is padded with NaN past its end, which the
-    ``fmax``/``fmin`` reductions skip, so pairs with a + b >= len(t) drop out.
-    Each row block's values are copied into a buffer once and reused across its
-    column tiles.  With ``mirror`` (``s`` is ``t``) the pair (b, a) makes the same
-    IEEE sum as (a, b), as fl(x + y) = fl(y + x), so each row block reads only the
-    columns b >= its first row: every pair read is in the set, and every pair of
-    the set with b >= first is read once or twice, so the max is the same float.
+    Each row block goes in tiles of ``_TILE`` rows by diagonals a + b (see
+    ``_row_block_extremes``), reading t[b] through a reversed
+    ``sliding_window_view`` of t.  t is padded with NaN, ``rows`` lanes before
+    it and more past its end, which the ``fmax``/``fmin`` reductions skip, so
+    pairs outside the set drop out.  With ``mirror`` (``s`` is ``t``) the pair
+    (b, a) makes the same IEEE sum as (a, b), so a block from row a0 starts at
+    the diagonal 2 a0: it reads only pairs of the set, and of each pair of the
+    set with a, b >= first it or its mirror (b >= a), so the max is the same.
 
-    The row blocks of all families are independent, so ``_scan_on_all_cpus``
-    deals them out over every CPU the process may run on, interleaved, as the
-    mirrored families' rows get shorter.  Which thread scans a tile, and in
-    which order, cannot change the result: each tile's values are the same
-    floats, and the max and min of a set of floats (never NaN here: every tile
-    holds a pair inside the set) depend on no order, except for the sign of a
-    zero extreme, and adding ``shift`` (0.0 or 1/K) to -0.0 or +0.0 gives the
-    same float.  ``shift`` is added to the extremes alone: rounding is monotone, so
-    max fl(x + shift) = fl(max x + shift), and the same for the min.
+    ``_scan_on_all_cpus`` deals the independent row blocks of all families out
+    over every CPU the process may run on, interleaved, as the mirrored
+    families' rows get shorter.  No thread or order can change the result: the
+    max and min of a set of floats (never NaN: every row block holds a pair of
+    the set) depend on no order but for the sign of a zero extreme, which
+    adding ``shift`` (0.0 or 1/K) removes.  Like t[a + b], ``shift`` is added
+    to the extremes alone.
     """
     rows_per_tile, width = _TILE
     pad = np.full(rows_per_tile + width, np.nan)
     tables, blocks = [], []
     for f, (s, first, t, _, mirror) in enumerate(families):
         L = len(t)
-        t = np.concatenate([t, pad])
+        padded = np.concatenate([pad[:rows_per_tile], t, pad])
+        t = padded[rows_per_tile:]
         s = t if mirror else np.concatenate([s, pad])
-        diagonal = np.lib.stride_tricks.sliding_window_view(t, width)  # [k, j] = t[k + j]
-        tables.append((s, t, diagonal, L, mirror))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, width)  # [c, j] = padded[c + j]
+        tables.append((s, t, windows, L, mirror))
         blocks += [(f, a0) for a0 in range(first, (L + 1) // 2 if mirror else L, rows_per_tile)]
     return [max(0.0, hi + shift, -(lo + shift))
             for (hi, lo), (_, _, _, shift, _) in zip(_scan_on_all_cpus(tables, blocks), families)]
@@ -275,9 +283,11 @@ def product_identities_worst(K, depth):
     the first identity is the families even + even and even + odd (rows n >= 1),
     the second odd + odd, scanned together by ``_worst_pair_residuals``: one
     split of their row blocks over the CPUs the process may run on, with the
-    same bits for any CPU count.  The two same-parity families are symmetric
-    and read only m >= n; even + even thereby skips its column m = 0, whose
-    residuals r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
+    same bits for any CPU count.  The right side of each diagonal 2n + m is
+    subtracted once, from the extremes of its left sides (the same float, by
+    monotone rounding).  The same-parity families are symmetric and read about
+    m >= n only: even + even skips most of its column m = 0, whose residuals
+    r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
     """
     K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
     lr = breakpoint_log2(K, np.arange(depth + 1))
@@ -383,19 +393,10 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         "zoom_h_odd_scales_match_q2",
         zoom_limit_deviation(h, ODD_BREAKPOINTS, q2, n_zoom, grid_interior),
     )
-    residual(
-        "limit_p1_coincides_with_map",
-        float(np.max(np.abs(p1.eval_log(grid) - values))),
-    )
-    residual(
-        "limits_fix_unit_radius",
-        max(abs(lf.eval_log(0.0)) for lf in (p1, p2, q1, q2)),
-    )
+    residual("limit_p1_coincides_with_map", float(np.max(np.abs(p1.eval_log(grid) - values))))
+    residual("limits_fix_unit_radius", max(abs(lf.eval_log(0.0)) for lf in (p1, p2, q1, q2)))
     bp_even = f.breakpoint(2 * np.arange(1, 26))
-    residual(
-        "q1_fixes_even_breakpoints",
-        float(np.max(np.abs(q1.eval_log(bp_even) - bp_even))),
-    )
+    residual("q1_fixes_even_breakpoints", float(np.max(np.abs(q1.eval_log(bp_even) - bp_even))))
     bp_all = f.breakpoint(np.arange(0, 51))
     residual(
         "p1_breakpoint_values",
@@ -558,13 +559,8 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     results = [c.as_dict() for c in checks]
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "K": K,
-            "dimension": dimension,
-            "depth": depth,
-            "grid_points": grid_points,
-            "tol": tol,
-        },
+        "config": {"K": K, "dimension": dimension, "depth": depth, "grid_points": grid_points,
+                   "tol": tol},
         "checks": results,
         "passed": sum(1 for c in results if c["passed"]),
         "failed": sum(1 for c in results if not c["passed"]),

@@ -205,7 +205,8 @@ class TestBounds:
     def test_iterate_count_checked_before_any_row(self, capsys):
         for argv in (("--r", "0.5", "--iterates", str(2**53 + 1)),
                      ("--r", "0.5", "--iterates", "-1"),
-                     ("--r", "1", "--iterates", str(2**53))):  # leaves the log2 domain
+                     ("--r", "1", "--iterates", str(2**53)),  # leaves the log2 domain
+                     ("--log2-r=-4503599627370495.0", "--iterates", "2")):  # an even count does
             code, out, _ = run_cli(capsys, "iterate", *argv)
             assert (code, out) == (2, ""), argv
 

@@ -175,8 +175,26 @@ class TestIterates:
             with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
                 h.iterate(x, m)
 
+    def test_even_count_shifted_below_the_domain_raises(self, h):
+        # x - (m // 2)(K + 1/K) leaves the domain with no application of h
+        # after it: an even count is checked as an odd one is
+        x = -(2.0**52) + 1.0
+        for m in (2, np.int64(4)):
+            with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                h.iterate(x, m)
+
+    def test_even_lane_of_a_count_array_shifted_below_the_domain_raises(self, h):
+        # only the lane of count 2 leaves the domain, not the odd or count-0 ones
+        x = -(2.0**52) + 1.0
+        for xs, m in ((x, np.array([0, 1, 2])), (np.array([x, -1.0, x]), np.array([2, 1, 0]))):
+            with pytest.raises(ValueError, match=r"must be >= -2\*\*52"):
+                h.iterate(xs, m)
+
     def test_sentinel_orbit(self, h):
         assert h.iterate(RADIUS_ZERO_LOG2, 7) == RADIUS_ZERO_LOG2
+        assert h.iterate(RADIUS_ZERO_LOG2, 8) == RADIUS_ZERO_LOG2
+        orbit = h.iterate(np.array([RADIUS_ZERO_LOG2, -1.0]), np.array([2, 2]))
+        assert orbit[0] == RADIUS_ZERO_LOG2 and orbit[1] == -1.0 - (h.K + 1.0 / h.K)
 
 
 class TestLocalExponent:

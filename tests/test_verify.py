@@ -81,11 +81,17 @@ def test_multiplicativity_matches_the_per_shift_expression(K, grid_points):
 
 
 _ROWS, _COLUMNS = verify._TILE
-#: depths around every tile edge of the committed tile shape: the last row block
-#: of even + odd ends near depth 2 * rows, those of the two mirrored families near
-#: 4 * rows, and the first column tile of each family near 2 * columns; each range
-#: makes a block or tile one short of its edge, exactly on it and one past it
-TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLUMNS)
+#: depths around every tile edge of the committed tile shape.  A family of length
+#: L (about depth / 2) is scanned in row blocks from a0 = first + q * rows, each in
+#: tiles of ``columns`` diagonals from a0 (even + odd) or 2 * a0 (mirrored) to L.
+#: The last row block of even + odd ends near depth 2 * rows, those of the mirrored
+#: families near 4 * rows; the last tile of the first row block ends at L near
+#: depth 2 * columns, that of the second near 2 * (rows + columns) for even + odd
+#: and 2 * (2 * rows + columns) for the mirrored families.  Each range makes a
+#: block or tile one short of its edge, exactly on it and one past it.
+TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLUMNS,
+                                                 2 * (_ROWS + _COLUMNS),
+                                                 2 * (2 * _ROWS + _COLUMNS))
                            for k in range(-4, 5)})
 
 
@@ -93,6 +99,22 @@ TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLU
 @pytest.mark.parametrize("depth", [2, 3, 1999, 2000, *TILE_EDGE_DEPTHS])
 def test_product_identities_match_reference(K, depth):
     assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
+
+
+#: ``product_identities_worst(K, 30000)`` as ``float.hex``, a depth at which the
+#: row-by-row reference is too slow for Tier-1; taken from the scan that
+#: subtracted t[a + b] pair by pair, before it ran along the diagonals a + b
+PINNED_AT_DEPTH_30000 = {
+    3.0: ("0x1.0000000000000p-37", "0x1.5555000000000p-38"),
+    9.99: ("0x1.0000000000000p-34", "0x1.0668080000000p-34"),
+    1.37: ("0x1.0000000000000p-37", "0x1.56e4000000000p-37"),
+}
+
+
+@pytest.mark.parametrize("K", sorted(PINNED_AT_DEPTH_30000))
+def test_product_identities_match_pinned_values_at_depth_30000(K):
+    worst = product_identities_worst(K, 30_000)
+    assert tuple(value.hex() for value in worst) == PINNED_AT_DEPTH_30000[K]
 
 
 def row_blocks(depth):
