@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .powermap import _count, _float, _real
+from .powermap import _count, _floats, _real
 
 __all__ = [
     "SUPREMUM",
@@ -75,7 +75,7 @@ def pointwise_distortion(map_, d, x) -> DistortionReport:
     closed form at ``map_.local_exponent(x)``.  Breakpoints raise
     :class:`~radialqc.powermap.NotDifferentiableError`.
     """
-    return radial_power_distortion(map_.local_exponent(x), d, location=float(x))
+    return radial_power_distortion(map_.local_exponent(x), d, location=_floats(x, "x"))
 
 
 def _linear_radial_eval(map_or_fn):
@@ -98,8 +98,8 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     below the float resolution at r).  An overflow raises ``ValueError``.
     """
     d = _count(d, "dimension", 2)
-    x = _float(x)
-    if not (math.isfinite(x) and x <= 0.0):
+    x = _floats(x, "x")
+    if not (isinstance(x, float) and math.isfinite(x) and x <= 0.0):
         raise ValueError("x must be a finite log2 radius <= 0")
     step = _real(step, "step")
     r = 2.0**x
@@ -165,6 +165,8 @@ def iterate_max_distortion(h, d, m_max):
     """
     d = _count(d, "dimension", 2)
     m_max = _count(m_max, "m_max", 1)
+    if m_max > 2**20:  # checked before the list of one report per iterate is built
+        raise ValueError("m_max must be at most 2**20")
     odd = _supremum(h.distinct_exponents(), d)
     even = _supremum([1.0], d)
     return [odd if m % 2 else even for m in range(1, m_max + 1)]

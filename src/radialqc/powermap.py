@@ -23,16 +23,12 @@ Q2) is one row of the cell-spec table ``_cell_spec``, and ``_period`` gives
 their common period K + 1/K.  The cell spec and the interval walk have two
 drivers, picked by ``_log_radius``, the one check of every log2-radius input.
 A point (a Python float or any 0-d input: ``np.float64``, ``int``, a 0-d
-array) goes through ``math``, with no numpy call for a float, which brings a
-one-point ``eval_log`` from about 22 us to about 0.4 us (best of 5 timeit
-repeats, 2-CPU virtual machine, Python 3.11, numpy 2.4); arrays with ndim
->= 1 go through numpy.  The two make the same float operations in the same
+array) goes through ``math``, with no numpy call for a float, since a numpy
+call on one lane costs far more than the arithmetic; arrays with ndim >= 1
+go through numpy.  The two make the same float operations in the same
 order, so a point returns exactly what the 1-element array call returns, bit
 for bit (signed zeros and the -inf sentinel included), and raises the same
-exception with the same message.  ``_log_radius`` serves every ``eval_log``,
-``inverse_eval_log``, ``locate_interval``, ``local_exponent`` and
-``h.iterate``, and in ``zoom`` ``rescaled_eval`` (``t`` and ``r``),
-``zoom_limit_deviation``, ``ivt_sample`` and ``homogeneity_defect``.
+exception with the same message.
 
 Useful consequences of the layout, relied on elsewhere in the package:
 
@@ -49,16 +45,17 @@ Supported domain, shared by every evaluator in the package: breakpoint indices
 doubles) and log2 radii -``MAX_ABS_LOG2_RADIUS`` <= x <= 0 (2^52, so every
 interval index reached from x stays within the index bound), plus the -inf
 sentinel.  Inputs outside it raise ``ValueError`` before any integer cast, so
-no index wraps around; so does a Python int beyond the float range given as a
-log2 radius.  ``_index_array`` checks every index, ``_count`` every count and
-``_real`` every real setting (K, tol, alpha, ...), each with one message; a
-wrong type (a bool for any, a str for a real, an array that is not 0-d for a
-real or a count) raises ``TypeError``.
+no index wraps around.  ``_floats`` converts every number or array of
+numbers read from a caller, ``_index_array`` checks every index, ``_count``
+every count and ``_real`` every real setting (K, tol, alpha, ...), each with
+one message; a wrong type (a bool for any, a str or a complex for a number,
+an array that is not 0-d for a real or a count) raises ``TypeError``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -107,41 +104,44 @@ _TOO_DEEP = "{} must be >= -2**52 (or the radius-0 sentinel -inf)"
 _SENTINEL = "{}: the radius-0 sentinel is not accepted here"
 
 
-def _float(v):
-    """``float(v)``, but an int beyond the float range becomes +-2**1023: finite,
-    so that it fails the domain check of its caller with that check's message."""
-    try:
+def _floats(v, name):
+    """``v`` as a Python float if 0-d, else as a float64 array: the one conversion
+    of a number or array of numbers read from a caller.  ``TypeError`` unless
+    every entry is real (a bool, ``np.bool_``, str, complex or None is not); an
+    int beyond the float range becomes +-2**1023, finite, so that it fails the
+    caller's domain check with that check's message."""
+    if isinstance(v, float):  # a Python float or an np.float64: no numpy call
         return float(v)
-    except OverflowError:
-        return 2.0**1023 if v > 0 else -(2.0**1023)
-
-
-def _float_array(x):
-    """``np.asarray(x, dtype=float)``, each element converted as by ``_float``."""
-    try:
-        return np.asarray(x, dtype=float)
-    except OverflowError:
-        return np.asarray(np.frompyfunc(_float, 1, 1)(np.asarray(x, dtype=object)), dtype=float)
+    a = np.asarray(v)
+    kind = a.dtype.kind
+    if kind in "iuf":
+        return float(a) if a.ndim == 0 else a.astype(float, copy=False)
+    if kind == "O" and a.ndim:  # an array of Python objects: one entry at a time
+        return np.array([_floats(e, name) for e in a.flat], dtype=float).reshape(a.shape)
+    v = a[()]  # one Python object, such as an int beyond the float range
+    if kind == "O" and isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            return 2.0**1023 if v > 0 else -(2.0**1023)
+    raise TypeError(f"{name} must be a real number or an array of real numbers (a bool is not)")
 
 
 def _log_radius(x, name, allow_zero_radius=True):
-    """``x`` checked against the log2-radius domain: a Python float or any 0-d input
-    in plain Python and returned as a float (the ``math`` driver), anything else
-    with numpy and returned as a float array.  Both raise the same errors.
+    """``x``, converted by ``_floats``, checked against the log2-radius domain: a
+    Python float or any 0-d input in plain Python and returned as a float (the
+    ``math`` driver), anything else with numpy and returned as a float array.
+    Both raise the same errors.
 
     An array is checked by its max and min alone (a NaN propagates through
     both), and only a min of -inf reads the lanes again, to tell the
     sentinel from a too-deep value."""
-    if isinstance(x, float) or np.ndim(x) == 0:
-        try:
-            x = float(x)
-        except OverflowError:  # an int beyond the float range, never +-inf: -inf is radius 0
-            raise ValueError((_POSITIVE if x > 0 else _TOO_DEEP).format(name)) from None
+    if isinstance(x, float) or isinstance(x := _floats(x, name), float):
+        x = float(x)  # an np.float64 too
         if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
             return x
         hi = lo = x
     else:
-        x = _float_array(x)
         hi, lo = np.max(x, initial=-math.inf), np.min(x, initial=0.0)
         if hi <= 0.0 and lo >= -MAX_ABS_LOG2_RADIUS:
             return x
@@ -176,8 +176,8 @@ def _real(v, name, above=0):
     if type(v) is float and above < v < math.inf:  # in the domain: the usual case
         return v
     message = f"{name} must be a finite real > {above}"
-    if isinstance(v, bool) or getattr(v, "dtype", None) == bool or not hasattr(v, "__float__"):
-        raise TypeError(message)  # a bool: Python's, np.bool_ or a bool array
+    if not hasattr(v, "__float__") or np.asarray(v).dtype.kind in "bc":
+        raise TypeError(message)  # a bool or a complex: Python's, numpy's or an array of them
     try:
         x = float(v)
     except OverflowError:  # an int beyond the float range
@@ -268,10 +268,8 @@ def _eval_cells(x, cells, name="x"):
     each lane's piece is picked by lo ^ ((lo ^ hi) & -(u >= split)) on int64
     views, exactly one of the two floats, which a min or max of the pieces
     is not near the split.  Three temporaries, filled with ``out=``; ``x``,
-    possibly the caller's array, is never written.  On 2**15-lane arrays
-    with 16 sentinels in random order: 11-20 ns per point, against 28-40 ns
-    for the masked gather, ``np.where`` and scatter it replaced (median of
-    40 calls, 5 alternating process pairs, 2-CPU VM, Python 3.11, numpy 2.4).
+    possibly the caller's array, is never written.  So no lane costs a
+    branch, a gather or a scatter, as a masked ``np.where`` driver does.
     """
     period, split, a_hi, b_hi, a_lo, b_lo, shift = cells
     x = _log_radius(x, name)
@@ -399,7 +397,7 @@ class PiecewisePowerMap:
         log2 f(r) drops below the float64 exponent range (~ -1074); use
         ``eval_log`` for deep radii.
         """
-        ra = _float_array(r)
+        ra = _floats(r, "r")
         if np.any(np.isnan(ra)) or np.any(ra < 0.0) or np.any(ra > 1.0):
             raise ValueError("r must lie in [0, 1]")
         with np.errstate(divide="ignore"):

@@ -29,6 +29,7 @@ from .powermap import (
     PiecewisePowerMap,
     _count,
     _distinct_breakpoints_log2,
+    _period,
     _real,
     breakpoint_log2,
     build_standard_map,
@@ -84,6 +85,19 @@ class Check:
         }
 
 
+def _max_abs_diff(a, b=0.0):
+    """max |a - b| over the entries, as a float: the measure of every residual."""
+    return float(np.max(np.abs(a - b)))
+
+
+def _exponents(K, depth):
+    """K and depth checked, with n = 1..depth and the branch exponents k_n
+    (K on odd n, 1/K on even n) that the construction checks share."""
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
+    n = np.arange(1, depth + 1)
+    return K, n, np.where(n % 2 == 1, K, 1.0 / K)
+
+
 def _coefficient_log2(K, n):
     """log2 C_n by its closed form, (n // 2)(K^2 - 1) for odd n and
     (n // 2)(1/K^2 - 1) for even n: verify's own route, apart from the cell
@@ -113,41 +127,31 @@ def recurrence_vs_closed_worst(K, depth):
     differ only in the sign of a zero error, and a zero of either sign added to
     a total leaves it unchanged, as no total is zero (every step is negative).
     """
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
-    n = np.arange(1, depth + 1)
-    step = -1.0 / np.where(n % 2 == 1, K, 1.0 / K)
+    K, n, k = _exponents(K, depth)
+    step = -1.0 / k
     total = np.cumsum(step)
     prev = np.concatenate(([0.0], total[:-1]))
     err = np.where(np.abs(prev) >= np.abs(step), (prev - total) + step, (step - total) + prev)
     recurrence = total + np.cumsum(err)
-    return float(np.max(np.abs(breakpoint_log2(K, n) - recurrence)))
+    return _max_abs_diff(breakpoint_log2(K, n), recurrence)
 
 
 def anchor_identity_worst(K, depth):
     """Worst |log2 C_n + n + k_n log2 r_n| over n <= depth."""
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
-    n = np.arange(1, depth + 1)
-    lr = breakpoint_log2(K, n)
-    k_n = np.where(n % 2 == 1, K, 1.0 / K)
-    return float(np.max(np.abs(_coefficient_log2(K, n) + n + k_n * lr)))
+    K, n, k = _exponents(K, depth)
+    return _max_abs_diff(_coefficient_log2(K, n) + n + k * breakpoint_log2(K, n))
 
 
 def continuity_worst(K, depth):
     """Worst branch mismatch at the breakpoints: interval n vs n+1 formulas."""
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
-    n = np.arange(1, depth)
-    lr = breakpoint_log2(K, n)
-    k_n = np.where(n % 2 == 1, K, 1.0 / K)
-    k_next = np.where((n + 1) % 2 == 1, K, 1.0 / K)
-    log2_C = _coefficient_log2(K, np.arange(1, depth + 1))
-    left = log2_C[:-1] + k_n * lr
-    right = log2_C[1:] + k_next * lr
-    return float(np.max(np.abs(left - right)))
+    K, n, k = _exponents(K, depth)
+    lr = breakpoint_log2(K, n[:-1])
+    log2_C = _coefficient_log2(K, n)
+    return _max_abs_diff(log2_C[:-1] + k[:-1] * lr, log2_C[1:] + k[1:] * lr)
 
 
-#: rows x diagonals of one tile of ``_worst_pair_residuals``, the fastest of the shapes
-#: tried from 32 x 2048 to 512 x 128 (none beat it beyond noise): smaller tiles pay
-#: more numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1
+#: rows x diagonals of one tile of ``_worst_pair_residuals``: smaller tiles pay more
+#: numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1
 _TILE = (128, 512)
 
 
@@ -303,7 +307,7 @@ def breakpoint_image_worst(f, depth):
         raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
     depth = _count(depth, "depth", 2)
     n = np.arange(0, depth + 1)
-    return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
+    return _max_abs_diff(f.eval_log(f.breakpoint(n)) + n)
 
 
 def _checked_settings(K, dimension, depth, grid_points, tol):
@@ -323,7 +327,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     f = build_standard_map(K)
     lr = _distinct_breakpoints_log2(f.K, depth)
     h = build_conjugated_map(f)
-    period = K + 1.0 / K
+    period = _period(f.K)
     grid = np.linspace(-3.0 * period, 0.0, grid_points)
     grid_interior = grid[grid < 0.0]
     n_zoom = range(1, 51)
@@ -349,16 +353,13 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     values = f.eval_log(grid)
     shifts = np.arange(1, 26)
     mult = max(
-        float(np.max(np.abs(f.eval_log(grid + scale) - values + 2 * j)))
+        _max_abs_diff(f.eval_log(grid + scale) - values + 2 * j)
         for j, scale in zip(shifts, f.breakpoint(2 * shifts))
     )
     residual("even_scale_multiplicativity", mult)
     witness("eval_strictly_increasing_margin", float(np.diff(values).min()), tol)
-    residual("inverse_roundtrip", float(np.max(np.abs(f.inverse_eval_log(values) - grid))))
-    residual(
-        "mean_radius_equals_forward_eval",
-        float(np.max(np.abs(f.mean_radius_radial(grid) - values))),
-    )
+    residual("inverse_roundtrip", _max_abs_diff(f.inverse_eval_log(values), grid))
+    residual("mean_radius_equals_forward_eval", _max_abs_diff(f.mean_radius_radial(grid), values))
     # linear scan: the first n >= 1 with r_n <= x <= r_{n-1}, over enough
     # breakpoints to cover the grid
     scan_grid = np.linspace(-3.0 * period, 0.0, 301)
@@ -393,15 +394,12 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         "zoom_h_odd_scales_match_q2",
         zoom_limit_deviation(h, ODD_BREAKPOINTS, q2, n_zoom, grid_interior),
     )
-    residual("limit_p1_coincides_with_map", float(np.max(np.abs(p1.eval_log(grid) - values))))
+    residual("limit_p1_coincides_with_map", _max_abs_diff(p1.eval_log(grid), values))
     residual("limits_fix_unit_radius", max(abs(lf.eval_log(0.0)) for lf in (p1, p2, q1, q2)))
     bp_even = f.breakpoint(2 * np.arange(1, 26))
-    residual("q1_fixes_even_breakpoints", float(np.max(np.abs(q1.eval_log(bp_even) - bp_even))))
+    residual("q1_fixes_even_breakpoints", _max_abs_diff(q1.eval_log(bp_even), bp_even))
     bp_all = f.breakpoint(np.arange(0, 51))
-    residual(
-        "p1_breakpoint_values",
-        float(np.max(np.abs(p1.eval_log(bp_all) + np.arange(0, 51)))),
-    )
+    residual("p1_breakpoint_values", _max_abs_diff(p1.eval_log(bp_all) + np.arange(0, 51)))
     # adjacent branch formulas of the shifted-breakpoint limits agree
     ms = np.arange(0, 26)
     s_m = -((ms + 1) * K + ms / K)
@@ -413,7 +411,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     q2_high = (1.0 - 1.0 / (K * K)) * lr_hi + s_m / (K * K)
     residual(
         "shifted_breakpoint_branch_continuity",
-        max(float(np.max(np.abs(p2_low - p2_high))), float(np.max(np.abs(q2_low - q2_high)))),
+        max(_max_abs_diff(p2_low, p2_high), _max_abs_diff(q2_low, q2_high)),
     )
     gap = abs(p2.eval_log(f.breakpoint(1)) - p1.eval_log(f.breakpoint(1)))
     residual("limit_gap_matches_closed_form", abs(gap - (1.0 - 1.0 / (K * K))))
@@ -430,23 +428,17 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     h_closed = h.eval_log(conj_grid)
     residual(
         "conjugacy_functional_identity",
-        float(np.max(np.abs(f.eval_log(h_closed) - (f.eval_log(conj_grid) - 1.0)))),
+        _max_abs_diff(f.eval_log(h_closed), f.eval_log(conj_grid) - 1.0),
     )
     residual(
-        "h_closed_form_vs_conjugacy_oracle",
-        float(np.max(np.abs(h_closed - h_via_conjugacy(f, conj_grid)))),
+        "h_closed_form_vs_conjugacy_oracle", _max_abs_diff(h_closed, h_via_conjugacy(f, conj_grid))
     )
-    n_fwd = np.arange(0, depth)
+    residual("h_forwards_breakpoints", _max_abs_diff(h.eval_log(lr[:-1]), lr[1:]))
     residual(
-        "h_forwards_breakpoints",
-        float(np.max(np.abs(h.eval_log(f.breakpoint(n_fwd)) - f.breakpoint(n_fwd + 1)))),
-    )
-    residual(
-        "second_iterate_exact_similarity",
-        float(np.max(np.abs(h.eval_log(h_closed) - conj_grid + period))),
+        "second_iterate_exact_similarity", _max_abs_diff(h.eval_log(h_closed) - conj_grid + period)
     )
     rate = (conj_grid - h.iterate(conj_grid, 1000)) / 1000.0
-    residual("attraction_rate_per_step", float(np.max(np.abs(rate - period / 2.0))), 1e-6)
+    residual("attraction_rate_per_step", _max_abs_diff(rate, period / 2.0), 1e-6)
     witness(
         "h_strictly_below_identity_margin",
         float(np.min(conj_grid[conj_grid < 0.0] - h_closed[conj_grid < 0.0])),

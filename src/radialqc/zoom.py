@@ -24,7 +24,7 @@ from .powermap import (
     PiecewisePowerMap,
     _cell_spec,
     _eval_cells,
-    _float_array,
+    _floats,
     _index_array,
     _log_radius,
     _real,
@@ -163,7 +163,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     # checked here, so that an error names this parameter and not scale_at's n
     period_index = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
-    lanes = np.broadcast_arrays(_float_array(r0), _float_array(lam),
+    lanes = np.broadcast_arrays(_floats(r0, "r0"), _floats(lam, "lam"),
                                 np.asarray(period_index), *bracket)
     shape = lanes[0].shape
     r0a, lama, ka, t_even, t_odd = (v.ravel() for v in lanes)
@@ -210,8 +210,8 @@ def homogeneity_defect(lf, samples):
 
     ``lf`` may be a LimitFunction or any callable log2 r -> log2 value.
     """
-    xs = np.asarray(samples, dtype=float)
-    if xs.ndim != 1 or np.unique(xs).size < 3:
+    xs = _floats(samples, "samples")
+    if np.ndim(xs) != 1 or np.unique(xs).size < 3:
         raise ValueError("need at least 3 distinct sample radii")
     _log_radius(xs, "samples", allow_zero_radius=False)
     evalf = lf.eval_log if hasattr(lf, "eval_log") else lf
@@ -241,8 +241,9 @@ def example_1d_rescaled(x, delta):
     limit only.  Included as the degenerate contrast case and as a 1-D sanity
     check of the mean-radius normalization convention.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = _floats(x, "x")
     if np.any(np.isnan(xa)) or np.any(np.abs(xa) > 1.0):
         raise ValueError("x must lie in [-1, 1]")
-    out = _two_slope_line(float(delta) * xa) / example_1d_mean_radius(delta)
-    return float(out) if np.ndim(x) == 0 else out
+    d = _real(delta, "delta")
+    out = _two_slope_line(d * xa) / example_1d_mean_radius(d)
+    return float(out) if np.ndim(xa) == 0 else out
