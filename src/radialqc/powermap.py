@@ -28,7 +28,8 @@ call on one lane costs far more than the arithmetic; arrays with ndim >= 1
 go through numpy.  The two make the same float operations in the same
 order, so a point returns exactly what the 1-element array call returns, bit
 for bit (signed zeros and the -inf sentinel included), and raises the same
-exception with the same message.
+exception with the same message.  Indices split the same way: an int in
+range skips numpy, and every index formula computes on it as a Python int.
 
 Useful consequences of the layout, relied on elsewhere in the package:
 
@@ -114,7 +115,7 @@ def _floats(v, name):
         return float(v)
     a = np.asarray(v)
     kind = a.dtype.kind
-    if kind in "iuf":
+    if kind in "iuf" and not (isinstance(v, (list, tuple)) and _holds_bool(v)):
         return float(a) if a.ndim == 0 else a.astype(float, copy=False)
     if kind == "O" and a.ndim:  # an array of Python objects: one entry at a time
         return np.array([_floats(e, name) for e in a.flat], dtype=float).reshape(a.shape)
@@ -125,6 +126,12 @@ def _floats(v, name):
         except OverflowError:
             return 2.0**1023 if v > 0 else -(2.0**1023)
     raise TypeError(f"{name} must be a real number or an array of real numbers (a bool is not)")
+
+
+def _holds_bool(seq):
+    """Whether a list or tuple that numpy read as numbers holds a bool, which
+    numpy reads as 0.0 or 1.0 among floats."""
+    return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(seq, dtype=object).flat)
 
 
 def _log_radius(x, name, allow_zero_radius=True):
@@ -160,14 +167,17 @@ def _log_radius(x, name, allow_zero_radius=True):
 
 
 def _index_array(n, name, lo, hi):
-    """``n`` as an array: ``TypeError`` unless integral (a bool is not), ``ValueError``
-    outside lo..hi (``hi`` a power of two, as every index bound of the package is)."""
+    """``n`` as a Python int if 0-d, else as an int64 array: ``TypeError`` unless
+    integral (a bool is not), ``ValueError`` outside lo..hi (``hi`` a power of two,
+    as every index bound of the package is).  An int in range skips numpy."""
+    if type(n) is int and lo <= n <= hi:  # in the domain: the usual case
+        return n
     na = np.asarray(n)
     if not np.issubdtype(na.dtype, np.integer):
         raise TypeError(f"{name} must be an integer within 64 bits")
     if np.any(na < lo) or np.any(na > hi):
         raise ValueError(f"{name} must lie in {lo}..2**{hi.bit_length() - 1}")
-    return na
+    return int(na) if na.ndim == 0 else na.astype(np.int64, copy=False)
 
 
 def _real(v, name, above=0):
@@ -210,17 +220,18 @@ def breakpoint_log2(K, n):
     """log2 of the n-th breakpoint radius, for K > 1 and 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
 
     Closed form; equals the recurrence
-    log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.
+    log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.  An int or 0-d ``n``
+    gives a float, computed on Python ints with no numpy call for an int; an
+    array gives an array, each entry the scalar call's float.
     """
-    na = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
-    out = _breakpoint_log2(_real(K, "K", 1), na.astype(np.int64))
-    return float(out) if np.ndim(n) == 0 else out
+    n = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
+    return _breakpoint_log2(_real(K, "K", 1), n)
 
 
 def _breakpoint_log2(K, na):
     """``breakpoint_log2`` without validation, for int64 arrays or Python ints
-    derived from in-domain log2 radii (the interval lookup calls it on every
-    step); both give the same float, as ints below 2**53 convert exactly."""
+    in the index domain (the interval lookup calls it on every step); both give
+    the same float, as ints up to 2**53 convert exactly."""
     return -((na // 2) * K + ((na + 1) // 2) / K) + 0.0  # normalize -0.0 at n = 0
 
 

@@ -69,20 +69,20 @@ class ConjugatedMap:
         log2 h^{2p}(x) = x - p (K + 1/K), so no branch-evaluation error
         accumulates over long orbits; an odd count applies h once more.  An
         integer array ``m`` broadcasts against ``x``: every entry gets the
-        similarity, then the odd entries share one array evaluation of h.
+        similarity, then the odd entries share one array evaluation of h; an
+        integer count takes no numpy call for a float ``x``.
         A shifted value below -2**52 raises ``ValueError`` for every count,
         as h's own check of it does for the odd ones.
         """
-        ma = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
-        m = int(ma) if ma.ndim == 0 else ma
+        m = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
         y = _log_radius(x, "x") - (m // 2) * _period(self.K)
-        if ma.ndim:
-            y = _log_radius(y, "x")  # every lane: the even ones are returned as they are
-            odd = np.broadcast_to(m % 2 == 1, y.shape)
-            if odd.any():
-                y[odd] = self.eval_log(y[odd])
-            return y
-        return self.eval_log(y) if m % 2 else _log_radius(y, "x")
+        if isinstance(m, int):
+            return self.eval_log(y) if m % 2 else _log_radius(y, "x")
+        y = _log_radius(y, "x")  # every lane: the even ones are returned as they are
+        odd = np.broadcast_to(m % 2 == 1, y.shape)
+        if odd.any():
+            y[odd] = self.eval_log(y[odd])
+        return y
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""

@@ -55,6 +55,9 @@ class BracketError(ValueError):
     """The target value is not bracketed by the two scale limits."""
 
 
+_OUTSIDE = "target {} is outside the achievable bracket [{}, {}] at this radius"
+
+
 def _base_of(map_):
     """Underlying piecewise power map (conjugated maps carry it as .source)."""
     return getattr(map_, "source", map_)
@@ -117,12 +120,13 @@ def scale_at(map_, sequence, n):
 
     ``n`` is an integer or an integer array (not a bool), each entry in
     1..2**52 (so the breakpoint index stays within ``MAX_BREAKPOINT_INDEX``);
-    an array is validated once and gives an array of scales.
+    an int gives a float with no numpy call, an array is validated once and
+    gives an array of scales.
     """
     if sequence not in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS):
         raise ValueError(f'sequence must be "even" or "odd", got {sequence!r}')
-    na = _index_array(n, "sequence index n", 1, MAX_BREAKPOINT_INDEX // 2)
-    return _base_of(map_).breakpoint(2 * na if sequence == EVEN_BREAKPOINTS else 2 * na - 1)
+    n = _index_array(n, "sequence index n", 1, MAX_BREAKPOINT_INDEX // 2)
+    return _base_of(map_).breakpoint(2 * n if sequence == EVEN_BREAKPOINTS else 2 * n - 1)
 
 
 def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
@@ -155,37 +159,57 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     ``tol``, a finite real > 0, is only the snap width: a target within it of
     a limit returns that breakpoint scale.  ``r0``, ``lam`` and
     ``period_index`` broadcast, each lane giving the scalar call's result bit
-    for bit (a float for scalar inputs).  One lane outside its bracket (an
+    for bit.  A point (0-d ``r0`` and ``lam``, an integer ``period_index``)
+    is solved in plain floats with no numpy call and gives a float; it
+    returns exactly what the 1-element array call returns and raises the same
+    exception with the same message.  One lane outside its bracket (an
     infinite target included) raises ``BracketError``; a NaN target is an
     input error, a plain ``ValueError``.
     """
     tol = _real(tol, "tol")
     # checked here, so that an error names this parameter and not scale_at's n
-    period_index = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
-    bracket = (scale_at(map_, seq, period_index) for seq in (EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
-    lanes = np.broadcast_arrays(_floats(r0, "r0"), _floats(lam, "lam"),
-                                np.asarray(period_index), *bracket)
-    shape = lanes[0].shape
-    r0a, lama, ka, t_even, t_odd = (v.ravel() for v in lanes)
-    if np.isnan(lama).any():
+    j = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
+    r0, lam = _floats(r0, "r0"), _floats(lam, "lam")
+    t_even, t_odd = scale_at(map_, EVEN_BREAKPOINTS, j), scale_at(map_, ODD_BREAKPOINTS, j)
+    point = isinstance(r0, float) and isinstance(lam, float) and isinstance(j, int)
+    if not point:
+        lanes = np.broadcast_arrays(r0, lam, j, t_even, t_odd)
+        shape = lanes[0].shape
+        r0, lam, j, t_even, t_odd = (v.ravel() for v in lanes)
+    if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
-    base = _base_of(map_)
-    kinds = ("P1", "P2") if map_ is base else ("Q1", "Q2")
-    a, b = (limit_function(map_, kind).eval_log(r0a) for kind in kinds)
-    snap_even = np.abs(lama - a) <= tol
-    snap_odd = ~snap_even & (np.abs(lama - b) <= tol)
+    even, odd = ("P1", "P2") if map_ is _base_of(map_) else ("Q1", "Q2")
+    a, b = limit_function(map_, even).eval_log(r0), limit_function(map_, odd).eval_log(r0)
+    if point:
+        if abs(lam - a) <= tol:
+            return t_even
+        if abs(lam - b) <= tol:
+            return t_odd
+        lo, hi = min(a, b), max(a, b)
+        if not lo < lam < hi:
+            raise BracketError(_OUTSIDE.format(lam, lo, hi))
+        return min(max(_solve(map_, r0, lam, j, t_even), t_even), t_odd)
+    with np.errstate(invalid="ignore"):  # inf - inf, an infinite target at the sentinel r0
+        snap_even = np.abs(lam - a) <= tol
+        snap_odd = ~snap_even & (np.abs(lam - b) <= tol)
     t = np.where(snap_even, t_even, t_odd)
     lane = np.flatnonzero(~(snap_even | snap_odd))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    outside = ~((lo[lane] < lama[lane]) & (lama[lane] < hi[lane]))
+    outside = ~((lo[lane] < lam[lane]) & (lam[lane] < hi[lane]))
     if outside.any():
         i = lane[np.argmax(outside)]
-        raise BracketError(
-            f"target {float(lama[i])} is outside the achievable bracket "
-            f"[{float(lo[i])}, {float(hi[i])}] at this radius"
-        )
-    r0s, t_even, t_odd = r0a[lane], t_even[lane], t_odd[lane]
-    _log_radius(r0s + t_even, "r0 + t")  # the deepest point of the bracket
+        raise BracketError(_OUTSIDE.format(float(lam[i]), float(lo[i]), float(hi[i])))
+    t_even, t_odd = t_even[lane], t_odd[lane]
+    t[lane] = np.clip(_solve(map_, r0[lane], lam[lane], j[lane], t_even), t_even, t_odd)
+    return t.reshape(shape)
+
+
+def _solve(map_, r0, lam, j, t_even):
+    """``ivt_sample``'s scale for bracketed targets, before the clip to the
+    bracket [t_even, t_odd]: floats or equal-length arrays alike, so the two
+    drivers of ``_eval_cells`` give the point call and each lane alike."""
+    _log_radius(r0 + t_even, "r0 + t")  # the deepest point of the bracket
+    base = _base_of(map_)
     P, _, k, F0, _, _, shift = _cell_spec("P1" if map_ is base else "h", base.K)
     F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
@@ -193,10 +217,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     # Only for h at K > 1.6e5, within a period of -2**52, can y leave the domain.
     V = F0 - F_P - P / k
     c = 1.0 / (k - 1.0 / k)
-    s = _eval_cells(lama[lane] + F_P - (r0s - P) / k - F0, (V, -V, c, 0.0, c, 0.0, P),
-                    "r0 + t")
-    t[lane] = np.clip(s - r0s - (ka[lane] - 1) * P, t_even, t_odd)
-    return float(t[0]) if not shape else t.reshape(shape)
+    s = _eval_cells(lam + F_P - (r0 - P) / k - F0, (V, -V, c, 0.0, c, 0.0, P), "r0 + t")
+    return s - r0 - (j - 1) * P
 
 
 def homogeneity_defect(lf, samples):

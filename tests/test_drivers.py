@@ -8,7 +8,10 @@ driver.  For every map, ``locate_interval``, ``local_exponent``, either
 argument of ``rescaled_eval`` and ``h.iterate`` with an odd and an even count,
 a point call must return exactly what the 1-element array call returns: the
 same bits, the sign of zero and the -inf sentinel included, and the same
-exception class and message on every input error.
+exception class and message on every input error.  The same holds for the
+index entry points (``breakpoint_log2``, ``scale_at``, ``h.iterate``'s count),
+whose int fast path computes on Python ints, and for ``ivt_sample``, whose
+point path solves in plain floats.
 
 The numpy driver evaluates every lane without a mask and picks each branch
 bit by bit, so each lane of an array call, for every cell-spec row and for
@@ -31,15 +34,20 @@ import radialqc.powermap
 import radialqc.uqrmap
 import radialqc.zoom
 from radialqc import (
+    PiecewisePowerMap,
+    breakpoint_log2,
     build_conjugated_map,
     build_standard_map,
     iterate_max_distortion,
+    ivt_sample,
     limit_function,
     max_distortion,
     pointwise_distortion,
     radial_power_distortion,
     rescaled_eval,
+    scale_at,
 )
+from radialqc.powermap import MAX_BREAKPOINT_INDEX
 from radialqc.zoom import LIMIT_KINDS
 
 #: inputs every evaluator must reject, or (the -inf sentinel) pass through
@@ -60,12 +68,12 @@ def callables(K):
     return out
 
 
-def outcome(fn, arg):
-    """What ``fn(arg)`` gives: (type, value, sign) for a result, taking element
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: (type, value, sign) for a result, taking element
     0 of an array result, or (class, message) for an error."""
     try:
-        out = fn(arg)
-    except ValueError as exc:
+        out = fn(*args)
+    except (ValueError, TypeError) as exc:
         return type(exc), str(exc)
     if isinstance(out, np.ndarray):
         assert out.shape == (1,)
@@ -121,17 +129,26 @@ def test_float_path_uses_no_numpy(monkeypatch):
     h = build_conjugated_map(f)
     limits = [limit_function(h if kind[0] == "Q" else f, kind) for kind in LIMIT_KINDS]
     x = -3.7
-    want = [f.eval_log(x), f.inverse_eval_log(-1.5), h.eval_log(x),
-            *(lf.eval_log(x) for lf in limits), f.locate_interval(x), h.local_exponent(x),
-            pointwise_distortion(h, 3, x), f.eval_log(np.float64(x)),
-            radial_power_distortion(2.5, 3), max_distortion(h, 3), iterate_max_distortion(h, 3, 4)]
+    r0 = f.breakpoint(1)
+    # a solved and a snapped target for f and for h (P1 and Q1 at r0)
+    targets = [(f, -0.6), (f, limits[0].eval_log(r0)), (h, -0.6), (h, limits[2].eval_log(r0))]
+
+    def calls():
+        return [f.eval_log(x), f.inverse_eval_log(-1.5), h.eval_log(x),
+                *(lf.eval_log(x) for lf in limits), f.locate_interval(x), h.local_exponent(x),
+                pointwise_distortion(h, 3, x), f.eval_log(np.float64(x)),
+                radial_power_distortion(2.5, 3), max_distortion(h, 3),
+                iterate_max_distortion(h, 3, 4),
+                *(ivt_sample(map_, r0, lam, 1e-9) for map_, lam in targets),
+                breakpoint_log2(2.0, 7), f.breakpoint(7), scale_at(f, "odd", 3), h.iterate(x, 3)]
+
+    want = calls()
+    solved_f, snapped_f, solved_h, snapped_h = want[-8:-4]
+    assert snapped_f == scale_at(f, "even", 1) != solved_f
+    assert snapped_h == scale_at(h, "even", 1) != solved_h
     for mod in (radialqc.powermap, radialqc.zoom, radialqc.uqrmap, radialqc.distortion):
         monkeypatch.setattr(mod, "np", _NoNumpy())
-    got = [f.eval_log(x), f.inverse_eval_log(-1.5), h.eval_log(x),
-           *(lf.eval_log(x) for lf in limits), f.locate_interval(x), h.local_exponent(x),
-           pointwise_distortion(h, 3, x), f.eval_log(np.float64(x)),
-           radial_power_distortion(2.5, 3), max_distortion(h, 3), iterate_max_distortion(h, 3, 4)]
-    assert got == want
+    assert calls() == want
     with pytest.raises(ValueError, match="not NaN"):
         f.eval_log(math.nan)
 
@@ -224,3 +241,112 @@ def test_mixed_bad_lanes_raise_the_first_check(allow_zero_radius):
             if want is not None:
                 with pytest.raises(ValueError, match=re.escape(want.format("x"))):
                     call(arg)
+
+
+def _maps(K):
+    # built directly: 1.05e6 is past build_standard_map's guard
+    f = PiecewisePowerMap(K=K)
+    return f, build_conjugated_map(f)
+
+
+def ivt_agrees(map_, r0, lam, tol, j):
+    """``ivt_sample``'s point call, its 1-element array call and its 0-d call
+    give one outcome; returns it."""
+    want = outcome(ivt_sample, map_, np.array([r0]), np.array([lam]), tol, np.array([j]))
+    assert outcome(ivt_sample, map_, r0, lam, tol, j) == want, (map_, r0, lam, tol, j)
+    if type(j) is int and j < 2**63:
+        got = outcome(ivt_sample, map_, np.array(r0), np.array(lam), tol, np.int64(j))
+        assert got == want, (map_, r0, lam, tol, j)
+    return want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", DRIVER_K)
+def test_ivt_point_call_equals_array_call(K):
+    # snapped, solved and out-of-bracket targets, NaN and infinite ones, at
+    # edge and random radii and period indices up to 2**52
+    rng = np.random.default_rng(DRIVER_K.index(K))
+    P = K + 1.0 / K
+    seen = set()
+    for map_, kinds in zip(_maps(K), (("P1", "P2"), ("Q1", "Q2"))):
+        lfs = [limit_function(map_, kind) for kind in kinds]
+        for _ in range(100):
+            j = int(rng.choice([1, 2, rng.integers(1, 2**20), rng.integers(1, 2**52 + 1), 2**52]))
+            r0 = float(rng.choice([0.0, -0.0, -math.inf, 0.5, -(2.0**52),
+                                   -rng.uniform(0.0, 3.0 * P), -np.exp2(rng.uniform(-30.0, 40.0))]))
+            try:
+                a, b = (lf.eval_log(r0) for lf in lfs)
+            except ValueError:
+                a, b = -1.0, -0.5
+            tol = float(rng.choice([1e-9, 1e-300, 0.25]))
+            for lam in (a, b, a + tol / 2, b - tol / 2, a + tol, b - tol,
+                        a + (b - a) * rng.uniform(0.01, 0.99),
+                        min(a, b) - 1.0, max(a, b) + 1.0, math.nan, math.inf, -math.inf):
+                got = ivt_agrees(map_, r0, lam, tol, j)
+                seen.add(got[0] if len(got) == 2 else "value")
+    assert {"value", radialqc.zoom.BracketError, ValueError} <= seen
+
+
+#: ivt inputs with two faults, and the message of the one today's check order
+#: raises first: tol, period_index, r0's type, lam's type, a NaN lam, r0's
+#: domain (read as the limits' x), the bracket, the deepest point of the bracket
+TWO_FAULTS = [
+    ((0.5, -0.6, 0.0, 1), "tol must"),
+    ((0.5, math.nan, 1e-9, 0), "period_index must"),
+    ((None, "x", 1e-9, 1), "r0 must"),
+    ((-0.5, "x", 1e-9, True), "period_index must"),
+    ((0.5 + 0j, math.nan, 1e-9, 1), "r0 must"),
+    ((-0.5, None, 1e-9, 2**53), "period_index must"),
+    ((0.5, "x", 1e-9, 1), "lam must be a real number"),
+    ((0.5, math.nan, 1e-9, 1), "lam must be a log2 target value, not NaN"),
+    ((math.nan, math.inf, 1e-9, 1), "x must be a log2 radius"),
+    ((math.inf, math.nan, 1e-9, 1), "lam must be a log2 target value"),
+    ((-(2.0**53), -0.6, 1e-9, 1), "x must be >= -2**52"),
+    ((-(2.0**52), math.inf, 1e-9, 1), "outside the achievable bracket"),
+    ((-(2.0**52), -0.6, 0.5, 2**52), "outside the achievable bracket"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, first", TWO_FAULTS)
+def test_ivt_two_faults_raise_the_first_alike(args, first):
+    f, h = _maps(2.0)
+    for map_ in (f, h):
+        r0, lam, tol, j = args
+        got = ivt_agrees(map_, r0, lam, tol, j)
+        assert len(got) == 2 and first in got[1], got
+
+
+@pytest.mark.filterwarnings("error")
+def test_ivt_deepest_point_is_checked_alike():
+    # a bracketed target whose bracket reaches below -2**52 from r0
+    f, h = _maps(2.0)
+    for map_, kinds in zip((f, h), (("P1", "P2"), ("Q1", "Q2"))):
+        r0 = -(2.0**51)
+        lam = sum(limit_function(map_, kind).eval_log(r0) for kind in kinds) / 2
+        got = ivt_agrees(map_, r0, lam, 1e-9, 2**51)
+        assert got[1] == "r0 + t must be >= -2**52 (or the radius-0 sentinel -inf)", got
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", DRIVER_K)
+def test_index_int_call_equals_array_call(K):
+    # random ints across each entry point's range and both ends of it
+    rng = np.random.default_rng([7, DRIVER_K.index(K)])
+    f, h = _maps(K)
+    entries = {
+        "breakpoint_log2": (lambda n: breakpoint_log2(K, n), 0, MAX_BREAKPOINT_INDEX),
+        "h.breakpoint": (h.breakpoint, 0, MAX_BREAKPOINT_INDEX),
+        "scale_at even": (lambda n: scale_at(f, "even", n), 1, MAX_BREAKPOINT_INDEX // 2),
+        "scale_at odd": (lambda n: scale_at(h, "odd", n), 1, MAX_BREAKPOINT_INDEX // 2),
+        "h.iterate": (lambda m: h.iterate(-1.5, m), 0, MAX_BREAKPOINT_INDEX),
+        "h.iterate near 0": (lambda m: h.iterate(-0.0, m), 0, MAX_BREAKPOINT_INDEX),
+    }
+    for name, (fn, lo, hi) in entries.items():
+        ints = [lo, lo + 1, hi - 1, hi, lo - 1, hi + 1,
+                *(int(v) for v in rng.integers(lo, hi + 1, 40)),
+                *(int(v) for v in np.exp2(rng.uniform(0.0, 53.0, 40)).astype(np.int64) if v <= hi)]
+        for n in ints:
+            want = outcome(fn, np.array([n]))
+            assert outcome(fn, n) == want, (name, n)
+            assert outcome(fn, np.int64(n)) == want, (name, n)
