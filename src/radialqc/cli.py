@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: eval, zoom, ivt, iterate, distortion, verify.  Each takes
-``--config`` and the flags (``_FLAGS``) of the ``RunConfig`` fields it reads;
-a config file may hold any field for any command.  Precedence is CLI flags >
+``--config`` and the flags (``_FLAGS``) of the settings it reads; a config
+file may hold any setting for any command.  Precedence is CLI flags >
 JSON config file > built-in defaults.  Tables are CSV (RFC 4180, floats at 17
 significant digits) or JSON, written to stdout or a file by one column writer,
 ``_emit_table``: each command hands it column arrays, and it streams them in
@@ -22,7 +22,6 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,21 +53,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Options of the subcommands, each a config-file key of every command and
-    the ``dest`` of its flag in ``_FLAGS``, checked for every command; the
-    numbers by ``verify._checked_settings``, which takes no bool and no str."""
-
-    K: float
-    dimension: int
-    depth: int
-    grid_points: int
-    tol: float
-    output_format: str
-    output_path: str
-
-
 #: the numeric settings, their defaults and checks are those of ``run_verification``
 _SETTINGS = inspect.signature(run_verification).parameters
 DEFAULTS = {
@@ -78,7 +62,8 @@ DEFAULTS = {
 }
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> argparse.Namespace:
+    """Every setting (flags > config file > ``DEFAULTS``), checked for every command."""
     merged = dict(DEFAULTS)
     if args.config:
         try:
@@ -96,10 +81,10 @@ def _load_config(args) -> RunConfig:
         merged.update(loaded)
     merged.update({key: value for key, value in vars(args).items() if key in DEFAULTS})
     try:
-        cfg = RunConfig(**_checked_settings(**{key: merged[key] for key in _SETTINGS}),
-                        **{key: str(merged[key]) for key in ("output_format", "output_path")})
+        cfg = argparse.Namespace(**_checked_settings(**{key: merged[key] for key in _SETTINGS}))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration value: {exc}") from exc
+    cfg.output_format, cfg.output_path = str(merged["output_format"]), str(merged["output_path"])
     if cfg.output_format not in ("csv", "json"):
         raise UsageError('output format must be "csv" or "json"')
     return cfg
@@ -110,7 +95,7 @@ def _load_config(args) -> RunConfig:
 _CHUNK_ROWS = 16384
 
 
-def _output(cfg: RunConfig):
+def _output(cfg):
     """The output stream: stdout, or the ``--output`` file opened for writing."""
     if cfg.output_path == "-":
         return contextlib.nullcontext(sys.stdout)
@@ -138,7 +123,7 @@ def _exp2(col):
     return np.array([2.0**v for v in col.tolist()])
 
 
-def _emit_table(cfg: RunConfig, command, header, blocks, extra=None):
+def _emit_table(cfg, command, header, blocks, extra=None):
     """Write a table as CSV or JSON, streamed in chunks of ``_CHUNK_ROWS`` rows.
 
     ``blocks`` yields tuples of equal-length 1-D column arrays, one per header
@@ -196,7 +181,7 @@ def _parse_n_spec(spec):
     return ns, most
 
 
-def _parse_grid_spec(spec, cfg: RunConfig):
+def _parse_grid_spec(spec, cfg):
     if spec is None:
         return np.linspace(-3.0 * _period(cfg.K), 0.0, cfg.grid_points)
     try:
@@ -234,7 +219,7 @@ def _eval_target(name, f, h):
     return limit_function(h if name.startswith("Q") else f, name)
 
 
-def _cmd_eval(cfg: RunConfig, args) -> int:
+def _cmd_eval(cfg, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     target = _eval_target(args.map, f, h)
@@ -247,7 +232,7 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_zoom(cfg: RunConfig, args) -> int:
+def _cmd_zoom(cfg, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     map_ = f if args.map == "f" else h
@@ -289,7 +274,7 @@ def _cmd_zoom(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_ivt(cfg: RunConfig, args) -> int:
+def _cmd_ivt(cfg, args) -> int:
     f = build_standard_map(cfg.K)
     [r0] = _log2_inputs(args, "r0")
     [lam] = _log2_inputs(args, "lambda")
@@ -300,7 +285,7 @@ def _cmd_ivt(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_iterate(cfg: RunConfig, args) -> int:
+def _cmd_iterate(cfg, args) -> int:
     f = build_standard_map(cfg.K)
     h = build_conjugated_map(f)
     [x0] = _log2_inputs(args, "r")
@@ -320,7 +305,7 @@ def _cmd_iterate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_distortion(cfg: RunConfig, args) -> int:
+def _cmd_distortion(cfg, args) -> int:
     if (args.alpha is None) == (args.map is None):
         raise UsageError("give exactly one of --map {f,h} or --alpha")
     if args.iterates is not None and args.map != "h":
@@ -348,14 +333,14 @@ def _cmd_distortion(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(cfg, args) -> int:
     report = run_verification(**{key: getattr(cfg, key) for key in _SETTINGS})
     with _output(cfg) as out:
         out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
 
 
-#: the flag of each ``RunConfig`` field; one not given sets no attribute of the args
+#: the flag of each setting, a key of ``DEFAULTS``; one not given sets no attribute of the args
 _FLAGS = {
     "K": ("--K", {"type": float, "help": "distortion parameter K > 1"}),
     "dimension": ("--d", {"type": int, "help": "ambient dimension (>= 2)"}),
@@ -368,7 +353,7 @@ _FLAGS = {
 
 
 def _add_config(parser, *keys):
-    """``--config`` and the flags of the ``RunConfig`` fields ``keys``."""
+    """``--config`` and the flags of the settings ``keys``."""
     parser.add_argument("--config", help="JSON config file (flags override it)")
     for key in keys:
         flag, kwargs = _FLAGS[key]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import _count, _floats, _real
+from .zoom import _base_of
 
 __all__ = [
     "SUPREMUM",
@@ -75,6 +76,7 @@ def pointwise_distortion(map_, d, x) -> DistortionReport:
     closed form at ``map_.local_exponent(x)``.  Breakpoints raise
     :class:`~radialqc.powermap.NotDifferentiableError`.
     """
+    _base_of(map_)
     return radial_power_distortion(map_.local_exponent(x), d, location=_floats(x, "x"))
 
 
@@ -137,6 +139,7 @@ def max_distortion(map_, d) -> DistortionReport:
     over radii collapses to a componentwise maximum over the finitely many
     branch exponents.
     """
+    _base_of(map_)
     d = _count(d, "dimension", 2)
     return _supremum(map_.distinct_exponents(), d)
 
@@ -163,6 +166,7 @@ def iterate_max_distortion(h, d, m_max):
     are similarities (exponent 1, distortion 1) and odd iterates match h
     itself: two reports, alternating, bounded independent of m.
     """
+    _base_of(h)
     d = _count(d, "dimension", 2)
     m_max = _count(m_max, "m_max", 1)
     if m_max > 2**20:  # checked before the list of one report per iterate is built

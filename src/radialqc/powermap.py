@@ -342,8 +342,11 @@ def _locate(K, x):
     return n
 
 
-def _strict_branch_index(K, x):
-    """``_locate`` for points strictly inside a branch; breakpoints raise."""
+def _local_exponent(K, x, k):
+    """Branch exponent at x of a map on f's intervals with exponents k (odd
+    intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
+    the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
+    x = _log_radius(x, "x", allow_zero_radius=False)
     n = _locate(K, x)
     on_bp = (x == _breakpoint_log2(K, n)) | (x == _breakpoint_log2(K, n - 1))
     if on_bp if isinstance(x, float) else on_bp.any():
@@ -351,15 +354,7 @@ def _strict_branch_index(K, x):
             "no derivative at a breakpoint radius (distortion is an a.e. notion; "
             "breakpoint spheres form a removable null set)"
         )
-    return n
-
-
-def _local_exponent(K, x, k):
-    """Branch exponent at x of a map on f's intervals with exponents k (odd
-    intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
-    the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
-    x = _log_radius(x, "x", allow_zero_radius=False)
-    odd = _strict_branch_index(K, x) % 2 == 1
+    odd = n % 2 == 1
     return (k if odd else 1.0 / k) if isinstance(x, float) else np.where(odd, k, 1.0 / k)
 
 

@@ -34,6 +34,7 @@ from .powermap import (
     _log_radius,
     _period,
 )
+from .zoom import _base_of
 
 __all__ = ["ConjugatedMap", "build_conjugated_map", "h_via_conjugacy"]
 
@@ -106,6 +107,8 @@ def h_via_conjugacy(f: PiecewisePowerMap, x):
     with :class:`ConjugatedMap`: comparing the routes checks h's cell spec
     against those of f and f^{-1}, not separate code.
     """
+    if _base_of(f) is not f:
+        raise TypeError("h_via_conjugacy needs a PiecewisePowerMap, not a ConjugatedMap")
     y = f.eval_log(x)  # a fresh array or a float: halve in place
     y -= 1.0
     return f.inverse_eval_log(y)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .powermap import (
 from .uqrmap import build_conjugated_map, h_via_conjugacy
 from .zoom import (
     EVEN_BREAKPOINTS,
+    LIMIT_KINDS,
     ODD_BREAKPOINTS,
     example_1d_mean_radius,
     example_1d_rescaled,
@@ -50,7 +50,6 @@ from .zoom import (
 
 __all__ = [
     "SCHEMA_VERSION",
-    "Check",
     "run_verification",
     "recurrence_vs_closed_worst",
     "anchor_identity_worst",
@@ -62,38 +61,23 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    measured: float
-    threshold: float
-    comparison: str  # "<=" for residuals, ">=" for witnesses
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "<=":
-            return self.measured <= self.threshold
-        return self.measured >= self.threshold
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-        }
-
-
 def _max_abs_diff(a, b=0.0):
     """max |a - b| over the entries, as a float: the measure of every residual."""
     return float(np.max(np.abs(a - b)))
 
 
+def _depth(depth):
+    """``depth`` as an int in 2..2**24, checked before any array is built."""
+    depth = _count(depth, "depth", 2)
+    if depth > 2**24:  # the product scan is quadratic: 0.16 s at 3 * 10**4, 14 h here
+        raise ValueError("depth must be at most 2**24")
+    return depth
+
+
 def _exponents(K, depth):
     """K and depth checked, with n = 1..depth and the branch exponents k_n
     (K on odd n, 1/K on even n) that the construction checks share."""
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
+    K, depth = _real(K, "K", 1), _depth(depth)
     n = np.arange(1, depth + 1)
     return K, n, np.where(n % 2 == 1, K, 1.0 / K)
 
@@ -293,7 +277,7 @@ def product_identities_worst(K, depth):
     m >= n only: even + even skips most of its column m = 0, whose residuals
     r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
     """
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2)
+    K, depth = _real(K, "K", 1), _depth(depth)
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
     even_even, even_odd, odd_odd = _worst_pair_residuals(
@@ -305,7 +289,7 @@ def breakpoint_image_worst(f, depth):
     """Worst |log2 f(r_n) + n| over n <= depth (breakpoints map to halves)."""
     if not isinstance(f, PiecewisePowerMap):
         raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
-    depth = _count(depth, "depth", 2)
+    depth = _depth(depth)
     n = np.arange(0, depth + 1)
     return _max_abs_diff(f.eval_log(f.breakpoint(n)) + n)
 
@@ -313,7 +297,7 @@ def breakpoint_image_worst(f, depth):
 def _checked_settings(K, dimension, depth, grid_points, tol):
     """The parameters of ``run_verification`` (the CLI's numeric settings), checked, by name."""
     return {"K": _real(K, "K", 1), "dimension": _count(dimension, "dimension", 2),
-            "depth": _count(depth, "depth", 2),
+            "depth": _depth(depth),
             "grid_points": _count(grid_points, "grid_points", 2), "tol": _real(tol, "tol")}
 
 
@@ -331,13 +315,16 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     grid = np.linspace(-3.0 * period, 0.0, grid_points)
     grid_interior = grid[grid < 0.0]
     n_zoom = range(1, 51)
-    checks: list[Check] = []
+    checks = []
 
-    def residual(name, measured, threshold=None):
-        checks.append(Check(name, float(measured), tol if threshold is None else threshold, "<="))
+    def residual(name, measured, threshold=None, comparison="<="):
+        measured, threshold = float(measured), tol if threshold is None else threshold
+        passed = measured <= threshold if comparison == "<=" else measured >= threshold
+        checks.append({"name": name, "measured": measured, "threshold": threshold,
+                       "comparison": comparison, "passed": passed})
 
     def witness(name, measured, threshold):
-        checks.append(Check(name, float(measured), threshold, ">="))
+        residual(name, measured, threshold, ">=")
 
     # --- construction identities -------------------------------------------
     residual("breakpoints_closed_form_vs_recurrence", recurrence_vs_closed_worst(K, depth))
@@ -360,13 +347,10 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     witness("eval_strictly_increasing_margin", float(np.diff(values).min()), tol)
     residual("inverse_roundtrip", _max_abs_diff(f.inverse_eval_log(values), grid))
     residual("mean_radius_equals_forward_eval", _max_abs_diff(f.mean_radius_radial(grid), values))
-    # linear scan: the first n >= 1 with r_n <= x <= r_{n-1}, over enough
-    # breakpoints to cover the grid
+    # linear scan: the first n >= 1 with r_n <= x <= r_{n-1}, over r_0 .. r_8,
+    # which cover the grid: r_8 = -4(K + 1/K) lies below its -3(K + 1/K)
     scan_grid = np.linspace(-3.0 * period, 0.0, 301)
-    n_scan = 8
-    while f.breakpoint(n_scan) > scan_grid[0]:
-        n_scan *= 2
-    bps = f.breakpoint(np.arange(0, n_scan + 1))
+    bps = f.breakpoint(np.arange(9))
     x_col = scan_grid[:, None]
     inside = (bps[1:] <= x_col) & (x_col <= bps[:-1])
     scan_index = np.argmax(inside, axis=1) + 1
@@ -374,28 +358,12 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     residual("locate_matches_linear_scan", float(scan_mismatches), 0.0)
 
     # --- zoom limits ---------------------------------------------------------
-    p1 = limit_function(f, "P1")
-    p2 = limit_function(f, "P2")
-    q1 = limit_function(h, "Q1")
-    q2 = limit_function(h, "Q2")
-    residual(
-        "zoom_even_scales_match_p1",
-        zoom_limit_deviation(f, EVEN_BREAKPOINTS, p1, n_zoom, grid_interior),
-    )
-    residual(
-        "zoom_odd_scales_match_p2",
-        zoom_limit_deviation(f, ODD_BREAKPOINTS, p2, n_zoom, grid_interior),
-    )
-    residual(
-        "zoom_h_even_scales_match_q1",
-        zoom_limit_deviation(h, EVEN_BREAKPOINTS, q1, n_zoom, grid_interior),
-    )
-    residual(
-        "zoom_h_odd_scales_match_q2",
-        zoom_limit_deviation(h, ODD_BREAKPOINTS, q2, n_zoom, grid_interior),
-    )
+    p1, p2, q1, q2 = limits = [limit_function(f, kind) for kind in LIMIT_KINDS]
+    for lf, map_, sequence in zip(limits, (f, f, h, h), (EVEN_BREAKPOINTS, ODD_BREAKPOINTS) * 2):
+        residual(f"zoom_{'h_' if map_ is h else ''}{sequence}_scales_match_{lf.kind.lower()}",
+                 zoom_limit_deviation(map_, sequence, lf, n_zoom, grid_interior))
     residual("limit_p1_coincides_with_map", _max_abs_diff(p1.eval_log(grid), values))
-    residual("limits_fix_unit_radius", max(abs(lf.eval_log(0.0)) for lf in (p1, p2, q1, q2)))
+    residual("limits_fix_unit_radius", max(abs(lf.eval_log(0.0)) for lf in limits))
     bp_even = f.breakpoint(2 * np.arange(1, 26))
     residual("q1_fixes_even_breakpoints", _max_abs_diff(q1.eval_log(bp_even), bp_even))
     bp_all = f.breakpoint(np.arange(0, 51))
@@ -548,13 +516,12 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         )
     residual("one_dimensional_model_identities", ex_worst, 1e-12)
 
-    results = [c.as_dict() for c in checks]
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {"K": K, "dimension": dimension, "depth": depth, "grid_points": grid_points,
                    "tol": tol},
-        "checks": results,
-        "passed": sum(1 for c in results if c["passed"]),
-        "failed": sum(1 for c in results if not c["passed"]),
-        "all_passed": all(c["passed"] for c in results),
+        "checks": checks,
+        "passed": sum(1 for c in checks if c["passed"]),
+        "failed": sum(1 for c in checks if not c["passed"]),
+        "all_passed": all(c["passed"] for c in checks),
     }

@@ -15,6 +15,7 @@ than one zoom limit is the whole point of the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,12 @@ _OUTSIDE = "target {} is outside the achievable bracket [{}, {}] at this radius"
 
 
 def _base_of(map_):
-    """Underlying piecewise power map (conjugated maps carry it as .source)."""
-    return getattr(map_, "source", map_)
+    """The piecewise power map under a map argument f or h (h carries it as
+    .source): the one check of every map argument, ``TypeError`` for any other."""
+    base = getattr(map_, "source", map_)
+    if not isinstance(base, PiecewisePowerMap) or isinstance(map_, LimitFunction):
+        raise TypeError("map must be a PiecewisePowerMap or a ConjugatedMap")
+    return base
 
 
 @dataclass(frozen=True)
@@ -92,10 +97,7 @@ def limit_function(map_, kind) -> LimitFunction:
     """
     if kind not in LIMIT_KINDS:
         raise ValueError(f"kind must be one of {LIMIT_KINDS}, got {kind!r}")
-    base = _base_of(map_)
-    if not isinstance(base, PiecewisePowerMap):
-        raise TypeError("map must be a PiecewisePowerMap or carry one as .source")
-    return LimitFunction(kind=kind, source=base)
+    return LimitFunction(kind=kind, source=_base_of(map_))
 
 
 def rescaled_eval(map_, t, r):
@@ -105,6 +107,7 @@ def rescaled_eval(map_, t, r):
     sentinel, which passes through.  The value at r = 1 (log2 0) is exactly 0:
     the normalization preserves the unit-ball measure.
     """
+    _base_of(map_)
     t = _log_radius(t, "t", allow_zero_radius=False)
     at_one = t == 0.0
     if at_one if isinstance(t, float) else at_one.any():
@@ -170,7 +173,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     # checked here, so that an error names this parameter and not scale_at's n
     j = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     r0, lam = _floats(r0, "r0"), _floats(lam, "lam")
-    t_even, t_odd = scale_at(map_, EVEN_BREAKPOINTS, j), scale_at(map_, ODD_BREAKPOINTS, j)
+    base = _base_of(map_)
+    t_even, t_odd = scale_at(base, EVEN_BREAKPOINTS, j), scale_at(base, ODD_BREAKPOINTS, j)
     point = isinstance(r0, float) and isinstance(lam, float) and isinstance(j, int)
     if not point:
         lanes = np.broadcast_arrays(r0, lam, j, t_even, t_odd)
@@ -178,8 +182,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         r0, lam, j, t_even, t_odd = (v.ravel() for v in lanes)
     if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
-    even, odd = ("P1", "P2") if map_ is _base_of(map_) else ("Q1", "Q2")
-    a, b = limit_function(map_, even).eval_log(r0), limit_function(map_, odd).eval_log(r0)
+    F, even, odd = ("P1", "P1", "P2") if map_ is base else ("h", "Q1", "Q2")
+    a, b = limit_function(base, even).eval_log(r0), limit_function(base, odd).eval_log(r0)
     if point:
         if abs(lam - a) <= tol:
             return t_even
@@ -188,7 +192,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         lo, hi = min(a, b), max(a, b)
         if not lo < lam < hi:
             raise BracketError(_OUTSIDE.format(lam, lo, hi))
-        return min(max(_solve(map_, r0, lam, j, t_even), t_even), t_odd)
+        return min(max(_solve(base.K, F, r0, lam, j, t_even), t_even), t_odd)
     with np.errstate(invalid="ignore"):  # inf - inf, an infinite target at the sentinel r0
         snap_even = np.abs(lam - a) <= tol
         snap_odd = ~snap_even & (np.abs(lam - b) <= tol)
@@ -200,17 +204,16 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         i = lane[np.argmax(outside)]
         raise BracketError(_OUTSIDE.format(float(lam[i]), float(lo[i]), float(hi[i])))
     t_even, t_odd = t_even[lane], t_odd[lane]
-    t[lane] = np.clip(_solve(map_, r0[lane], lam[lane], j[lane], t_even), t_even, t_odd)
+    t[lane] = np.clip(_solve(base.K, F, r0[lane], lam[lane], j[lane], t_even), t_even, t_odd)
     return t.reshape(shape)
 
 
-def _solve(map_, r0, lam, j, t_even):
-    """``ivt_sample``'s scale for bracketed targets, before the clip to the
-    bracket [t_even, t_odd]: floats or equal-length arrays alike, so the two
-    drivers of ``_eval_cells`` give the point call and each lane alike."""
+def _solve(K, F, r0, lam, j, t_even):
+    """``ivt_sample``'s scale for bracketed targets on F (cell spec "P1" or "h"),
+    before the clip to the bracket [t_even, t_odd]: floats or equal-length arrays
+    alike, so the two drivers of ``_eval_cells`` give the point call and each lane alike."""
     _log_radius(r0 + t_even, "r0 + t")  # the deepest point of the bracket
-    base = _base_of(map_)
-    P, _, k, F0, _, _, shift = _cell_spec("P1" if map_ is base else "h", base.K)
+    P, _, k, F0, _, _, shift = _cell_spec(F, K)
     F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
     # inverse is c y on (-V, 0] (G's flat piece is a jump), shifted by P per cell.
@@ -266,6 +269,7 @@ def example_1d_rescaled(x, delta):
     xa = _floats(x, "x")
     if np.any(np.isnan(xa)) or np.any(np.abs(xa) > 1.0):
         raise ValueError("x must lie in [-1, 1]")
-    d = _real(delta, "delta")
+    # scale-free: delta's power of two cancels exactly, so drop it before anything underflows
+    d = math.frexp(_real(delta, "delta"))[0]
     out = _two_slope_line(d * xa) / example_1d_mean_radius(d)
     return float(out) if np.ndim(xa) == 0 else out

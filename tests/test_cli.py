@@ -185,7 +185,7 @@ class TestStreamedTables:
         col = np.array([0.0, -0.0, 1.5, -0.0, 0.0, np.inf, -np.inf])
         ints = np.arange(col.size)
         for fmt in ("csv", "json"):
-            cfg = cli.RunConfig(**{**cli.DEFAULTS, "output_format": fmt})
+            cfg = argparse.Namespace(**{**cli.DEFAULTS, "output_format": fmt})
             cli._emit_table(cfg, "t", ("i", "x"), [(ints, col)], extra={"s": -0.0})
             want = ref_emit_table(fmt, "t", ("i", "x"), zip(ints.tolist(), col.tolist()),
                                   extra={"s": -0.0})
@@ -215,6 +215,15 @@ class TestBounds:
             code, out, err = run_cli(capsys, "distortion", "--map", "h", "--iterates", count)
             assert (code, out) == (2, ""), count
             assert "--iterates" in err
+
+    def test_verify_depth_bound_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("verify started before its depth was checked")
+
+        monkeypatch.setattr(verify, "build_standard_map", no_work)
+        for depth in (str(2**24 + 1), "3000000000", str(2**63)):
+            assert run_cli(capsys, "verify", "--depth", depth) == (
+                2, "", "radialqc: invalid configuration value: depth must be at most 2**24\n")
 
     def test_zoom_memory_flat_in_rows(self, tmp_path):
         # one child process writes 9,990 zoom rows, then 99,900 in CSV and in
@@ -255,7 +264,7 @@ class TestBounds:
         assert (proc.returncode, err) == (1, b"")
 
 
-#: the RunConfig fields each subcommand reads, hence the only shared flags it takes
+#: the settings each subcommand reads, hence the only shared flags it takes
 COMMAND_FIELDS = {
     "eval": ("K", "output_format", "output_path"),
     "zoom": ("K", "grid_points", "tol", "output_format", "output_path"),
@@ -305,9 +314,9 @@ class TestFlags:
             cli.build_parser().parse_args(argv)  # a flag the command does not take exits 2
 
     def test_allocation_failure_is_a_usage_error(self, capsys, monkeypatch):
-        # stands in for numpy's error at verify --depth 3000000000 or a zoom grid
-        # of 3e9 points, which would try to allocate tens of GB
-        text = "Unable to allocate 22.4 GiB for an array with shape (3000000000,)"
+        # stands in for numpy's error at a verify depth the machine cannot hold
+        # or a zoom grid of 3e9 points, which would try to allocate tens of GB
+        text = "Unable to allocate 128 MiB for an array with shape (16777217,)"
 
         def no_memory(*args, **kwargs):
             raise MemoryError(text)
@@ -316,7 +325,7 @@ class TestFlags:
             raise MemoryError
 
         monkeypatch.setattr(verify, "_distinct_breakpoints_log2", no_memory)
-        assert run_cli(capsys, "verify", "--depth", "3000000000") == (2, "", f"radialqc: {text}\n")
+        assert run_cli(capsys, "verify", "--depth", "16777216") == (2, "", f"radialqc: {text}\n")
         monkeypatch.setattr(np, "linspace", no_memory)
         zoom = ("zoom", "--map", "f", "--seq", "even", "--n", "1")
         for grid in ("--grid=-5:-1:3000000000", "--grid-points=3000000000"):

@@ -4,9 +4,12 @@ in one of two ways: a finite value (or the radius-0 sentinel -inf), or
 ``ValueError``/``TypeError``.  A bool, a str, a complex and None are not real
 numbers anywhere and raise ``TypeError``, also inside a list.  Every index
 argument, read through ``powermap._index_array``, answers the same way, and
-its int fast path raises what the 1-element array call raises.  Warnings are
-errors, so a ``RuntimeWarning`` or ``ComplexWarning`` on the way fails the
-case too.
+its int fast path raises what the 1-element array call raises.  Every count,
+read through ``powermap._count``, raises ``TypeError`` unless it is an
+integer and ``ValueError`` below its least value, and every map argument,
+read through ``zoom._base_of``, raises ``TypeError`` unless it is f or h.
+Warnings are errors, so a ``RuntimeWarning`` or ``ComplexWarning`` on the way
+fails the case too.
 
 No case may start a large allocation: CI runs this file under a 4 GB
 address-space limit as well.
@@ -30,9 +33,14 @@ from radialqc import (
     iterate_max_distortion,
     ivt_sample,
     limit_function,
+    linear_distortion_radial,
+    max_distortion,
     pointwise_distortion,
+    radial_power_distortion,
     rescaled_eval,
+    run_verification,
     scale_at,
+    verify,
     zoom_limit_deviation,
 )
 from radialqc.powermap import MAX_BREAKPOINT_INDEX
@@ -78,6 +86,7 @@ OUT_OF_RANGE = {
     "nan": math.nan,
     "+inf": math.inf,
     "-inf": -math.inf,
+    "subnormal 5e-324": 5e-324,
 }
 NOT_REAL = {
     "True": True,
@@ -197,3 +206,83 @@ def test_iterate_bound_is_checked_before_any_allocation(m_max):
 def test_iterate_bound_itself_is_accepted():
     reports = iterate_max_distortion(H, 2, 2**20)
     assert len(reports) == 2**20 and reports[-1].K_max == 1.0
+
+
+def _raises_type_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TypeError):
+            call()
+
+
+class TestMapArgument:
+    """A map argument other than f or h, a zoom limit included, raises
+    ``TypeError`` (it was an ``AttributeError``, or for a limit a value)."""
+
+    ENTRY_POINTS = {
+        "scale_at": lambda m: scale_at(m, "even", 1),
+        "ivt_sample": lambda m: ivt_sample(m, -0.5, -0.6, 1e-9),
+        "rescaled_eval": lambda m: rescaled_eval(m, -1.0, -1.0),
+        "h_via_conjugacy": lambda m: h_via_conjugacy(m, -1.0),
+        "pointwise_distortion": lambda m: pointwise_distortion(m, 2, -0.6),
+        "max_distortion": lambda m: max_distortion(m, 2),
+        "iterate_max_distortion": lambda m: iterate_max_distortion(m, 2, 3),
+    }
+    NOT_A_MAP = {"None": None, "str": "f", "float": 2.0, "P2 limit": limit_function(F, "P2"),
+                 "Q1 limit": limit_function(H, "Q1")}
+
+    @pytest.mark.parametrize("value", NOT_A_MAP.values(), ids=NOT_A_MAP)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_not_a_map_raises_type_error(self, entry, value):
+        _raises_type_error(lambda: entry(value))
+
+    def test_conjugacy_route_needs_f_itself(self):
+        _raises_type_error(lambda: h_via_conjugacy(H, -1.0))
+
+
+#: every count argument: its call and its least value
+COUNT_ENTRY_POINTS = {
+    "radial_power_distortion d": (lambda d: radial_power_distortion(2.0, d), 2),
+    "pointwise_distortion d": (lambda d: pointwise_distortion(F, d, -0.6), 2),
+    "finite_difference_distortion d": (
+        lambda d: finite_difference_distortion(F, d, -0.6, 1e-9), 2),
+    "max_distortion d": (lambda d: max_distortion(F, d), 2),
+    "iterate_max_distortion d": (lambda d: iterate_max_distortion(H, d, 3), 2),
+    "iterate_max_distortion m_max": (lambda m: iterate_max_distortion(H, 2, m), 1),
+    "linear_distortion_radial d": (lambda d: linear_distortion_radial(F, d), 2),
+    **{f"{name} depth": (lambda depth, name=name: getattr(verify, name)(2.0, depth), 2)
+       for name in ("recurrence_vs_closed_worst", "anchor_identity_worst", "continuity_worst",
+                    "product_identities_worst")},
+    "breakpoint_image_worst depth": (lambda depth: verify.breakpoint_image_worst(F, depth), 2),
+    "run_verification depth": (lambda depth: run_verification(depth=depth), 2),
+    "run_verification dimension": (lambda d: run_verification(dimension=d), 2),
+    "run_verification grid_points": (lambda n: run_verification(grid_points=n), 2),
+}
+
+
+def hostile_counts(least):
+    """(value, error class) of each hostile count."""
+    return {
+        "True": (True, TypeError),
+        "np.bool_": (np.bool_(True), TypeError),
+        "2.5": (2.5, TypeError),
+        "np.float64(3.0)": (np.float64(3.0), TypeError),
+        "subnormal 5e-324": (5e-324, TypeError),
+        "str": ("3", TypeError),
+        "None": (None, TypeError),
+        "complex": (3 + 0j, TypeError),
+        "least - 1": (least - 1, ValueError),
+        "-1": (-1, ValueError),
+        "1-element int array": (np.array([3]), TypeError),
+        "2-D int array": (np.array([[1, 2], [3, 4]]), TypeError),
+    }
+
+
+@pytest.mark.parametrize("case", hostile_counts(1), ids=hostile_counts(1))
+@pytest.mark.parametrize("entry, least", COUNT_ENTRY_POINTS.values(), ids=COUNT_ENTRY_POINTS)
+def test_hostile_count_raises_the_checkers_error(entry, least, case):
+    value, error = hostile_counts(least)[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"must be an integer >= {least}$"):
+            entry(value)

@@ -300,6 +300,51 @@ def test_helpers_check_their_inputs_before_any_work(monkeypatch, helper, args, e
         getattr(verify, helper)(*args)
 
 
+F2 = build_standard_map(2.0)
+
+#: every call that reads ``depth``: the five helpers and the suite itself
+DEPTH_CALLS = {
+    "recurrence_vs_closed_worst": lambda depth: verify.recurrence_vs_closed_worst(2.0, depth),
+    "anchor_identity_worst": lambda depth: verify.anchor_identity_worst(2.0, depth),
+    "continuity_worst": lambda depth: verify.continuity_worst(2.0, depth),
+    "product_identities_worst": lambda depth: verify.product_identities_worst(2.0, depth),
+    "breakpoint_image_worst": lambda depth: verify.breakpoint_image_worst(F2, depth),
+    "run_verification": lambda depth: run_verification(depth=depth),
+}
+
+
+@pytest.mark.parametrize("depth", [2**24 + 1, 2**40, 2**62, 2**63, 10**30])
+@pytest.mark.parametrize("call", DEPTH_CALLS.values(), ids=DEPTH_CALLS)
+def test_depth_bound_checked_before_any_allocation(monkeypatch, call, depth):
+    # 2**40 used to ask numpy for 8 TiB, and 2**63 made np.arange silently empty
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before depth was checked")
+
+    for owner, name in ((verify, "breakpoint_log2"), (verify, "build_standard_map"),
+                        (PiecewisePowerMap, "breakpoint"), (np, "arange")):
+        monkeypatch.setattr(owner, name, no_work)
+    with pytest.raises(ValueError, match=r"^depth must be at most 2\*\*24$"):
+        call(depth)
+
+
+@pytest.mark.parametrize("K", [2.0, 15.0])
+def test_report_rows_judge_themselves(K):
+    # K = 15 fails h_forwards_breakpoints, so both outcomes of a row are seen
+    report = run_verification(K=K)
+    rows = report["checks"]
+    assert len(rows) == 42
+    for row in rows:
+        assert list(row) == ["name", "measured", "threshold", "comparison", "passed"]
+        assert type(row["measured"]) is float and type(row["passed"]) is bool
+        below = row["measured"] <= row["threshold"]
+        above = row["measured"] >= row["threshold"]
+        assert row["passed"] == {"<=": below, ">=": above}[row["comparison"]], row
+    failed = [row["name"] for row in rows if not row["passed"]]
+    assert failed == ([] if K == 2.0 else ["h_forwards_breakpoints"])
+    assert (report["passed"], report["failed"]) == (42 - len(failed), len(failed))
+    assert report["all_passed"] == (not failed)
+
+
 def test_parameters_checked_before_any_check_runs(monkeypatch):
     def no_build(K):
         raise AssertionError("a check ran before the parameters were validated")
