@@ -69,7 +69,7 @@ def _max_abs_diff(a, b=0.0):
 def _depth(depth):
     """``depth`` as an int in 2..2**24, checked before any array is built."""
     depth = _count(depth, "depth", 2)
-    if depth > 2**24:  # the product scan is quadratic: 0.16 s at 3 * 10**4, 14 h here
+    if depth > 2**24:  # the product scan is quadratic in depth
         raise ValueError("depth must be at most 2**24")
     return depth
 
@@ -135,7 +135,9 @@ def continuity_worst(K, depth):
 
 
 #: rows x diagonals of one tile of ``_worst_pair_residuals``: smaller tiles pay more
-#: numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1
+#: numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1.
+#: Each tile is filled by a copy of its strided window of t and an in-place add of
+#: its rows: two passes over contiguous memory beat one add from the strided window
 _TILE = (128, 512)
 
 
@@ -153,10 +155,14 @@ def _row_block_extremes(table, a0, rows, buf):
     NaN pairs skipped; ``rows`` and ``buf`` are the caller's tile buffers.
 
     A tile is the rows by ``width`` diagonals k = a + b from k0, buf[i, j] =
-    s[a0 + i] + t[k0 + j - a0 - i]; its ``fmax``/``fmin`` over the rows go
-    straight into ``extremes``, as each k lies in one tile of the block.  Then
-    t[k] (NaN from len(t) on) is subtracted once per diagonal: rounding is
-    monotone, so max fl(x - t[k]) = fl(max x - t[k]), and the same for the min.
+    s[a0 + i] + t[k0 + j - a0 - i]: the strided window of t is copied into
+    ``buf`` and the rows are added in place, as two passes over contiguous
+    memory are faster than one that reads the window and writes a third array,
+    and t[b] + s[a] is the same IEEE sum as s[a] + t[b].  Its ``fmax``/``fmin``
+    over the rows go straight into ``extremes``, as each k lies in one tile of
+    the block.  Then t[k] (NaN from len(t) on) is subtracted once per diagonal:
+    rounding is monotone, so max fl(x - t[k]) = fl(max x - t[k]), and the same
+    for the min.
     """
     s, t, windows, L, mirror = table
     rows_per_tile, width = _TILE
@@ -165,7 +171,8 @@ def _row_block_extremes(table, a0, rows, buf):
     extremes = np.empty((2, -(-(L - start) // width) * width))
     for j in range(0, L - start, width):
         c = start + j - a0  # row i of the tile reads t[c - i:c - i + width]
-        np.add(rows, windows[c + 1:c + rows_per_tile + 1][::-1], out=buf)
+        np.copyto(buf, windows[c + 1:c + rows_per_tile + 1][::-1])
+        buf += rows
         np.fmax.reduce(buf, axis=0, out=extremes[0, j:j + width])
         np.fmin.reduce(buf, axis=0, out=extremes[1, j:j + width])
     extremes -= t[start:start + extremes.shape[1]]

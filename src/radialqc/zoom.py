@@ -170,11 +170,11 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     input error, a plain ``ValueError``.
     """
     tol = _real(tol, "tol")
-    # checked here, so that an error names this parameter and not scale_at's n
+    # checked here, so that an error names this parameter and not the breakpoint index
     j = _index_array(period_index, "period_index", 1, MAX_BREAKPOINT_INDEX // 2)
     r0, lam = _floats(r0, "r0"), _floats(lam, "lam")
     base = _base_of(map_)
-    t_even, t_odd = scale_at(base, EVEN_BREAKPOINTS, j), scale_at(base, ODD_BREAKPOINTS, j)
+    t_even, t_odd = base.breakpoint(2 * j), base.breakpoint(2 * j - 1)
     point = isinstance(r0, float) and isinstance(lam, float) and isinstance(j, int)
     if not point:
         lanes = np.broadcast_arrays(r0, lam, j, t_even, t_odd)
@@ -183,7 +183,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
     F, even, odd = ("P1", "P1", "P2") if map_ is base else ("h", "Q1", "Q2")
-    a, b = limit_function(base, even).eval_log(r0), limit_function(base, odd).eval_log(r0)
+    a, b = _eval_cells(r0, _cell_spec(even, base.K)), _eval_cells(r0, _cell_spec(odd, base.K))
     if point:
         if abs(lam - a) <= tol:
             return t_even
@@ -253,9 +253,19 @@ def _two_slope_line(x):
 
 def example_1d_mean_radius(delta):
     """Mean radius of the image of (-1, 1) under x -> f(delta x) for the 1-D
-    two-slope model: half the image interval's length, i.e. 3 delta / 4."""
-    d = _real(delta, "delta")
-    return 0.5 * (float(_two_slope_line(d)) - float(_two_slope_line(-d)))
+    two-slope model: half the image interval's length, i.e. 3 delta / 4,
+    correctly rounded for every delta.
+
+    The model is scale-free, so the length is taken at delta's mantissa m in
+    [1/2, 1), where halving is exact, and its half, the float nearest 3m/4, is
+    scaled back by delta's power of two.  That step rounds only a subnormal
+    result, and it cannot round twice: there delta = M * 2**-1074 with
+    3M < 2**54, so 3m/2 is inexact only for an odd 3M, a tie that goes to the
+    neighbour 3M +- 1 divisible by 4, and the half scales back exactly onto the
+    nearest multiple of 2**-1074 to 3 delta / 4.
+    """
+    m, e = math.frexp(_real(delta, "delta"))
+    return math.ldexp(0.5 * (float(_two_slope_line(m)) - float(_two_slope_line(-m))), e)
 
 
 def example_1d_rescaled(x, delta):

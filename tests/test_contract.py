@@ -87,6 +87,13 @@ OUT_OF_RANGE = {
     "+inf": math.inf,
     "-inf": -math.inf,
     "subnormal 5e-324": 5e-324,
+    "2**63": 2**63,
+    "-(2**63)": -(2**63),
+    "np.int64(-2**63)": np.int64(-(2**63)),
+    "empty array": np.empty(0),
+    "empty 2-D array": np.empty((0, 3)),
+    "2-D array": np.array([[-1.0, -0.5], [-0.25, -2.0]]),
+    "1-element array": np.array([-0.5]),
 }
 NOT_REAL = {
     "True": True,

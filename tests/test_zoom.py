@@ -416,6 +416,17 @@ class TestIvtSampler:
             ivt_sample(map_, r0s, lams, 1e-9, period_index=3)
             ivt_sample(map_, r0s[0], lams[0], 1e-9)
 
+    def test_checks_its_map_argument_once(self, f, h, monkeypatch):
+        checked = []
+        base_of = zoom._base_of
+        monkeypatch.setattr(zoom, "_base_of", lambda m: checked.append(m) or base_of(m))
+        for map_ in (f, h):
+            r0s, lams = self.bracketed_targets(map_, 20, seed=3)
+            for r0, lam in ((r0s, lams), (r0s[0], lams[0])):
+                checked.clear()
+                ivt_sample(map_, r0, lam, 1e-9)
+                assert checked == [map_]
+
     @pytest.mark.parametrize("which", ["f", "h"])
     def test_array_period_index_with_snapped_lanes(self, f, h, which):
         map_ = f if which == "f" else h
@@ -551,6 +562,21 @@ class TestOneDimensionalModel:
     def test_mean_radius(self):
         for delta in (1.0, 0.5, 1e-3, 1e-9):
             assert abs(example_1d_mean_radius(delta) - 0.75 * delta) <= 1e-12 * delta
+
+    def test_mean_radius_is_correctly_rounded(self):
+        tiny, top = 2.0**-1022, sys.float_info.max
+        rng = np.random.default_rng(7)
+        deltas = [
+            # 3 delta / 4 subnormal: the edges, and a sample between them
+            5e-324, 1e-323, tiny, math.nextafter(tiny, 1.0), math.nextafter(4 / 3 * tiny, 0.0),
+            *rng.uniform(0.0, 4 / 3 * tiny, 4000),
+            # delta / 2 subnormal, every other binade, and the top, where 1.5 delta overflows
+            4 / 3 * tiny, *rng.uniform(4 / 3 * tiny, 2 * tiny, 1000),
+            *map(math.ldexp, rng.uniform(0.5, 1.0, 1023), range(-1020, 1025, 2)),
+            top / 1.5, math.nextafter(top / 1.5, top), top,
+        ]
+        for delta in map(float, deltas):
+            assert example_1d_mean_radius(delta) == float(Fraction(3, 4) * Fraction(delta)), delta
 
     def test_rescaled_values_independent_of_delta(self):
         for delta in (1.0, 0.5, 1e-3, 1e-9):
