@@ -30,23 +30,20 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import MAX_BREAKPOINT_INDEX, _index_array, _period, build_standard_map
+from .powermap import MAX_BREAKPOINT_INDEX, _count, _index_array, _period, build_standard_map
 from .uqrmap import build_conjugated_map
-from .verify import SCHEMA_VERSION, _checked_settings, run_verification
+from .verify import _MAX_GRID_POINTS, SCHEMA_VERSION, _checked_settings, run_verification
 from .zoom import (
+    _MATCHED,
+    EVEN_BREAKPOINTS,
+    LIMIT_KINDS,
+    ODD_BREAKPOINTS,
     BracketError,
     ivt_sample,
     limit_function,
     rescaled_eval,
     scale_at,
 )
-
-_MATCHED_LIMIT = {
-    ("f", "even"): "P1",
-    ("f", "odd"): "P2",
-    ("h", "even"): "Q1",
-    ("h", "odd"): "Q2",
-}
 
 
 class UsageError(ValueError):
@@ -191,7 +188,7 @@ def _parse_grid_spec(spec, cfg):
         raise UsageError(f"bad grid spec {spec!r}: use lo:hi:count in log2") from exc
     if not (np.isfinite(lo) and lo < hi <= 0.0 and count >= 2):
         raise UsageError("grid spec needs finite lo < hi <= 0 and count >= 2")
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, _count(count, "grid spec count", 2, _MAX_GRID_POINTS))
 
 
 def _log2_inputs(args, flag, repeatable=False):
@@ -212,17 +209,13 @@ def _log2_inputs(args, flag, repeatable=False):
 
 
 def _eval_target(name, f, h):
-    if name == "f":
-        return f
-    if name == "h":
-        return h
-    return limit_function(h if name.startswith("Q") else f, name)
+    """The map ``--map`` names: f, h, or a zoom limit, whose source is always f."""
+    return {"f": f, "h": h}[name] if name in _MATCHED else limit_function(f, name)
 
 
 def _cmd_eval(cfg, args) -> int:
     f = build_standard_map(cfg.K)
-    h = build_conjugated_map(f)
-    target = _eval_target(args.map, f, h)
+    target = _eval_target(args.map, f, build_conjugated_map(f))
     xs = np.array(_log2_inputs(args, "r", repeatable=True))
     if not xs.size:
         raise UsageError("give at least one radius via --r or --log2-r")
@@ -234,14 +227,13 @@ def _cmd_eval(cfg, args) -> int:
 
 def _cmd_zoom(cfg, args) -> int:
     f = build_standard_map(cfg.K)
-    h = build_conjugated_map(f)
-    map_ = f if args.map == "f" else h
+    map_ = _eval_target(args.map, f, build_conjugated_map(f))
     ns, deepest = _parse_n_spec(args.n)
     grid = _parse_grid_spec(args.grid, cfg)
     grid = grid[grid < 0.0]
     # the deepest point evaluated: a domain error surfaces before any pass
     rescaled_eval(map_, scale_at(map_, args.seq, deepest), grid[0])
-    kind = args.against or _MATCHED_LIMIT[(args.map, args.seq)]
+    kind = args.against or _MATCHED[args.map][1 if args.seq == EVEN_BREAKPOINTS else 2]
     lim = limit_function(map_, kind).eval_log(grid)
     per_block = max(1, _CHUNK_ROWS // grid.size)
 
@@ -261,13 +253,8 @@ def _cmd_zoom(cfg, args) -> int:
          rescaled.ravel(), np.tile(lim, n.size), dev.ravel())
         for n, t, rescaled, dev in blocks()
     )
-    _emit_table(
-        cfg,
-        "zoom",
-        ("n", "log2_t", "log2_r", "rescaled", "matched_limit", "abs_dev"),
-        columns,
-        extra={"max_abs_dev": max_dev},
-    )
+    _emit_table(cfg, "zoom", ("n", "log2_t", "log2_r", "rescaled", "matched_limit", "abs_dev"),
+                columns, extra={"max_abs_dev": max_dev})
     if max_dev > cfg.tol and not args.no_assert:
         print(f"zoom deviation {max_dev:.3e} exceeds tol {cfg.tol:.3e}", file=sys.stderr)
         return 1
@@ -369,18 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate f, h, or a zoom limit at given radii")
     _add_config(p, "K", "output_format", "output_path")
-    p.add_argument("--map", required=True, choices=("f", "h", "P1", "P2", "Q1", "Q2"))
+    p.add_argument("--map", required=True, choices=(*_MATCHED, *LIMIT_KINDS))
     p.add_argument("--r", type=float, action="append", help="radius in (0, 1]; repeatable")
     p.add_argument("--log2-r", type=float, action="append", help="log2 radius <= 0; repeatable")
     p.set_defaults(func=_cmd_eval, parser=p)
 
     p = sub.add_parser("zoom", help="rescaled zoom family vs its closed-form limit")
     _add_config(p, "K", "grid_points", "tol", "output_format", "output_path")
-    p.add_argument("--map", required=True, choices=("f", "h"))
-    p.add_argument("--seq", required=True, choices=("even", "odd"))
+    p.add_argument("--map", required=True, choices=tuple(_MATCHED))
+    p.add_argument("--seq", required=True, choices=(EVEN_BREAKPOINTS, ODD_BREAKPOINTS))
     p.add_argument("--n", required=True, help="scale indices: N, a,b,c or a..b")
     p.add_argument("--grid", help="log2 grid as lo:hi:count (default spans 3 periods)")
-    p.add_argument("--against", choices=("P1", "P2", "Q1", "Q2"),
+    p.add_argument("--against", choices=LIMIT_KINDS,
                    help="compare against this limit instead of the matched one")
     p.add_argument("--no-assert", dest="no_assert", action="store_true",
                    help="report deviation without failing the exit code")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import _count, _floats, _real
-from .zoom import _base_of
+from .uqrmap import _base_of
 
 __all__ = [
     "SUPREMUM",
@@ -41,6 +41,8 @@ SUPREMUM = "supremum"
 _H_LOG2_RADII = (-4.0, -2.0, -1.0, -0.5, -0.25)
 _H_DIRECTIONS = 64
 _H_SEED = 7
+#: the largest dimension sampled, so also of verify and the CLI: 195 MB peak at the bound
+_MAX_DIMENSION = 2**16
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,9 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     a symmetric difference of half-width ``step`` and assembles K_O = max^d / J
     and K_I = J / min^d from their definitions, in ratio form so that no power
     of a singular value underflows.  Serves as the independent oracle for the
-    closed forms; steps that cross a breakpoint are rejected for maps that
-    have them, and so is a difference quotient that is not positive (a step
+    closed forms.  ``map_`` is f, h (a zoom limit raises ``TypeError``) or a
+    plain callable r -> f(r).  Steps that cross a breakpoint of f or h are
+    rejected, and so is a difference quotient that is not positive (a step
     below the float resolution at r).  An overflow raises ``ValueError``.
     """
     d = _count(d, "dimension", 2)
@@ -107,7 +110,8 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     r = 2.0**x
     if r - step <= 0.0:
         raise ValueError("step too large: r - step must stay positive")
-    if hasattr(map_, "locate_interval"):
+    if hasattr(map_, "eval_log"):
+        _base_of(map_)
         if r + step > 1.0:
             raise ValueError("step too large: r + step leaves the unit interval")
         if map_.locate_interval(float(np.log2(r - step))) != map_.locate_interval(
@@ -168,9 +172,7 @@ def iterate_max_distortion(h, d, m_max):
     """
     _base_of(h)
     d = _count(d, "dimension", 2)
-    m_max = _count(m_max, "m_max", 1)
-    if m_max > 2**20:  # checked before the list of one report per iterate is built
-        raise ValueError("m_max must be at most 2**20")
+    m_max = _count(m_max, "m_max", 1, 2**20)  # before the list of one report per iterate
     odd = _supremum(h.distinct_exponents(), d)
     even = _supremum([1.0], d)
     return [odd if m % 2 else even for m in range(1, m_max + 1)]
@@ -184,7 +186,7 @@ def linear_distortion_radial(map_, d=2):
     and returns the worst max/min ratio, a consistency check of the radial
     representation rather than new information.
     """
-    d = _count(d, "dimension", 2)
+    d = _count(d, "dimension", 2, _MAX_DIMENSION)  # before the (64, d) samples
     f = _linear_radial_eval(map_)
     rng = np.random.default_rng(_H_SEED)
     worst = 1.0

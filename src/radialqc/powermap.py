@@ -199,10 +199,11 @@ def _real(v, name, above=0):
     return x
 
 
-def _count(n, name, least):
+def _count(n, name, least, most=math.inf):
     """``n`` as an int: ``TypeError`` unless integral (a bool is not), never
-    truncated, and ``ValueError`` below ``least``."""
-    if type(n) is int and n >= least:  # in the domain: the usual case
+    truncated, and ``ValueError`` outside ``least``..``most`` (a power of two,
+    for a count that sizes an allocation)."""
+    if type(n) is int and least <= n <= most:  # in the domain: the usual case
         return n
     message = f"{name} must be an integer >= {least}"
     if isinstance(n, bool) or not hasattr(n, "__index__"):
@@ -213,6 +214,8 @@ def _count(n, name, least):
         raise TypeError(message) from None
     if n < least:
         raise ValueError(message)
+    if n > most:
+        raise ValueError(f"{name} must be at most 2**{most.bit_length() - 1}")
     return n
 
 

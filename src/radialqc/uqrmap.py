@@ -34,7 +34,6 @@ from .powermap import (
     _log_radius,
     _period,
 )
-from .zoom import _base_of
 
 __all__ = ["ConjugatedMap", "build_conjugated_map", "h_via_conjugacy"]
 
@@ -93,9 +92,19 @@ class ConjugatedMap:
         return (self.K * self.K, 1.0 / (self.K * self.K))
 
 
+def _base_of(map_):
+    """The piecewise power map under a map argument: f itself, or h's checked
+    ``.source``.  The one check of every map argument, by exact type:
+    ``TypeError`` for anything else, a zoom limit included."""
+    base = map_.source if type(map_) is ConjugatedMap else map_
+    if type(base) is not PiecewisePowerMap:
+        raise TypeError("map must be a PiecewisePowerMap or a ConjugatedMap")
+    return base
+
+
 def build_conjugated_map(f: PiecewisePowerMap) -> ConjugatedMap:
     """Closed-form radial factor h = f^{-1}((.)/2 after f) for a given f."""
-    if not isinstance(f, PiecewisePowerMap):
+    if type(f) is not PiecewisePowerMap:  # the exact type, as ``_base_of`` reads it
         raise TypeError("build_conjugated_map needs a PiecewisePowerMap")
     return ConjugatedMap(source=f)
 

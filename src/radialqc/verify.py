@@ -17,6 +17,7 @@ import threading
 import numpy as np
 
 from .distortion import (
+    _MAX_DIMENSION,
     finite_difference_distortion,
     iterate_max_distortion,
     linear_distortion_radial,
@@ -60,24 +61,20 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: the bounds of depth, as the product scan is quadratic in it, and of grid_points,
+#: as the zoom checks hold 50 x grid_points values (a peak of 450 MB at the bound)
+_MAX_DEPTH, _MAX_GRID_POINTS = 2**24, 2**18
+
 
 def _max_abs_diff(a, b=0.0):
     """max |a - b| over the entries, as a float: the measure of every residual."""
     return float(np.max(np.abs(a - b)))
 
 
-def _depth(depth):
-    """``depth`` as an int in 2..2**24, checked before any array is built."""
-    depth = _count(depth, "depth", 2)
-    if depth > 2**24:  # the product scan is quadratic in depth
-        raise ValueError("depth must be at most 2**24")
-    return depth
-
-
 def _exponents(K, depth):
     """K and depth checked, with n = 1..depth and the branch exponents k_n
     (K on odd n, 1/K on even n) that the construction checks share."""
-    K, depth = _real(K, "K", 1), _depth(depth)
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2, _MAX_DEPTH)
     n = np.arange(1, depth + 1)
     return K, n, np.where(n % 2 == 1, K, 1.0 / K)
 
@@ -284,7 +281,7 @@ def product_identities_worst(K, depth):
     m >= n only: even + even skips most of its column m = 0, whose residuals
     r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
     """
-    K, depth = _real(K, "K", 1), _depth(depth)
+    K, depth = _real(K, "K", 1), _count(depth, "depth", 2, _MAX_DEPTH)
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
     even_even, even_odd, odd_odd = _worst_pair_residuals(
@@ -296,16 +293,18 @@ def breakpoint_image_worst(f, depth):
     """Worst |log2 f(r_n) + n| over n <= depth (breakpoints map to halves)."""
     if not isinstance(f, PiecewisePowerMap):
         raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
-    depth = _depth(depth)
+    depth = _count(depth, "depth", 2, _MAX_DEPTH)
     n = np.arange(0, depth + 1)
     return _max_abs_diff(f.eval_log(f.breakpoint(n)) + n)
 
 
 def _checked_settings(K, dimension, depth, grid_points, tol):
     """The parameters of ``run_verification`` (the CLI's numeric settings), checked, by name."""
-    return {"K": _real(K, "K", 1), "dimension": _count(dimension, "dimension", 2),
-            "depth": _depth(depth),
-            "grid_points": _count(grid_points, "grid_points", 2), "tol": _real(tol, "tol")}
+    return {"K": _real(K, "K", 1),
+            "dimension": _count(dimension, "dimension", 2, _MAX_DIMENSION),
+            "depth": _count(depth, "depth", 2, _MAX_DEPTH),
+            "grid_points": _count(grid_points, "grid_points", 2, _MAX_GRID_POINTS),
+            "tol": _real(tol, "tol")}
 
 
 def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):

@@ -30,6 +30,7 @@ from .powermap import (
     _log_radius,
     _real,
 )
+from .uqrmap import _base_of
 
 __all__ = [
     "EVEN_BREAKPOINTS",
@@ -51,21 +52,16 @@ EVEN_BREAKPOINTS = "even"
 ODD_BREAKPOINTS = "odd"
 LIMIT_KINDS = ("P1", "P2", "Q1", "Q2")
 
+#: each map's row of ``powermap._cell_spec`` and its limits at even and odd
+#: breakpoint scales: the construction's pairing, read by ``ivt_sample`` and the CLI
+_MATCHED = {"f": ("P1", "P1", "P2"), "h": ("h", "Q1", "Q2")}
+
 
 class BracketError(ValueError):
     """The target value is not bracketed by the two scale limits."""
 
 
 _OUTSIDE = "target {} is outside the achievable bracket [{}, {}] at this radius"
-
-
-def _base_of(map_):
-    """The piecewise power map under a map argument f or h (h carries it as
-    .source): the one check of every map argument, ``TypeError`` for any other."""
-    base = getattr(map_, "source", map_)
-    if not isinstance(base, PiecewisePowerMap) or isinstance(map_, LimitFunction):
-        raise TypeError("map must be a PiecewisePowerMap or a ConjugatedMap")
-    return base
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,8 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     is the distinctness witness.
     """
     base = _base_of(map_)
+    if not isinstance(lf, LimitFunction):
+        raise TypeError("lf must be a LimitFunction")
     if lf.source != base:
         raise ValueError("limit function was built for a different map")
     grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
@@ -182,7 +180,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         r0, lam, j, t_even, t_odd = (v.ravel() for v in lanes)
     if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
-    F, even, odd = ("P1", "P1", "P2") if map_ is base else ("h", "Q1", "Q2")
+    F, even, odd = _MATCHED["f" if map_ is base else "h"]
     a, b = _eval_cells(r0, _cell_spec(even, base.K)), _eval_cells(r0, _cell_spec(odd, base.K))
     if point:
         if abs(lam - a) <= tol:

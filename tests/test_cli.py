@@ -86,7 +86,8 @@ def reference_run(*argv):
         map_ = f if args.map == "f" else h
         grid = cli._parse_grid_spec(args.grid, cfg)
         grid = grid[grid < 0.0]
-        lf = limit_function(map_, args.against or cli._MATCHED_LIMIT[(args.map, args.seq)])
+        matched = {"f": {"even": "P1", "odd": "P2"}, "h": {"even": "Q1", "odd": "Q2"}}
+        lf = limit_function(map_, args.against or matched[args.map][args.seq])
         lim = np.atleast_1d(lf.eval_log(grid))
         rows, max_dev = [], 0.0
         for n in cli._parse_n_spec(args.n)[0]:
@@ -314,8 +315,8 @@ class TestFlags:
             cli.build_parser().parse_args(argv)  # a flag the command does not take exits 2
 
     def test_allocation_failure_is_a_usage_error(self, capsys, monkeypatch):
-        # stands in for numpy's error at a verify depth the machine cannot hold
-        # or a zoom grid of 3e9 points, which would try to allocate tens of GB
+        # stands in for numpy's error at a verify depth or a zoom grid the
+        # machine cannot hold (3e9 grid points are above the bound, which refuses them first)
         text = "Unable to allocate 128 MiB for an array with shape (16777217,)"
 
         def no_memory(*args, **kwargs):
@@ -328,8 +329,14 @@ class TestFlags:
         assert run_cli(capsys, "verify", "--depth", "16777216") == (2, "", f"radialqc: {text}\n")
         monkeypatch.setattr(np, "linspace", no_memory)
         zoom = ("zoom", "--map", "f", "--seq", "even", "--n", "1")
-        for grid in ("--grid=-5:-1:3000000000", "--grid-points=3000000000"):
+        for grid in ("--grid=-5:-1:262144", "--grid-points=262144"):
             assert run_cli(capsys, *zoom, grid) == (2, "", f"radialqc: {text}\n"), grid
+        for grid, error in (
+            ("--grid=-5:-1:3000000000", "grid spec count"),
+            ("--grid-points=3000000000", "invalid configuration value: grid_points"),
+        ):
+            want = f"radialqc: {error} must be at most 2**18\n"
+            assert run_cli(capsys, *zoom, grid) == (2, "", want), grid
         monkeypatch.setattr(np, "linspace", bare)  # still a one-line message
         assert run_cli(capsys, *zoom) == (2, "", "radialqc: MemoryError\n")
 

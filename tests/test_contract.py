@@ -6,16 +6,21 @@ numbers anywhere and raise ``TypeError``, also inside a list.  Every index
 argument, read through ``powermap._index_array``, answers the same way, and
 its int fast path raises what the 1-element array call raises.  Every count,
 read through ``powermap._count``, raises ``TypeError`` unless it is an
-integer and ``ValueError`` below its least value, and every map argument,
-read through ``zoom._base_of``, raises ``TypeError`` unless it is f or h.
-Warnings are errors, so a ``RuntimeWarning`` or ``ComplexWarning`` on the way
-fails the case too.
+integer and ``ValueError`` below its least value or above its bound, and
+every map argument, read through ``uqrmap._base_of``, raises ``TypeError``
+unless it is f or h.  Every subcommand of the command line answers a hostile
+flag, config file or unknown flag with exit 2 (1 for a target outside ivt's
+bracket) and one line on stderr, never a traceback.  Warnings are errors, so
+a ``RuntimeWarning`` or ``ComplexWarning`` on the way fails the case too.
 
 No case may start a large allocation: CI runs this file under a 4 GB
 address-space limit as well.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import warnings
 
@@ -24,6 +29,7 @@ import pytest
 
 from radialqc import (
     breakpoint_log2,
+    cli,
     build_conjugated_map,
     build_standard_map,
     example_1d_rescaled,
@@ -215,6 +221,36 @@ def test_iterate_bound_itself_is_accepted():
     assert len(reports) == 2**20 and reports[-1].K_max == 1.0
 
 
+#: every count that sizes an allocation: its call, its name and its upper bound
+BOUNDED_COUNTS = {
+    "linear_distortion_radial d": (lambda d: linear_distortion_radial(F, d), "dimension", 16),
+    "run_verification dimension": (lambda d: run_verification(dimension=d), "dimension", 16),
+    "run_verification grid_points": (lambda n: run_verification(grid_points=n), "grid_points",
+                                     18),
+    "run_verification depth": (lambda depth: run_verification(depth=depth), "depth", 24),
+    "product_identities_worst depth": (
+        lambda depth: verify.product_identities_worst(2.0, depth), "depth", 24),
+}
+
+
+@pytest.mark.parametrize("over", [1, 2**63, BIG], ids=["bound + 1", "2**63", "10**400"])
+@pytest.mark.parametrize("entry, name, log2_bound", BOUNDED_COUNTS.values(), ids=BOUNDED_COUNTS)
+def test_count_bound_is_checked_before_any_allocation(entry, name, log2_bound, over):
+    value = 2**log2_bound + 1 if over == 1 else over
+    with pytest.raises(ValueError, match=rf"^{name} must be at most 2\*\*{log2_bound}$"):
+        entry(value)
+
+
+def test_dimension_bound_itself_is_accepted():
+    # the (64, d) direction samples: about 195 MB at the bound
+    assert linear_distortion_radial(H, 2**16) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_grid_points_bound_itself_is_accepted():
+    # the zoom checks' 50 x grid_points arrays: about 450 MB at the bound
+    assert run_verification(depth=2, grid_points=2**18)["all_passed"]
+
+
 def _raises_type_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -224,10 +260,13 @@ def _raises_type_error(call):
 
 class TestMapArgument:
     """A map argument other than f or h, a zoom limit included, raises
-    ``TypeError`` (it was an ``AttributeError``, or for a limit a value)."""
+    ``TypeError`` (it was an ``AttributeError``, or for a limit a value), and
+    so does a limit argument that is not a zoom limit."""
 
     ENTRY_POINTS = {
         "scale_at": lambda m: scale_at(m, "even", 1),
+        "zoom_limit_deviation": lambda m: zoom_limit_deviation(m, "even", P1, [1], [-1.0]),
+        "finite_difference_distortion": lambda m: finite_difference_distortion(m, 2, -0.6, 1e-9),
         "ivt_sample": lambda m: ivt_sample(m, -0.5, -0.6, 1e-9),
         "rescaled_eval": lambda m: rescaled_eval(m, -1.0, -1.0),
         "h_via_conjugacy": lambda m: h_via_conjugacy(m, -1.0),
@@ -245,6 +284,22 @@ class TestMapArgument:
 
     def test_conjugacy_route_needs_f_itself(self):
         _raises_type_error(lambda: h_via_conjugacy(H, -1.0))
+
+    @pytest.mark.parametrize("value", [None, "P1", 2.0, F, H],
+                             ids=["None", "str", "float", "f", "h"])
+    def test_not_a_limit_raises_type_error(self, value):
+        # None and a str escaped as an AttributeError on .source
+        _raises_type_error(lambda: zoom_limit_deviation(F, "even", value, [1], [-1.0]))
+
+    def test_a_map_of_another_type_is_not_a_map(self):
+        # the check is by exact type: a subclass, or an h built around one, is refused
+        class Derived(type(F)):
+            pass
+
+        derived = Derived(K=2.0)
+        for value in (derived, type(H)(source=derived), type(H)(source=None)):
+            _raises_type_error(lambda: scale_at(value, "even", 1))
+        _raises_type_error(lambda: build_conjugated_map(derived))
 
 
 #: every count argument: its call and its least value
@@ -293,3 +348,118 @@ def test_hostile_count_raises_the_checkers_error(entry, least, case):
         warnings.simplefilter("error")
         with pytest.raises(error, match=f"must be an integer >= {least}$"):
             entry(value)
+
+
+# --- the command line --------------------------------------------------------
+
+#: a valid command line of each subcommand, as flag -> value
+CLI_COMMANDS = {
+    "eval": {"--map": "f", "--log2-r": "-0.5"},
+    "zoom": {"--map": "f", "--seq": "even", "--n": "1"},
+    "ivt": {"--log2-r0": "-0.5", "--lambda": "0.67"},
+    "iterate": {"--r": "0.5"},
+    "distortion": {"--map": "h"},
+    "verify": {"--depth": "2", "--grid-points": "2"},
+}
+#: the flag each flag replaces in the command line above
+CLI_PARTNER = {"--r": "--log2-r", "--r0": "--log2-r0", "--lambda": "--log2-lambda",
+               "--alpha": "--map"}
+CLI_PARTNER |= {v: k for k, v in CLI_PARTNER.items() if k != "--alpha"}
+NUMBERS = ["nan", "inf", "-inf", "1e400", "-1e400", "oops", ""]
+COUNTS = [str(2**63), "-1", str(-(2**63) - 1), str(10**30), "1.5", "nan", "oops", ""]
+#: hostile values of each flag
+CLI_HOSTILE = {
+    "--K": [*NUMBERS, "1", "0.5", "1e300"],
+    "--tol": [*NUMBERS, "0", "-1"],
+    **{flag: [*NUMBERS, "0", "1.5"] for flag in ("--r", "--r0", "--lambda")},
+    "--log2-r": ["nan", "inf", "1e400", "oops", "", "0.5", "-1e20"],
+    "--log2-r0": ["nan", "inf", "1e400", "oops", "", "0.5", "-1e20"],
+    "--log2-lambda": ["nan", "inf", "1e400", "oops", "", "0.5"],
+    "--alpha": [*NUMBERS, "0", "-1"],
+    "--d": [*COUNTS, "0", "1", str(2**16 + 1)],
+    "--depth": [*COUNTS, "0", "1", str(2**24 + 1)],
+    "--grid-points": [*COUNTS, "0", "1", str(2**18 + 1)],
+    "--iterates": [*COUNTS, str(2**53 + 1)],
+    "--period": [*COUNTS, "0", "99999999999999999999", str(2**52 + 1)],
+    "--n": ["0", "-3", "..", "1..", "a..b", "5..4", "1,,2", "", "1.5", str(2**52 + 1),
+            "1..99999999999999999999"],
+    "--grid": ["oops", "::", "1:2", "-1:-0.5:1e20", "-1:-0.5:-1", "-1:-0.5:1", "0:-1:5",
+               "-1:0.5:5", "nan:0:5", "-inf:0:5", "-1:-0.5:262145", "-1:-0.5:99999999999"],
+    "--map": ["X", ""],
+    "--seq": ["middle"],
+    "--against": ["Q3"],
+}
+CLI_FLAGS = {
+    "eval": ["--K", "--r", "--log2-r", "--map"],
+    "zoom": ["--K", "--grid-points", "--tol", "--n", "--grid", "--map", "--seq", "--against"],
+    "ivt": ["--K", "--tol", "--r0", "--log2-r0", "--lambda", "--log2-lambda", "--period"],
+    "iterate": ["--K", "--r", "--log2-r", "--iterates"],
+    "distortion": ["--K", "--d", "--alpha", "--iterates"],
+    "verify": ["--K", "--d", "--depth", "--grid-points", "--tol"],
+}
+#: hostile config files, each with a setting no command line above gives
+CLI_CONFIGS = {
+    "null": {"K": None},
+    "bool": {"tol": True},
+    "str for a number": {"K": "2"},
+    "str for a count": {"dimension": "3"},
+    "float for a count": {"dimension": 3.0},
+    "huge count": {"dimension": 2**63},
+    "inf": {"tol": 1e400},
+    "unknown key": {"kay": 3.0},
+    "not an object": [2.0],
+}
+
+
+def _cli_cases():
+    for command, flags in CLI_FLAGS.items():
+        for flag in flags:
+            base = {k: v for k, v in CLI_COMMANDS[command].items()
+                    if k not in (flag, CLI_PARTNER.get(flag))}
+            for value in CLI_HOSTILE[flag]:
+                argv = [command, *(f"{k}={v}" for k, v in base.items()), f"{flag}={value}"]
+                yield pytest.param(argv, None, id=" ".join(argv))
+        plain = [command, *(f"{k}={v}" for k, v in CLI_COMMANDS[command].items())]
+        for extra in ("--bogus", "--bogus=1", "-x", "--K"):
+            yield pytest.param([*plain, extra], None, id=" ".join([*plain, extra]))
+        for name, config in CLI_CONFIGS.items():
+            yield pytest.param(plain, config, id=f"{' '.join(plain)} config {name}")
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of ``cli.main``; argparse's exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, config", _cli_cases())
+def test_hostile_command_line_exits_with_one_line_of_error(argv, config, tmp_path):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_main(argv)
+    assert (code, out) == (2, ""), (code, err)
+    assert "Traceback" not in err
+    if err.startswith("usage: "):  # argparse: the usage, then one error line
+        assert err.startswith(f"usage: radialqc {argv[0]} ")
+        assert err.splitlines()[-1].startswith(f"radialqc {argv[0]}: error: ")
+    else:
+        assert err.startswith("radialqc: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+#: an infinite target, or the radius 0 whose bracket is empty: exit 1, as for any
+#: target outside the bracket
+@pytest.mark.parametrize("argv", [["ivt", "--log2-r0=-0.5", "--log2-lambda=-inf"],
+                                  ["ivt", "--log2-r0=-0.5", "--log2-lambda=-1e400"],
+                                  ["ivt", "--log2-r0=-inf", "--lambda=0.67"]])
+def test_target_outside_the_ivt_bracket_exits_1(argv):
+    code, out, err = _run_main(argv)
+    assert (code, out) == (1, "") and err.startswith("radialqc: target ") and err.count("\n") == 1

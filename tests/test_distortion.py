@@ -18,6 +18,7 @@ from radialqc import (
     build_conjugated_map,
     build_standard_map,
     finite_difference_distortion,
+    limit_function,
     iterate_max_distortion,
     linear_distortion_radial,
     max_distortion,
@@ -158,6 +159,17 @@ class TestFiniteDifferenceOracle:
         r1 = 2.0 ** f.breakpoint(1)
         with pytest.raises(ValueError):
             finite_difference_distortion(f, 2, math.log2(r1 + 1e-9), 1e-6)
+
+    def test_zoom_limit_at_its_kink_is_not_a_map(self, f):
+        # P2 switches from slope 1/K to K at log2 r = -K, where a step across
+        # the kink used to average the two slopes: K_O = K_I = 1.2499 at K = 2
+        P2 = limit_function(f, "P2")
+        with pytest.raises(TypeError):
+            finite_difference_distortion(P2, 2, -f.K, 1e-4 * 2.0**-f.K)
+        # read as a plain callable, one side of the kink gives the exponent's distortion
+        rep = finite_difference_distortion(
+            lambda r: 2.0 ** P2.eval_log(math.log2(r)), 2, -f.K + 0.1, 1e-6 * 2.0 ** (0.1 - f.K))
+        assert rep.K_max == pytest.approx(f.K, rel=1e-5)
 
     def test_underflow_and_overflow_raise_value_error(self, f):
         # the product of the singular values used to underflow to 0.0 and
