@@ -10,10 +10,6 @@ strict monotonicity margins) pass when the measured value is >= a threshold.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-
 import numpy as np
 
 from .distortion import (
@@ -61,8 +57,9 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: the bounds of depth, as the product scan is quadratic in it, and of grid_points,
-#: as the zoom checks hold 50 x grid_points values (a peak of 450 MB at the bound)
+#: the bounds of depth, as the construction checks hold a few arrays of depth floats
+#: and take time linear in it (390 MB and 3.2 s at 2**22), and of grid_points, as
+#: the zoom checks hold 50 x grid_points values (a peak of 450 MB at the bound)
 _MAX_DEPTH, _MAX_GRID_POINTS = 2**24, 2**18
 
 
@@ -131,161 +128,44 @@ def continuity_worst(K, depth):
     return _max_abs_diff(log2_C[:-1] + k[:-1] * lr, log2_C[1:] + k[1:] * lr)
 
 
-#: rows x diagonals of one tile of ``_worst_pair_residuals``: smaller tiles pay more
-#: numpy calls per pair, and wider ones more lanes past the diagonal len(t) - 1.
-#: Each tile is filled by a copy of its strided window of t and an in-place add of
-#: its rows: two passes over contiguous memory beat one add from the strided window
-_TILE = (128, 512)
-
-
-def _cpu_count():
-    """Number of CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _row_block_extremes(table, a0, rows, buf):
-    """(max, min) of ((s[a] + t[b]) - t[a + b]) over the row block a0 <= a <
-    a0 + rows of one padded family ``table`` of ``_worst_pair_residuals``,
-    NaN pairs skipped; ``rows`` and ``buf`` are the caller's tile buffers.
-
-    A tile is the rows by ``width`` diagonals k = a + b from k0, buf[i, j] =
-    s[a0 + i] + t[k0 + j - a0 - i]: the strided window of t is copied into
-    ``buf`` and the rows are added in place, as two passes over contiguous
-    memory are faster than one that reads the window and writes a third array,
-    and t[b] + s[a] is the same IEEE sum as s[a] + t[b].  Its ``fmax``/``fmin``
-    over the rows go straight into ``extremes``, as each k lies in one tile of
-    the block.  Then t[k] (NaN from len(t) on) is subtracted once per diagonal:
-    rounding is monotone, so max fl(x - t[k]) = fl(max x - t[k]), and the same
-    for the min.
-    """
-    s, t, windows, L, mirror = table
-    rows_per_tile, width = _TILE
-    np.copyto(rows, s[a0:a0 + rows_per_tile, None])
-    start = 2 * a0 if mirror else a0  # the first diagonal with b >= a0, or b >= 0
-    extremes = np.empty((2, -(-(L - start) // width) * width))
-    for j in range(0, L - start, width):
-        c = start + j - a0  # row i of the tile reads t[c - i:c - i + width]
-        np.copyto(buf, windows[c + 1:c + rows_per_tile + 1][::-1])
-        buf += rows
-        np.fmax.reduce(buf, axis=0, out=extremes[0, j:j + width])
-        np.fmin.reduce(buf, axis=0, out=extremes[1, j:j + width])
-    extremes -= t[start:start + extremes.shape[1]]
-    return float(np.fmax.reduce(extremes[0])), float(np.fmin.reduce(extremes[1]))
-
-
-def _scan_on_all_cpus(tables, blocks):
-    """Per table, the (max, min) over ``blocks``, a list of (table index, first
-    row) pairs, split over n = min(``_cpu_count()``, len(blocks)) threads, the
-    calling one included: thread i scans every n-th block from the i-th with
-    tile buffers of its own, then the maxima and minima of the n are combined.
-
-    The threads run only numpy, which releases the GIL inside each tile's
-    ufuncs, in a copy of the caller's context (so under its ``np.errstate``).
-    The first exception of any thread is raised again here; on one, the other
-    threads stop after their current row block, and every thread is joined
-    before this returns or raises.
-    """
-    n = max(1, min(_cpu_count(), len(blocks)))
-    stop = threading.Event()
-    results = [None] * n
-
-    def work(i):
-        rows, buf = np.empty(_TILE), np.empty(_TILE)
-        extremes = [(-np.inf, np.inf)] * len(tables)
-        try:
-            for f, a0 in blocks[i::n]:
-                if stop.is_set():
-                    break
-                hi, lo = _row_block_extremes(tables[f], a0, rows, buf)
-                extremes[f] = (max(extremes[f][0], hi), min(extremes[f][1], lo))
-        except BaseException as exc:  # raised again by the calling thread
-            results[i] = exc
-            stop.set()
-        else:
-            results[i] = extremes
-
-    started = []
-    try:
-        for i in range(1, n):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, i))
-            thread.start()
-            started.append(thread)
-        work(0)
-    except BaseException:
-        stop.set()
-        raise
-    finally:
-        for thread in started:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return [(max(part[f][0] for part in results), min(part[f][1] for part in results))
-            for f in range(len(tables))]
-
-
-def _worst_pair_residuals(*families):
-    """For each family (s, first, t, shift, mirror), the worst
-    |s[a] + t[b] - t[a + b] + shift| over rows a >= first and columns b >= 0
-    with a + b < len(t), computed as ((s[a] + t[b]) - t[a + b]) + shift.
-
-    Each row block goes in tiles of ``_TILE`` rows by diagonals a + b (see
-    ``_row_block_extremes``), reading t[b] through a reversed
-    ``sliding_window_view`` of t.  t is padded with NaN, ``rows`` lanes before
-    it and more past its end, which the ``fmax``/``fmin`` reductions skip, so
-    pairs outside the set drop out.  With ``mirror`` (``s`` is ``t``) the pair
-    (b, a) makes the same IEEE sum as (a, b), so a block from row a0 starts at
-    the diagonal 2 a0: it reads only pairs of the set, and of each pair of the
-    set with a, b >= first it or its mirror (b >= a), so the max is the same.
-
-    ``_scan_on_all_cpus`` deals the independent row blocks of all families out
-    over every CPU the process may run on, interleaved, as the mirrored
-    families' rows get shorter.  No thread or order can change the result: the
-    max and min of a set of floats (never NaN: every row block holds a pair of
-    the set) depend on no order but for the sign of a zero extreme, which
-    adding ``shift`` (0.0 or 1/K) removes.  Like t[a + b], ``shift`` is added
-    to the extremes alone.
-    """
-    rows_per_tile, width = _TILE
-    pad = np.full(rows_per_tile + width, np.nan)
-    tables, blocks = [], []
-    for f, (s, first, t, _, mirror) in enumerate(families):
-        L = len(t)
-        padded = np.concatenate([pad[:rows_per_tile], t, pad])
-        t = padded[rows_per_tile:]
-        s = t if mirror else np.concatenate([s, pad])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width)  # [c, j] = padded[c + j]
-        tables.append((s, t, windows, L, mirror))
-        blocks += [(f, a0) for a0 in range(first, (L + 1) // 2 if mirror else L, rows_per_tile)]
-    return [max(0.0, hi + shift, -(lo + shift))
-            for (hi, lo), (_, _, _, shift, _) in zip(_scan_on_all_cpus(tables, blocks), families)]
+#: rows a of each product-identity family checked against every column b.  An
+#: error at any index already enters the rows a < 2 (see ``product_identities_worst``);
+#: more rows read more rounding, and 64 give the all-pairs maxima at K in {2, 3,
+#: 1.37, 9.99, 100, 1000} and depths 10^4 and 3 * 10^4 (16 did, 8 did not)
+_BAND_ROWS = 64
 
 
 def product_identities_worst(K, depth):
-    """Worst residuals of the two breakpoint product identities over all index
-    pairs that stay within ``depth``:
+    """Worst residuals of the two breakpoint product identities over the index
+    pairs that stay within ``depth`` and have a row below ``_BAND_ROWS``:
 
         log2 r_{2n} + log2 r_m       = log2 r_{2n+m}
         log2 r_{2n+1} + log2 r_{2m+1} = log2 r_{2(n+m)+1} - 1/K
 
     Split by the parity of m, with even[j] = log2 r_{2j} and odd[j] = log2 r_{2j+1},
     the first identity is the families even + even and even + odd (rows n >= 1),
-    the second odd + odd, scanned together by ``_worst_pair_residuals``: one
-    split of their row blocks over the CPUs the process may run on, with the
-    same bits for any CPU count.  The right side of each diagonal 2n + m is
-    subtracted once, from the extremes of its left sides (the same float, by
-    monotone rounding).  The same-parity families are symmetric and read about
-    m >= n only: even + even skips most of its column m = 0, whose residuals
-    r_{2n} + r_0 - r_{2n} are exactly +0.0, as log2 r_0 = +0.0.
+    the second odd + odd.  Each row a of a family s + t with shift is one pass,
+    |((s[a] + t[b]) - t[a + b]) + shift| over every column b with a + b < len(t).
+    The same-parity families are symmetric, as IEEE addition is commutative, so
+    their rows a < ``_BAND_ROWS`` cover every pair with min(a, b) below it.
+
+    The band loses no index.  log2 r_n is affine in n // 2 and (n + 1) // 2, so
+    the identities hold for it exactly and measure rounding plus what an error
+    e(n) of it adds.  An error affine in those counts moves every pair of an
+    identity by the same amount (a multiple of n // 2 moves none), and the first
+    identity's row n = 1, log2 r_2 + log2 r_m = log2 r_{m+2}, is exact for every
+    m only if e is affine, so an error at any index already shows in that row.
     """
     K, depth = _real(K, "K", 1), _count(depth, "depth", 2, _MAX_DEPTH)
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
-    even_even, even_odd, odd_odd = _worst_pair_residuals(
-        (even, 1, even, 0.0, True), (even, 1, odd, 0.0, False), (odd, 0, odd, 1.0 / K, True))
+    worst = []
+    for s, first, t, shift in ((even, 1, even, 0.0), (even, 1, odd, 0.0), (odd, 0, odd, 1.0 / K)):
+        L = len(t)
+        rows = [np.abs(((s[a] + t[:L - a]) - t[a:]) + shift).max()
+                for a in range(first, min(_BAND_ROWS, L))]
+        worst.append(float(np.max(rows, initial=0.0)))
+    even_even, even_odd, odd_odd = worst
     return max(even_even, even_odd), odd_odd
 
 

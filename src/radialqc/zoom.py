@@ -164,8 +164,9 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     is solved in plain floats with no numpy call and gives a float; it
     returns exactly what the 1-element array call returns and raises the same
     exception with the same message.  One lane outside its bracket (an
-    infinite target included) raises ``BracketError``; a NaN target is an
-    input error, a plain ``ValueError``.
+    infinite target included) raises ``BracketError``.  A NaN target and an
+    ``r0`` outside the log2-radius domain, the radius-0 sentinel -inf included
+    (radius 0 has no bracket), are input errors, a plain ``ValueError``.
     """
     tol = _real(tol, "tol")
     # checked here, so that an error names this parameter and not the breakpoint index
@@ -180,6 +181,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         r0, lam, j, t_even, t_odd = (v.ravel() for v in lanes)
     if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
+    r0 = _log_radius(r0, "r0", allow_zero_radius=False)  # radius 0 has no bracket
     F, even, odd = _MATCHED["f" if map_ is base else "h"]
     a, b = _eval_cells(r0, _cell_spec(even, base.K)), _eval_cells(r0, _cell_spec(odd, base.K))
     if point:

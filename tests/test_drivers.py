@@ -289,7 +289,7 @@ def test_ivt_point_call_equals_array_call(K):
 
 #: ivt inputs with two faults, and the message of the one today's check order
 #: raises first: tol, period_index, r0's type, lam's type, a NaN lam, r0's
-#: domain (read as the limits' x), the bracket, the deepest point of the bracket
+#: domain (the radius-0 sentinel included), the bracket, the deepest point of the bracket
 TWO_FAULTS = [
     ((0.5, -0.6, 0.0, 1), "tol must"),
     ((0.5, math.nan, 1e-9, 0), "period_index must"),
@@ -299,9 +299,10 @@ TWO_FAULTS = [
     ((-0.5, None, 1e-9, 2**53), "period_index must"),
     ((0.5, "x", 1e-9, 1), "lam must be a real number"),
     ((0.5, math.nan, 1e-9, 1), "lam must be a log2 target value, not NaN"),
-    ((math.nan, math.inf, 1e-9, 1), "x must be a log2 radius"),
+    ((math.nan, math.inf, 1e-9, 1), "r0 must be a log2 radius"),
+    ((-math.inf, math.inf, 1e-9, 1), "r0: the radius-0 sentinel is not accepted here"),
     ((math.inf, math.nan, 1e-9, 1), "lam must be a log2 target value"),
-    ((-(2.0**53), -0.6, 1e-9, 1), "x must be >= -2**52"),
+    ((-(2.0**53), -0.6, 1e-9, 1), "r0 must be >= -2**52"),
     ((-(2.0**52), math.inf, 1e-9, 1), "outside the achievable bracket"),
     ((-(2.0**52), -0.6, 0.5, 2**52), "outside the achievable bracket"),
 ]

@@ -1,12 +1,9 @@
 """Verify-suite helpers against reference implementations kept here, the
-product-identity scan at any worker count and with a failing worker, the
-helpers' input checks, and a mutation check that the linear-scan check really
-compares two routes.
+product-identity band against the all-pairs reference where it covers every
+pair and its power on an error far beyond it, the helpers' input checks, and a
+mutation check that the linear-scan check really compares two routes.
 """
 
-import itertools
-import os
-import threading
 import warnings
 
 import numpy as np
@@ -17,19 +14,20 @@ from radialqc.powermap import PiecewisePowerMap, breakpoint_log2
 from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
 
-def product_identities_reference(K, depth):
-    """All-pairs residuals row by row through fancy indexing: full rows, no
-    mirrored pairs skipped and no tiles."""
+def product_identities_reference(K, depth, rows=None):
+    """Residuals row by row through fancy indexing, full rows and no mirrored
+    pairs skipped: of all pairs, or of the rows n < ``rows`` of each identity."""
+    rows = depth if rows is None else rows
     lr = breakpoint_log2(K, np.arange(depth + 1))
     worst_even = 0.0
-    for n in range(1, depth // 2 + 1):
+    for n in range(1, min(depth // 2 + 1, rows)):
         m = np.arange(0, depth - 2 * n + 1)
         res = np.abs(lr[2 * n] + lr[m] - lr[2 * n + m])
         worst_even = max(worst_even, float(res.max()))
     worst_odd = 0.0
     shift = 1.0 / K
     top = (depth - 1) // 2
-    for n in range(0, top + 1):
+    for n in range(0, min(top + 1, rows)):
         m = np.arange(0, top - n + 1)
         res = np.abs(lr[2 * n + 1] + lr[2 * m + 1] - lr[2 * (n + m) + 1] + shift)
         worst_odd = max(worst_odd, float(res.max()))
@@ -80,25 +78,40 @@ def test_multiplicativity_matches_the_per_shift_expression(K, grid_points):
     assert _check(report, "even_scale_multiplicativity")["measured"].hex() == expected.hex()
 
 
-_ROWS, _COLUMNS = verify._TILE
-#: depths around every tile edge of the committed tile shape.  A family of length
-#: L (about depth / 2) is scanned in row blocks from a0 = first + q * rows, each in
-#: tiles of ``columns`` diagonals from a0 (even + odd) or 2 * a0 (mirrored) to L.
-#: The last row block of even + odd ends near depth 2 * rows, those of the mirrored
-#: families near 4 * rows; the last tile of the first row block ends at L near
-#: depth 2 * columns, that of the second near 2 * (rows + columns) for even + odd
-#: and 2 * (2 * rows + columns) for the mirrored families.  Each range makes a
-#: block or tile one short of its edge, exactly on it and one past it.
-TILE_EDGE_DEPTHS = sorted({edge + k for edge in (2 * _ROWS, 4 * _ROWS, 2 * _COLUMNS,
-                                                 2 * (_ROWS + _COLUMNS),
-                                                 2 * (2 * _ROWS + _COLUMNS))
-                           for k in range(-4, 5)})
+_BAND = verify._BAND_ROWS
+PRODUCT_KS = [2.0, 3.0, 1.37, 9.99, 1000.0]
 
 
-@pytest.mark.parametrize("K", [2.0, 3.0, 1.37, 9.99, 1000.0])
-@pytest.mark.parametrize("depth", [2, 3, 1999, 2000, *TILE_EDGE_DEPTHS])
-def test_product_identities_match_reference(K, depth):
-    assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
+def _hex(values):
+    return tuple(value.hex() for value in values)
+
+
+@pytest.mark.parametrize("K", PRODUCT_KS)
+@pytest.mark.parametrize("depth", [2, 3, *range(2 * _BAND - 4, 2 * _BAND + 5), 1999, 2000, 10_000])
+def test_product_identities_match_the_band_reference(K, depth):
+    assert _hex(product_identities_worst(K, depth)) == _hex(
+        product_identities_reference(K, depth, _BAND))
+
+
+@pytest.mark.parametrize("K", PRODUCT_KS)
+def test_the_band_covers_every_pair_up_to_twice_its_rows(K):
+    # at depth 2 * _BAND the one pair it leaves out, r_{2 _BAND} + r_0 - r_{2 _BAND}, is +0.0
+    for depth in range(2, 2 * _BAND + 1):
+        assert _hex(product_identities_worst(K, depth)) == _hex(
+            product_identities_reference(K, depth)), depth
+
+
+@pytest.mark.parametrize("K", [1.37, 3.0])
+@pytest.mark.parametrize("index", [9000, 9001])
+def test_the_band_sees_an_error_far_beyond_its_rows(monkeypatch, K, index):
+    # 1.1e-9 at one index is above the 1e-9 tolerance, and it enters the row of r_2
+    # (and of r_3, for an odd index) however far beyond the band the index lies
+    exact = breakpoint_log2
+    monkeypatch.setattr(verify, "breakpoint_log2",
+                        lambda K, n: exact(K, n) + np.where(n == index, 1.1e-9, 0.0))
+    even, odd = product_identities_worst(K, 10_000)
+    assert even > 1e-9
+    assert (odd > 1e-9) == (index % 2 == 1)
 
 
 #: ``product_identities_worst(K, 30000)`` as ``float.hex``, a depth at which the
@@ -115,106 +128,6 @@ PINNED_AT_DEPTH_30000 = {
 def test_product_identities_match_pinned_values_at_depth_30000(K):
     worst = product_identities_worst(K, 30_000)
     assert tuple(value.hex() for value in worst) == PINNED_AT_DEPTH_30000[K]
-
-
-def row_blocks(depth):
-    """Row blocks of the three product-identity families at ``depth``: even + even
-    and odd + odd read rows below half their length, even + odd every row from 1."""
-    n_even, n_odd = depth // 2 + 1, (depth + 1) // 2
-    return (len(range(1, (n_even + 1) // 2, _ROWS)) + len(range(1, n_odd, _ROWS))
-            + len(range(0, (n_odd + 1) // 2, _ROWS)))
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the number of CPUs the process may run on, as the scan sees it."""
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
-    return set_cpus
-
-
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """The threads started while the test runs, in order."""
-    started = []
-
-    class CountedThread(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", CountedThread)
-    return started
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 64])
-@pytest.mark.parametrize("K", [3.0, 1.37])
-@pytest.mark.parametrize("depth", [2, 3, *TILE_EDGE_DEPTHS])
-def test_product_identities_equal_at_any_worker_count(K, depth, workers, cpus, thread_starts):
-    cpus(workers)
-    before = threading.active_count()
-    assert product_identities_worst(K, depth) == product_identities_reference(K, depth)
-    assert threading.active_count() == before
-    # the calling thread scans a share itself, and no thread goes without a row block
-    assert len(thread_starts) == min(workers, row_blocks(depth)) - 1
-    assert not any(thread.is_alive() for thread in thread_starts)
-
-
-def test_cpu_count_falls_back_to_the_machine_count(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert verify._cpu_count() == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert verify._cpu_count() == 1
-
-
-class WorkerFailure(Exception):
-    pass
-
-
-def fail_with_an_exception():
-    raise WorkerFailure("a row block failed")
-
-
-def fail_with_a_warning():
-    warnings.warn("a row block warned", RuntimeWarning)
-
-
-def fail_under_the_callers_errstate():
-    np.sqrt(np.array(-1.0))  # invalid: raises only under the caller's errstate
-
-
-@pytest.mark.parametrize("fail, error", [(fail_with_an_exception, WorkerFailure),
-                                         (fail_with_a_warning, RuntimeWarning),
-                                         (fail_under_the_callers_errstate, FloatingPointError)])
-def test_a_failing_row_block_fails_the_call_and_joins_every_thread(
-        monkeypatch, cpus, thread_starts, fail, error):
-    cpus(3)
-    caller = threading.current_thread()
-    worker_calls, late_calls = itertools.count(), itertools.count()
-    failed = threading.Event()
-    scan_row_block = verify._row_block_extremes
-
-    def fail_on_a_workers_second_row_block(*args):
-        if failed.is_set():
-            next(late_calls)
-        if threading.current_thread() is not caller and next(worker_calls) == 1:
-            failed.set()
-            fail()
-        return scan_row_block(*args)
-
-    monkeypatch.setattr(verify, "_row_block_extremes", fail_on_a_workers_second_row_block)
-    before = threading.active_count()
-    with warnings.catch_warnings(), np.errstate(invalid="raise"):
-        warnings.simplefilter("error")
-        with pytest.raises(error):
-            product_identities_worst(3.0, 4000)
-    assert threading.active_count() == before
-    assert len(thread_starts) == 2
-    assert not any(thread.is_alive() for thread in thread_starts)
-    # the other two threads stop within one row block of the failure, not after 32
-    assert next(late_calls) <= 2
 
 
 #: ``measured`` of the construction checks, as ``float.hex``, taken before the

@@ -316,6 +316,14 @@ class TestIvtSampler:
                     ivt_sample(map_, -0.5, lam, 1e-9)
                 assert not isinstance(info.value, BracketError)
 
+    def test_radius_zero_is_an_input_error(self, f, h):
+        # the sentinel -inf has no bracket: it used to raise BracketError, "[-inf, -inf]"
+        for map_ in (f, h):
+            for r0 in (-math.inf, np.array([-0.5, -math.inf])):
+                with pytest.raises(ValueError, match="^r0: the radius-0 sentinel") as info:
+                    ivt_sample(map_, r0, -1.0, 1e-9)
+                assert not isinstance(info.value, BracketError)
+
     def test_increasing_periods_give_decreasing_scales(self, f):
         r0 = f.breakpoint(1)
         lam = math.log2(0.67)
