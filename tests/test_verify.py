@@ -14,11 +14,12 @@ from radialqc.powermap import PiecewisePowerMap, breakpoint_log2
 from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
 
-def product_identities_reference(K, depth, rows=None):
+def product_identities_reference(K, depth, rows=None, log2=breakpoint_log2):
     """Residuals row by row through fancy indexing, full rows and no mirrored
-    pairs skipped: of all pairs, or of the rows n < ``rows`` of each identity."""
+    pairs skipped: of all pairs, or of the rows n < ``rows`` of each identity,
+    with the breakpoints given by ``log2(K, n)``."""
     rows = depth if rows is None else rows
-    lr = breakpoint_log2(K, np.arange(depth + 1))
+    lr = log2(K, np.arange(depth + 1))
     worst_even = 0.0
     for n in range(1, min(depth // 2 + 1, rows)):
         m = np.arange(0, depth - 2 * n + 1)
@@ -94,11 +95,11 @@ def test_product_identities_match_the_band_reference(K, depth):
 
 
 @pytest.mark.parametrize("K", PRODUCT_KS)
-def test_the_band_covers_every_pair_up_to_twice_its_rows(K):
+@pytest.mark.parametrize("depth", range(2, 2 * _BAND + 1))
+def test_the_band_covers_every_pair_up_to_twice_its_rows(K, depth):
     # at depth 2 * _BAND the one pair it leaves out, r_{2 _BAND} + r_0 - r_{2 _BAND}, is +0.0
-    for depth in range(2, 2 * _BAND + 1):
-        assert _hex(product_identities_worst(K, depth)) == _hex(
-            product_identities_reference(K, depth)), depth
+    assert _hex(product_identities_worst(K, depth)) == _hex(
+        product_identities_reference(K, depth))
 
 
 @pytest.mark.parametrize("K", [1.37, 3.0])
@@ -112,6 +113,29 @@ def test_the_band_sees_an_error_far_beyond_its_rows(monkeypatch, K, index):
     even, odd = product_identities_worst(K, 10_000)
     assert even > 1e-9
     assert (odd > 1e-9) == (index % 2 == 1)
+
+
+#: one-index errors inside the band, on and around its edges at rows 64 and 128,
+#: and beyond it up to the last index at depth 2000
+SPIKE_INDICES = [0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 130, 999, 1000, 1342, 1901, 2000]
+
+
+@pytest.mark.parametrize("K", [1.37, 3.0])
+@pytest.mark.parametrize("spike", [1.1e-9, -1.1e-9])
+@pytest.mark.parametrize("index", SPIKE_INDICES)
+def test_the_band_flags_a_one_index_error_as_the_all_pairs_scan_does(monkeypatch, K, spike, index):
+    # the even identity carries every index and the odd one every odd index
+    exact = breakpoint_log2
+
+    def spiked(K, n):
+        return exact(K, n) + np.where(n == index, spike, 0.0)
+
+    monkeypatch.setattr(verify, "breakpoint_log2", spiked)
+    band = product_identities_worst(K, 2000)
+    every_pair = product_identities_reference(K, 2000, log2=spiked)
+    flagged = (True, index % 2 == 1)
+    assert tuple(value > 1e-9 for value in band) == flagged
+    assert tuple(value > 1e-9 for value in every_pair) == flagged
 
 
 #: ``product_identities_worst(K, 30000)`` as ``float.hex``, a depth at which the
