@@ -329,7 +329,7 @@ def _cmd_verify(cfg, args) -> int:
 
 #: the flag of each setting, a key of ``DEFAULTS``; one not given sets no attribute of the args
 _FLAGS = {
-    "K": ("--K", {"type": float, "help": "distortion parameter K > 1"}),
+    "K": ("--K", {"type": float, "help": "distortion parameter, 1 < K <= 2**64"}),
     "dimension": ("--d", {"type": int, "help": "ambient dimension (>= 2)"}),
     "depth": ("--depth", {"type": int, "help": "breakpoint depth of the verify checks"}),
     "grid_points": ("--grid-points", {"type": int, "help": "default grid size"}),

@@ -48,9 +48,10 @@ interval index reached from x stays within the index bound), plus the -inf
 sentinel.  Inputs outside it raise ``ValueError`` before any integer cast, so
 no index wraps around.  ``_floats`` converts every number or array of
 numbers read from a caller, ``_index_array`` checks every index, ``_count``
-every count and ``_real`` every real setting (K, tol, alpha, ...), each with
-one message; a wrong type (a bool for any, a str or a complex for a number,
-an array that is not 0-d for a real or a count) raises ``TypeError``.
+every count, ``_real`` every real setting (tol, alpha, ...) and ``_parameter``
+K (1 < K <= 2**64), each with one message; a wrong type (a bool for any, a
+str or a complex for a number, an array that is not 0-d for a real or a
+count) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ MAX_BREAKPOINT_INDEX = 2**53
 #: indices below 2 |x| / (K + 1/K) + 5 < ``MAX_BREAKPOINT_INDEX``, since K + 1/K > 2.
 MAX_ABS_LOG2_RADIUS = 2.0**52
 
-#: upward steps the interval lookup may take from its floor estimate: the true
-#: index is at most three above it, five if the division rounds low by a period.
+#: a safety bound on the walk's upward steps: the answer is never below its start
+#: (``_locate``), and at most three above it, five if the division rounds low by a period.
 _LOCATE_STEPS = 5
 
 #: the walk's error when even that many steps leave x above the breakpoint.
@@ -101,7 +102,8 @@ class NotDifferentiableError(ValueError):
 #: the domain errors of a log2 radius, raised alike on both drivers by ``_log_radius``
 _NOT_FINITE = "{} must be a log2 radius, not NaN or +inf"
 _POSITIVE = "{} must be <= 0 (base-2 log of a radius in (0, 1])"
-_TOO_DEEP = "{} must be >= -2**52 (or the radius-0 sentinel -inf)"
+_TOO_DEEP = "{} must be >= -2**52"  # where the radius-0 sentinel is refused
+_TOO_DEEP_OR_ZERO = _TOO_DEEP + " (or the radius-0 sentinel -inf)"
 _SENTINEL = "{}: the radius-0 sentinel is not accepted here"
 
 
@@ -160,7 +162,7 @@ def _log_radius(x, name, allow_zero_radius=True):
     if lo == RADIUS_ZERO_LOG2 and not isinstance(x, float):
         deep = np.max(x[x < -MAX_ABS_LOG2_RADIUS])
     if RADIUS_ZERO_LOG2 < deep < -MAX_ABS_LOG2_RADIUS:
-        raise ValueError(_TOO_DEEP.format(name))
+        raise ValueError((_TOO_DEEP_OR_ZERO if allow_zero_radius else _TOO_DEEP).format(name))
     if not allow_zero_radius and lo == RADIUS_ZERO_LOG2:
         raise ValueError(_SENTINEL.format(name))
     return x
@@ -199,6 +201,15 @@ def _real(v, name, above=0):
     return x
 
 
+def _parameter(K):
+    """K as a float: ``_real``'s errors unless a finite real > 1, and ``ValueError``
+    above 2**64, so that K**3 (h's cell spec), K * K (verify's coefficients) and
+    2**53 K (the deepest breakpoints) stay finite."""
+    if (K := _real(K, "K", 1)) > 2.0**64:
+        raise ValueError("K must be at most 2**64")
+    return K
+
+
 def _count(n, name, least, most=math.inf):
     """``n`` as an int: ``TypeError`` unless integral (a bool is not), never
     truncated, and ``ValueError`` outside ``least``..``most`` (a power of two,
@@ -220,7 +231,7 @@ def _count(n, name, least, most=math.inf):
 
 
 def breakpoint_log2(K, n):
-    """log2 of the n-th breakpoint radius, for K > 1 and 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
+    """log2 of the n-th breakpoint radius, for 1 < K <= 2**64, 0 <= n <= ``MAX_BREAKPOINT_INDEX``.
 
     Closed form; equals the recurrence
     log2 r_n = log2 r_{n-1} - 1/k_n started from r_0 = 1.  An int or 0-d ``n``
@@ -228,7 +239,7 @@ def breakpoint_log2(K, n):
     array gives an array, each entry the scalar call's float.
     """
     n = _index_array(n, "breakpoint index", 0, MAX_BREAKPOINT_INDEX)
-    return _breakpoint_log2(_real(K, "K", 1), n)
+    return _breakpoint_log2(_parameter(K), n)
 
 
 def _breakpoint_log2(K, na):
@@ -317,32 +328,23 @@ def _eval_cells(x, cells, name="x"):
 
 
 def _locate(K, x):
-    """Branch index of finite log2 radii (no validation), a float or an array:
-    walk up from the floor estimate 2 floor(-x / (K + 1/K)) - 1 to the first
-    r_n <= x, then one guard step down where x >= r_{n-1}, so the smaller
-    index wins ties even when the estimate rounds high.  A float takes the
-    same steps on Python ints and returns an int."""
-    if isinstance(x, float):
-        n = max(2 * math.floor(-x / _period(K)) - 1, 1)
-        for _ in range(_LOCATE_STEPS + 1):
-            if _breakpoint_log2(K, n) <= x:
-                break
-            n += 1
-        else:
-            raise ValueError(_UNRESOLVED)
-        if n > 1 and x >= _breakpoint_log2(K, n - 1):
-            n -= 1
-        return n
-    n = np.maximum(2 * np.floor(-x / _period(K)).astype(np.int64) - 1, 1)
+    """Branch index of finite log2 radii (no validation): the first r_n <= x of
+    a walk up from 2 floor(-x / P) - 1, at least 1, with P = K + 1/K; a float
+    walks on Python ints and bools and gives an int, an array on int64 arrays.
+    The start is never above the answer, so ties go to the smaller index with
+    no step down (x < r_{n-1} unless n = 1): for m = floor(fl(-x / P)) >= 1 and
+    |x| <= 2**52, fl(-x / P) exceeds -x / P by at most 1/2, so x <= r_{2m-2} -
+    P/2 < r_{2m-2} - 1 exactly, and the float r_{2m-2}, three roundings of
+    values below 2**52, is within 3/4 of the exact value and lies above x."""
+    P, point = _period(K), isinstance(x, float)
+    n = max(2 * math.floor(-x / P) - 1, 1) if point else np.maximum(
+        2 * np.floor(-x / P).astype(np.int64) - 1, 1)
     for _ in range(_LOCATE_STEPS + 1):
         up = _breakpoint_log2(K, n) > x
-        if not up.any():
-            break
+        if not (up if point else up.any()):
+            return n
         n += up
-    else:
-        raise ValueError(_UNRESOLVED)
-    n -= (n > 1) & (x >= _breakpoint_log2(K, n - 1))
-    return n
+    raise ValueError(_UNRESOLVED)
 
 
 def _local_exponent(K, x, k):
@@ -351,7 +353,7 @@ def _local_exponent(K, x, k):
     the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
     x = _log_radius(x, "x", allow_zero_radius=False)
     n = _locate(K, x)
-    on_bp = (x == _breakpoint_log2(K, n)) | (x == _breakpoint_log2(K, n - 1))
+    on_bp = (x == _breakpoint_log2(K, n)) | (x == 0.0)  # x < r_{n-1} unless n = 1, r_0 = 0
     if on_bp if isinstance(x, float) else on_bp.any():
         raise NotDifferentiableError(
             "no derivative at a breakpoint radius (distortion is an a.e. notion; "
@@ -449,6 +451,6 @@ def build_standard_map(K) -> PiecewisePowerMap:
     ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
     deep zooms.
     """
-    K = _real(K, "K", 1)
+    K = _parameter(K)
     _distinct_breakpoints_log2(K, GUARD_DEPTH)
     return PiecewisePowerMap(K=K)

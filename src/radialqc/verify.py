@@ -25,6 +25,7 @@ from .powermap import (
     PiecewisePowerMap,
     _count,
     _distinct_breakpoints_log2,
+    _parameter,
     _period,
     _real,
     breakpoint_log2,
@@ -71,7 +72,7 @@ def _max_abs_diff(a, b=0.0):
 def _exponents(K, depth):
     """K and depth checked, with n = 1..depth and the branch exponents k_n
     (K on odd n, 1/K on even n) that the construction checks share."""
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2, _MAX_DEPTH)
+    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
     n = np.arange(1, depth + 1)
     return K, n, np.where(n % 2 == 1, K, 1.0 / K)
 
@@ -156,7 +157,7 @@ def product_identities_worst(K, depth):
     identity's row n = 1, log2 r_2 + log2 r_m = log2 r_{m+2}, is exact for every
     m only if e is affine, so an error at any index already shows in that row.
     """
-    K, depth = _real(K, "K", 1), _count(depth, "depth", 2, _MAX_DEPTH)
+    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
     lr = breakpoint_log2(K, np.arange(depth + 1))
     even, odd = lr[0::2], lr[1::2]
     worst = []
@@ -171,7 +172,7 @@ def product_identities_worst(K, depth):
 
 def breakpoint_image_worst(f, depth):
     """Worst |log2 f(r_n) + n| over n <= depth (breakpoints map to halves)."""
-    if not isinstance(f, PiecewisePowerMap):
+    if type(f) is not PiecewisePowerMap:
         raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
     depth = _count(depth, "depth", 2, _MAX_DEPTH)
     n = np.arange(0, depth + 1)
@@ -180,7 +181,7 @@ def breakpoint_image_worst(f, depth):
 
 def _checked_settings(K, dimension, depth, grid_points, tol):
     """The parameters of ``run_verification`` (the CLI's numeric settings), checked, by name."""
-    return {"K": _real(K, "K", 1),
+    return {"K": _parameter(K),
             "dimension": _count(dimension, "dimension", 2, _MAX_DIMENSION),
             "depth": _count(depth, "depth", 2, _MAX_DEPTH),
             "grid_points": _count(grid_points, "grid_points", 2, _MAX_GRID_POINTS),
@@ -224,11 +225,8 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
 
     # --- forward/inverse evaluation ----------------------------------------
     values = f.eval_log(grid)
-    shifts = np.arange(1, 26)
-    mult = max(
-        _max_abs_diff(f.eval_log(grid + scale) - values + 2 * j)
-        for j, scale in zip(shifts, f.breakpoint(2 * shifts))
-    )
+    shifts = np.arange(1, 26)[:, None]  # one row of the grid per even scale r_{2j}
+    mult = _max_abs_diff(f.eval_log(grid + f.breakpoint(2 * shifts)) - values + 2 * shifts)
     residual("even_scale_multiplicativity", mult)
     witness("eval_strictly_increasing_margin", float(np.diff(values).min()), tol)
     residual("inverse_roundtrip", _max_abs_diff(f.inverse_eval_log(values), grid))

@@ -193,9 +193,8 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         if not lo < lam < hi:
             raise BracketError(_OUTSIDE.format(lam, lo, hi))
         return min(max(_solve(base.K, F, r0, lam, j, t_even), t_even), t_odd)
-    with np.errstate(invalid="ignore"):  # inf - inf, an infinite target at the sentinel r0
-        snap_even = np.abs(lam - a) <= tol
-        snap_odd = ~snap_even & (np.abs(lam - b) <= tol)
+    snap_even = np.abs(lam - a) <= tol
+    snap_odd = ~snap_even & (np.abs(lam - b) <= tol)
     t = np.where(snap_even, t_even, t_odd)
     lane = np.flatnonzero(~(snap_even | snap_odd))
     lo, hi = np.minimum(a, b), np.maximum(a, b)

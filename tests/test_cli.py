@@ -603,6 +603,14 @@ class TestConfigAndOutput:
         )
         assert code == 2
 
+    def test_unreadable_config_rejected(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.json", tmp_path):  # no file, and a directory
+            code, out, err = run_cli(
+                capsys, "eval", "--config", str(path), "--map", "f", "--r", "0.5"
+            )
+            assert (code, out) == (2, "") and err.startswith("radialqc: cannot read config file: ")
+            assert err.count("\n") == 1, err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--map", "f", "--r", "0.8", "--format", "json"
@@ -638,6 +646,15 @@ class TestConfigAndOutput:
         for bad_K in ("1.0", "1e8"):
             code, _, _ = run_cli(capsys, "eval", "--map", "f", "--K", bad_K, "--r", "0.5")
             assert code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("ivt", "--r0", "0.5", "--log2-r0", "-1", "--lambda", "0.6"), "r0"),
+    (("iterate",), "r"),
+])
+def test_radius_needs_exactly_one_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"radialqc: give exactly one of --{flag} or --log2-{flag}\n")
 
 
 def test_example_values_from_interface_docs(capsys):

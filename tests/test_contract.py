@@ -251,6 +251,38 @@ def test_grid_points_bound_itself_is_accepted():
     assert run_verification(depth=2, grid_points=2**18)["all_passed"]
 
 
+#: every entry point that reads K, with a depth or index that reaches deep breakpoints
+K_ENTRY_POINTS = {
+    "breakpoint_log2": lambda K: breakpoint_log2(K, 9),
+    "breakpoint_log2 array": lambda K: breakpoint_log2(K, np.array([9, MAX_BREAKPOINT_INDEX])),
+    "build_standard_map": build_standard_map,
+    **{name: (lambda K, name=name: getattr(verify, name)(K, 10))
+       for name in ("recurrence_vs_closed_worst", "anchor_identity_worst", "continuity_worst",
+                    "product_identities_worst")},
+    "run_verification": lambda K: run_verification(K=K, depth=2, grid_points=2),
+}
+
+
+@pytest.mark.parametrize("K", [float(np.nextafter(2.0**64, math.inf)), 1e160, 1e300, 1e308])
+@pytest.mark.parametrize("entry", K_ENTRY_POINTS.values(), ids=K_ENTRY_POINTS)
+def test_K_above_its_bound_raises_before_any_overflow(entry, K):
+    # 1e308 made breakpoint_log2(K, 9) the radius-0 sentinel, and K * K overflowed
+    # in verify's coefficients from 1e160 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^K must be at most 2\*\*64$"):
+            entry(K)
+
+
+@pytest.mark.parametrize("entry", [K_ENTRY_POINTS[name] for name in (
+    "breakpoint_log2", "breakpoint_log2 array", "recurrence_vs_closed_worst",
+    "anchor_identity_worst", "continuity_worst", "product_identities_worst")])
+def test_K_bound_itself_gives_finite_values(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _finite_or_sentinel(entry(2.0**64)) and _finite_or_sentinel(entry(2**64))
+
+
 def _raises_type_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -273,6 +305,7 @@ class TestMapArgument:
         "pointwise_distortion": lambda m: pointwise_distortion(m, 2, -0.6),
         "max_distortion": lambda m: max_distortion(m, 2),
         "iterate_max_distortion": lambda m: iterate_max_distortion(m, 2, 3),
+        "breakpoint_image_worst": lambda m: verify.breakpoint_image_worst(m, 10),
     }
     NOT_A_MAP = {"None": None, "str": "f", "float": 2.0, "P2 limit": limit_function(F, "P2"),
                  "Q1 limit": limit_function(H, "Q1")}
@@ -299,6 +332,7 @@ class TestMapArgument:
         derived = Derived(K=2.0)
         for value in (derived, type(H)(source=derived), type(H)(source=None)):
             _raises_type_error(lambda: scale_at(value, "even", 1))
+        _raises_type_error(lambda: verify.breakpoint_image_worst(derived, 10))
         _raises_type_error(lambda: build_conjugated_map(derived))
 
 
@@ -369,7 +403,7 @@ NUMBERS = ["nan", "inf", "-inf", "1e400", "-1e400", "oops", ""]
 COUNTS = [str(2**63), "-1", str(-(2**63) - 1), str(10**30), "1.5", "nan", "oops", ""]
 #: hostile values of each flag
 CLI_HOSTILE = {
-    "--K": [*NUMBERS, "1", "0.5", "1e300"],
+    "--K": [*NUMBERS, "1", "0.5", "1e300", "1e308"],
     "--tol": [*NUMBERS, "0", "-1"],
     **{flag: [*NUMBERS, "0", "1.5"] for flag in ("--r", "--r0", "--lambda")},
     "--log2-r": ["nan", "inf", "1e400", "oops", "", "0.5", "-1e20"],
@@ -407,6 +441,7 @@ CLI_CONFIGS = {
     "huge count": {"dimension": 2**63},
     "inf": {"tol": 1e400},
     "unknown key": {"kay": 3.0},
+    "unknown output format": {"output_format": "xml"},
     "not an object": [2.0],
 }
 

@@ -188,6 +188,8 @@ class TestFiniteDifferenceOracle:
             finite_difference_distortion(f, 2, -1.0, 0.0)
         with pytest.raises(ValueError):
             finite_difference_distortion(f, 2, -30.0, 1.0)
+        with pytest.raises(ValueError, match="r \\+ step leaves the unit interval"):
+            finite_difference_distortion(f, 2, -1e-9, 1e-3)
 
 
 class TestSupremum:

@@ -47,7 +47,7 @@ from radialqc import (
     rescaled_eval,
     scale_at,
 )
-from radialqc.powermap import MAX_BREAKPOINT_INDEX
+from radialqc.powermap import MAX_ABS_LOG2_RADIUS, MAX_BREAKPOINT_INDEX
 from radialqc.zoom import LIMIT_KINDS
 
 #: inputs every evaluator must reject, or (the -inf sentinel) pass through
@@ -117,6 +117,27 @@ def test_breakpoints_and_neighbours_agree(K):
     for x in np.concatenate([bp, np.nextafter(bp, 0.0), np.nextafter(bp, -np.inf)]).tolist():
         if -(2.0**52) <= x <= 0.0:
             assert_drivers_agree(K, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1.0001, 2.0, 1.05e6])
+def test_walk_start_is_never_above_the_answer(K):
+    # the walk takes no step down: at the deepest breakpoints, their float
+    # neighbours and both zeros, a tie goes to the smaller index, and a point
+    # call and its 1-element array call agree bit for bit, errors included
+    f, h = _maps(K)
+    edge = int(2 * MAX_ABS_LOG2_RADIUS / (K + 1 / K))  # about the last index above -2**52
+    bp = f.breakpoint(np.concatenate([np.arange(0, 20), np.arange(edge - 60, edge + 4)]))
+    for x in np.concatenate([bp, np.nextafter(bp, 0.0), np.nextafter(bp, -np.inf),
+                             [0.0, -0.0]]).tolist():
+        for fn in (f.locate_interval, f.local_exponent, h.local_exponent):
+            assert outcome(fn, x) == outcome(fn, np.array([x])), (fn, x)
+        got = outcome(f.locate_interval, x)
+        if got[0] is int:
+            n = got[1]
+            assert n == 1 or x < f.breakpoint(n - 1), x
+        else:
+            assert x < -MAX_ABS_LOG2_RADIUS, (x, got)
 
 
 class _NoNumpy:
@@ -212,7 +233,7 @@ def first_error(x, allow_zero_radius):
     if np.any(x > 0.0):
         return pm._POSITIVE
     if np.any((x < -pm.MAX_ABS_LOG2_RADIUS) & (x != -math.inf)):
-        return pm._TOO_DEEP
+        return pm._TOO_DEEP_OR_ZERO if allow_zero_radius else pm._TOO_DEEP
     if not allow_zero_radius and np.any(x == -math.inf):
         return pm._SENTINEL
     return None

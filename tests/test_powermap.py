@@ -254,8 +254,9 @@ class TestLocate:
         f = build_standard_map(2.0)
         assert f.locate_interval(-1.7) == 2  # one step up from the estimate
         monkeypatch.setattr(powermap, "_LOCATE_STEPS", 0)
-        with pytest.raises(ValueError, match="too deep"):
-            f.locate_interval(-1.7)
+        for x in (-1.7, np.array([-1.7])):  # the walk of a point and of an array
+            with pytest.raises(ValueError, match="too deep"):
+                f.locate_interval(x)
 
     def test_vectorized_lookup(self):
         f = build_standard_map(2.0)
