@@ -177,7 +177,7 @@ def _index_array(n, name, lo, hi):
     na = np.asarray(n)
     if not np.issubdtype(na.dtype, np.integer):
         raise TypeError(f"{name} must be an integer within 64 bits")
-    if np.any(na < lo) or np.any(na > hi):
+    if na.size and (na.min() < lo or na.max() > hi):
         raise ValueError(f"{name} must lie in {lo}..2**{hi.bit_length() - 1}")
     return int(na) if na.ndim == 0 else na.astype(np.int64, copy=False)
 
@@ -245,8 +245,9 @@ def breakpoint_log2(K, n):
 def _breakpoint_log2(K, na):
     """``breakpoint_log2`` without validation, for int64 arrays or Python ints
     in the index domain (the interval lookup calls it on every step); both give
-    the same float, as ints up to 2**53 convert exactly."""
-    return -((na // 2) * K + ((na + 1) // 2) / K) + 0.0  # normalize -0.0 at n = 0
+    the same float, as ints up to 2**53 convert exactly.  For n >= 0, n >> 1 is
+    n // 2 and n - (n >> 1) is (n + 1) // 2, the same ints and so the same floats."""
+    return -((na >> 1) * K + (na - (na >> 1)) / K) + 0.0  # normalize -0.0 at n = 0
 
 
 def _period(K):
@@ -359,7 +360,7 @@ def _local_exponent(K, x, k):
             "no derivative at a breakpoint radius (distortion is an a.e. notion; "
             "breakpoint spheres form a removable null set)"
         )
-    odd = n % 2 == 1
+    odd = n & 1  # n >= 1
     return (k if odd else 1.0 / k) if isinstance(x, float) else np.where(odd, k, 1.0 / k)
 
 
@@ -374,6 +375,9 @@ class PiecewisePowerMap:
     """
 
     K: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "K", _parameter(self.K))  # a float, 1 < K <= 2**64
 
     def breakpoint(self, n):
         """log2 r_n for any index in the domain."""
@@ -451,6 +455,6 @@ def build_standard_map(K) -> PiecewisePowerMap:
     ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
     deep zooms.
     """
-    K = _parameter(K)
-    _distinct_breakpoints_log2(K, GUARD_DEPTH)
-    return PiecewisePowerMap(K=K)
+    f = PiecewisePowerMap(K=K)  # K's type and bounds checked first
+    _distinct_breakpoints_log2(f.K, GUARD_DEPTH)
+    return f

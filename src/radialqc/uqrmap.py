@@ -75,11 +75,11 @@ class ConjugatedMap:
         as h's own check of it does for the odd ones.
         """
         m = _index_array(m, "iteration count", 0, MAX_BREAKPOINT_INDEX)
-        y = _log_radius(x, "x") - (m // 2) * _period(self.K)
+        y = _log_radius(x, "x") - (m >> 1) * _period(self.K)  # m >= 0: m // 2
         if isinstance(m, int):
-            return self.eval_log(y) if m % 2 else _log_radius(y, "x")
+            return self.eval_log(y) if m & 1 else _log_radius(y, "x")
         y = _log_radius(y, "x")  # every lane: the even ones are returned as they are
-        odd = np.broadcast_to(m % 2 == 1, y.shape)
+        odd = np.broadcast_to((m & 1) == 1, y.shape)
         if odd.any():
             y[odd] = self.eval_log(y[odd])
         return y

@@ -74,14 +74,15 @@ def _exponents(K, depth):
     (K on odd n, 1/K on even n) that the construction checks share."""
     K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
     n = np.arange(1, depth + 1)
-    return K, n, np.where(n % 2 == 1, K, 1.0 / K)
+    return K, n, np.where(n & 1, K, 1.0 / K)
 
 
 def _coefficient_log2(K, n):
     """log2 C_n by its closed form, (n // 2)(K^2 - 1) for odd n and
     (n // 2)(1/K^2 - 1) for even n: verify's own route, apart from the cell
-    kernel that evaluates the maps."""
-    return (n // 2) * np.where(n % 2 == 1, K * K - 1.0, 1 / (K * K) - 1.0) + 0.0
+    kernel that evaluates the maps.  As n >= 1, n >> 1 and n & 1 give the ints
+    of n // 2 and n % 2, and so the same floats."""
+    return (n >> 1) * np.where(n & 1, K * K - 1.0, 1 / (K * K) - 1.0) + 0.0
 
 
 def recurrence_vs_closed_worst(K, depth):
@@ -146,7 +147,10 @@ def product_identities_worst(K, depth):
     Split by the parity of m, with even[j] = log2 r_{2j} and odd[j] = log2 r_{2j+1},
     the first identity is the families even + even and even + odd (rows n >= 1),
     the second odd + odd.  Each row a of a family s + t with shift is one pass,
-    |((s[a] + t[b]) - t[a + b]) + shift| over every column b with a + b < len(t).
+    |((s[a] + t[b]) - t[a + b]) + shift| over every column b with a + b < len(t),
+    which keeps only the max and min of d = (s[a] + t[b]) - t[a + b], made in one
+    buffer: d -> fl(d + shift) is monotone, so |fl(d + shift)| peaks at one of
+    them, and the result is the max over every pair bit for bit (a NaN too).
     The same-parity families are symmetric, as IEEE addition is commutative, so
     their rows a < ``_BAND_ROWS`` cover every pair with min(a, b) below it.
 
@@ -158,14 +162,15 @@ def product_identities_worst(K, depth):
     m only if e is affine, so an error at any index already shows in that row.
     """
     K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
-    lr = breakpoint_log2(K, np.arange(depth + 1))
-    even, odd = lr[0::2], lr[1::2]
-    worst = []
+    even, odd = (breakpoint_log2(K, np.arange(j, depth + 1, 2)) for j in (0, 1))
+    buf, worst = np.empty(len(even)), []
     for s, first, t, shift in ((even, 1, even, 0.0), (even, 1, odd, 0.0), (odd, 0, odd, 1.0 / K)):
-        L = len(t)
-        rows = [np.abs(((s[a] + t[:L - a]) - t[a:]) + shift).max()
-                for a in range(first, min(_BAND_ROWS, L))]
-        worst.append(float(np.max(rows, initial=0.0)))
+        L, ends = len(t), []  # each row's max and min of (s[a] + t[b]) - t[a + b]
+        for a in range(first, min(_BAND_ROWS, L)):
+            d = np.add(s[a], t[:L - a], out=buf[:L - a])
+            d -= t[a:]
+            ends += d.max(), d.min()
+        worst.append(float(np.max(np.abs(np.add(ends, shift)), initial=0.0)))
     even_even, even_odd, odd_odd = worst
     return max(even_even, even_odd), odd_odd
 

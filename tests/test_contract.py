@@ -49,7 +49,7 @@ from radialqc import (
     verify,
     zoom_limit_deviation,
 )
-from radialqc.powermap import MAX_BREAKPOINT_INDEX
+from radialqc.powermap import MAX_BREAKPOINT_INDEX, PiecewisePowerMap
 
 F = build_standard_map(2.0)
 H = build_conjugated_map(F)
@@ -281,6 +281,30 @@ def test_K_bound_itself_gives_finite_values(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _finite_or_sentinel(entry(2.0**64)) and _finite_or_sentinel(entry(2**64))
+
+
+@pytest.mark.parametrize("K, error, message", [
+    (0.5, ValueError, r"K must be a finite real > 1"),
+    ("x", TypeError, r"K must be a finite real > 1"),
+    (True, TypeError, r"K must be a finite real > 1"),
+    (1e308, ValueError, r"K must be at most 2\*\*64"),
+])
+def test_a_map_built_directly_checks_K(K, error, message):
+    # 0.5 and "x" constructed silently, and h of a map at K = 1e308 raised a bare
+    # OverflowError from K**3 in its cell spec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{message}$"):
+            PiecewisePowerMap(K=K)
+
+
+@pytest.mark.parametrize("K", [2**64, 1.05e6])  # 1.05e6: past build_standard_map's guard
+def test_a_map_built_directly_takes_K_up_to_its_bound(K):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = PiecewisePowerMap(K=K)
+        assert type(f.K) is float and f.K == K and f == PiecewisePowerMap(K=float(K))
+        assert math.isfinite(build_conjugated_map(f).eval_log(-1.0))
 
 
 def _raises_type_error(call):

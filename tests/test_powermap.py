@@ -28,6 +28,7 @@ from radialqc import (
 from radialqc import powermap
 from radialqc.powermap import _breakpoint_log2
 from radialqc.verify import _coefficient_log2
+from test_drivers import DRIVER_K
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-40.0, max_value=0.0, allow_nan=False)
@@ -196,6 +197,35 @@ class TestConstruction:
                 with pytest.raises(TypeError):
                     breakpoint_log2(2.0, bad)
             assert breakpoint_log2(2.0, 2**53) == -(2**52) * 2.5
+
+    @staticmethod
+    def floor_division_breakpoint_log2(K, n):
+        """Reference: the closed form spelled with floor division, which the
+        shift and mask of ``_breakpoint_log2`` replace."""
+        return -((n // 2) * K + ((n + 1) // 2) / K) + 0.0
+
+    @pytest.mark.parametrize("K", [*DRIVER_K, 2**64])
+    def test_shift_and_mask_give_the_floor_division_bits(self, K):
+        rng = np.random.default_rng(20_261_020)
+        n = np.concatenate([np.arange(20_001), rng.integers(0, 2**53, 10_000), [2**53]])
+        want = self.floor_division_breakpoint_log2(float(K), n)
+        assert breakpoint_log2(K, n).tobytes() == want.tobytes()
+        points = [breakpoint_log2(K, i) for i in n.tolist()]
+        want_points = [self.floor_division_breakpoint_log2(float(K), i) for i in n.tolist()]
+        assert np.array(points).tobytes() == np.array(want_points).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        -1, np.array([5, -1]), 2**53 + 1, np.array([0, 2**53 + 1]), np.uint64(2**63 + 1),
+        np.array([1, 2**64 - 1], dtype=np.uint64)])
+    def test_index_check_keeps_its_message(self, bad):
+        with pytest.raises(ValueError, match=r"^breakpoint index must lie in 0\.\.2\*\*53$"):
+            breakpoint_log2(2.0, bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_an_empty_index_array_gives_an_empty_answer(self, dtype):
+        got = powermap._index_array(np.array([], dtype=dtype), "breakpoint index", 0, 2**53)
+        assert got.dtype == np.int64 and got.shape == (0,)
+        assert breakpoint_log2(2.0, np.array([], dtype=dtype)).shape == (0,)
 
     def test_breakpoints_strictly_decreasing(self):
         f = build_standard_map(3.7)

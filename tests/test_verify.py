@@ -132,6 +132,8 @@ def test_the_band_flags_a_one_index_error_as_the_all_pairs_scan_does(monkeypatch
 
     monkeypatch.setattr(verify, "breakpoint_log2", spiked)
     band = product_identities_worst(K, 2000)
+    # a spike of either sign moves a row's max or its min, the two ends kept per row
+    assert _hex(band) == _hex(product_identities_reference(K, 2000, rows=_BAND, log2=spiked))
     every_pair = product_identities_reference(K, 2000, log2=spiked)
     flagged = (True, index % 2 == 1)
     assert tuple(value > 1e-9 for value in band) == flagged
