@@ -258,72 +258,71 @@ def _period(K):
 def _cell_spec(name, K):
     """Row ``name`` of the cell-spec table (see ``_eval_cells``) at parameter K:
     "P1" is f, slope K on [r_1, r_0] and 1/K with log2 C_2 = 1/K^2 - 1 on
-    [r_2, r_1]; "f_inv" inverts those branches on the value cell (-2, 0]; "h"
-    has slopes K^2, 1/K^2 on f's intervals.  Q1 has h's slopes, anchored to fix
-    the even breakpoints; P2 and Q2 switch branch at -K in the top cell."""
+    [r_2, r_1]; "f_inv" inverts them on the value cell (-2, 0]; "h" has slopes
+    K^2, 1/K^2 on f's intervals, and Q1 too, fixing the even breakpoints.  The
+    branch switch is -1/K (log2 r_1) for P1, h and Q1, -K for P2 and Q2, -1 for f_inv."""
     P = _period(K)
     if name == "P1":
-        return (P, -1.0 / K, K, 0.0, 1.0 / K, 1.0 / (K * K) - 1.0, 2.0)
+        return (P, K, 0.0, 1.0 / K, 1.0 / (K * K) - 1.0, 2.0)
     if name == "h":
-        return (P, -1.0 / K, K * K, -1.0 / K, 1.0 / (K * K), 1.0 / K**3 - 1.0 / K - K, P)
+        return (P, K * K, -1.0 / K, 1.0 / (K * K), 1.0 / K**3 - 1.0 / K - K, P)
     if name == "f_inv":
-        return (2.0, -1.0, 1.0 / K, 0.0, K, K - 1.0 / K, P)
+        return (2.0, 1.0 / K, 0.0, K, K - 1.0 / K, P)
     if name == "P2":
-        return (P, -K, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
+        return (P, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
     if name == "Q1":
-        return (P, -1.0 / K, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
-    return (P, -K, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)  # Q2
+        return (P, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
+    return (P, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)  # Q2
 
 
 def _eval_cells(x, cells, name="x"):
     """log2 y(2^x) for a log-periodic map given by its cell spec.
 
-    ``cells`` is (period, split, a_hi, b_hi, a_lo, b_lo, shift), a row of
-    ``_cell_spec``: y(x - period) = y(x) - shift, and y is affine on the two
-    pieces of the cell (-period, 0] above and below ``split``.  So x is
-    reduced by m = floor(-x / period) periods (Cody-Waite style) to u in the
-    top cell, evaluated there, and shifted back down by m * shift.  Passes
-    the radius-0 sentinel through.  A float from ``_log_radius`` takes the
-    ``math`` driver and gives a float, an array the numpy one and an array of
-    its shape; both make the same float operations in the same order, so they
-    agree bit for bit, errors included.
+    ``cells`` is (period, a_hi, b_hi, a_lo, b_lo, shift), a row of
+    ``_cell_spec``: y(x - period) = y(x) - shift, and on the cell (-period, 0]
+    y is the line b_hi + a_hi u above its branch switch and b_lo + a_lo u
+    below it.  The lines cross at the switch, so y is their max where
+    a_hi >= a_lo (convex) and their min elsewhere (concave).  So x is reduced
+    by m = floor(-x / period) periods (Cody-Waite style) to u in the top
+    cell, and the line picked there is shifted back down by m * shift; the
+    radius-0 sentinel passes through.  A float takes the ``math`` driver and
+    gives a float, an array the numpy one and an array of its shape; both
+    make the same float operations in the same order, so they agree bit for
+    bit, errors included.
 
-    The numpy driver runs every lane through the same ufuncs, with no mask:
-    a sentinel lane is evaluated at -2**52 and set back (clamping m instead
-    is wrong: in-domain lanes of ivt's inverse cell reach m ~ 2**64), and
-    each lane's piece is picked by lo ^ ((lo ^ hi) & -(u >= split)) on int64
-    views, exactly one of the two floats, which a min or max of the pieces
-    is not near the split.  Three temporaries, filled with ``out=``; ``x``,
-    possibly the caller's array, is never written.  So no lane costs a
-    branch, a gather or a scatter, as a masked ``np.where`` driver does.
+    The rounded lines can come out in the wrong order only a few ulps from
+    the switch, where the exact ones are within their rounding errors of each
+    other and either is within y's envelope (``tests/test_envelope.py``).
+    The numpy driver runs every lane through the same ufuncs and one
+    ``np.maximum`` or ``np.minimum``, with no mask or branch.  Only an array
+    holding the sentinel is clamped to -2**52 and set back (clamping m is
+    wrong: ivt's inverse cell reaches m ~ 2**64 in the domain).  Three
+    temporaries, filled with ``out=``; ``x``, the caller's array, is never written.
     """
-    period, split, a_hi, b_hi, a_lo, b_lo, shift = cells
+    period, a_hi, b_hi, a_lo, b_lo, shift = cells
     x = _log_radius(x, name)
     if isinstance(x, float):
         if x == RADIUS_ZERO_LOG2:
             return x
         m = math.floor(-x / period)  # the floor of a float: float(m) is exact, as in numpy
         u = x + m * period
-        return (b_hi + a_hi * u if u >= split else b_lo + a_lo * u) - m * shift
-    v = np.maximum(x, -MAX_ABS_LOG2_RADIUS)  # a buffer of our own; -inf lanes at -2**52
+        hi, lo = b_hi + a_hi * u, b_lo + a_lo * u
+        # max or min inline: a builtin call would cost more than the pick
+        return ((hi if hi > lo else lo) if a_hi >= a_lo else (hi if hi < lo else lo)) - m * shift
+    sentinel = np.min(x, initial=0.0) == RADIUS_ZERO_LOG2
+    v = np.maximum(x, -MAX_ABS_LOG2_RADIUS) if sentinel else x  # if so, a copy, reused for hi
     m = np.divide(v, -period)  # the same IEEE value as -v / period, signed zeros included
     np.floor(m, out=m)
     u = m * period
     u += v
-    # select bit by bit: np.where branches per lane, and u >= split is unpredictable
-    mask = np.greater_equal(u, split).view(np.int8)
-    np.negative(mask, out=mask)
-    np.multiply(u, a_hi, out=v)
-    v += b_hi
+    hi = np.multiply(u, a_hi, out=v if sentinel else None)
+    hi += b_hi
     u *= a_lo
     u += b_lo
-    vi, ui = v.view(np.int64), u.view(np.int64)
-    vi ^= ui
-    vi &= mask  # int8 0 or -1, sign-extended: keeps all of the xor or none
-    ui ^= vi
+    (np.maximum if a_hi >= a_lo else np.minimum)(u, hi, out=u)
     m *= shift
     u -= m
-    if np.min(x, initial=0.0) == RADIUS_ZERO_LOG2:  # set the sentinel lanes back
+    if sentinel:  # set its lanes back
         u[x == RADIUS_ZERO_LOG2] = RADIUS_ZERO_LOG2
     return u
 

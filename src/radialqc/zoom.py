@@ -87,8 +87,8 @@ def limit_function(map_, kind) -> LimitFunction:
     ``P1``/``P2`` are the even/odd-scale limits of the base piecewise power
     map, ``Q1``/``Q2`` those of its conjugated (halving) map.  The recorded
     source is always the base map: its K alone fixes the limit's row of
-    ``powermap._cell_spec`` (period, split point, two slopes, two offsets,
-    shift), evaluated by the same cell kernel as f and h; P1 is f's own row.
+    ``powermap._cell_spec`` (period, two slopes, two offsets, shift),
+    evaluated by the same cell kernel as f and h; P1 is f's own row.
     A float or 0-d input gives a float, an array an array.
     """
     if kind not in LIMIT_KINDS:
@@ -143,7 +143,8 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
         raise ValueError("limit function was built for a different map")
     grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
     rescaled = rescaled_eval(map_, scale_at(map_, sequence, np.asarray(n_range))[:, None], grid)
-    return float(np.abs(rescaled - lf.eval_log(grid)).max(initial=0.0))
+    rescaled -= lf.eval_log(grid)  # rescaled_eval gives a fresh array: work in place
+    return float(np.abs(rescaled, out=rescaled).max(initial=0.0))
 
 
 def ivt_sample(map_, r0, lam, tol, period_index=1):
@@ -212,14 +213,14 @@ def _solve(K, F, r0, lam, j, t_even):
     before the clip to the bracket [t_even, t_odd]: floats or equal-length arrays
     alike, so the two drivers of ``_eval_cells`` give the point call and each lane alike."""
     _log_radius(r0 + t_even, "r0 + t")  # the deepest point of the bracket
-    P, _, k, F0, _, _, shift = _cell_spec(F, K)
+    P, k, F0, _, _, shift = _cell_spec(F, K)
     F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
     # inverse is c y on (-V, 0] (G's flat piece is a jump), shifted by P per cell.
     # Only for h at K > 1.6e5, within a period of -2**52, can y leave the domain.
     V = F0 - F_P - P / k
     c = 1.0 / (k - 1.0 / k)
-    s = _eval_cells(lam + F_P - (r0 - P) / k - F0, (V, -V, c, 0.0, c, 0.0, P), "r0 + t")
+    s = _eval_cells(lam + F_P - (r0 - P) / k - F0, (V, c, 0.0, c, 0.0, P), "r0 + t")
     return s - r0 - (j - 1) * P
 
 

@@ -13,11 +13,14 @@ index entry points (``breakpoint_log2``, ``scale_at``, ``h.iterate``'s count),
 whose int fast path computes on Python ints, and for ``ivt_sample``, whose
 point path solves in plain floats.
 
-The numpy driver evaluates every lane without a mask and picks each branch
-bit by bit, so each lane of an array call, for every cell-spec row and for
-ivt's inverse cell map, must also be the ``math`` driver's float; and an
-array mixing bad lanes raises the message of the first check that fails
-over all lanes, in the order NaN or +inf, positive, too deep, sentinel.
+The numpy driver evaluates every lane without a mask and picks each lane's
+line by one max or min of the two, as the ``math`` driver does with a
+conditional, so each lane of an array call, for every cell-spec row and for
+ivt's inverse cell map, with and without the sentinel, must also be the
+``math`` driver's float; above all within a few ulps of a branch switch or a
+cell edge, where the two lines are closest.  An array mixing bad lanes
+raises the message of the first check that fails over all lanes, in the
+order NaN or +inf, positive, too deep, sentinel.
 """
 
 import math
@@ -27,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_envelope import K_VALUES, log_radii
+from test_envelope import K_VALUES, branch_switch, log_radii, switch_lanes
 
 import radialqc.distortion
 import radialqc.powermap
@@ -188,7 +191,7 @@ def spec(name, K):
     # at K = 1.0001, so lanes near -2**52 reduce by m near 2**64 periods
     V = 1.0 - 1.0 / (K * K)
     c = 1.0 / (K - 1.0 / K)
-    return (V, -V, c, 0.0, c, 0.0, K + 1.0 / K)
+    return (V, c, 0.0, c, 0.0, K + 1.0 / K)
 
 
 def driver_inputs(rng, cells, n):
@@ -199,7 +202,7 @@ def driver_inputs(rng, cells, n):
         -np.exp2(rng.uniform(-1074.0, -1000.0, n // 8)),
         rng.uniform(-4.0 * cells[0], 0.0, n),
         [0.0, -0.0, -(2.0**52), float(np.nextafter(-(2.0**52), 0.0)), -5e-324,
-         -2.2250738585072014e-308, -math.inf, -math.inf, cells[1]],
+         -2.2250738585072014e-308, -math.inf, -math.inf, -cells[0]],
     ])
     return x[rng.permutation(x.size)]
 
@@ -209,12 +212,12 @@ def driver_inputs(rng, cells, n):
 @pytest.mark.parametrize("K", DRIVER_K)
 def test_array_driver_matches_math_driver_lane_by_lane(K, name):
     # the numpy driver evaluates every lane without a mask and picks each
-    # branch bit by bit: each lane must still be the math driver's float
+    # lane's line by a max or min: each lane must still be the math driver's float
     eval_cells = radialqc.powermap._eval_cells
     cells = spec(name, K)
     rng = np.random.default_rng([DRIVER_K.index(K), SPEC_ROWS.index(name)])
     x = driver_inputs(rng, cells, 400)
-    for arg in (x, x[:-1].reshape(2, -1), x[:0], x[:0].reshape(3, 0)):
+    for arg in (x, x[:-1].reshape(2, -1), x[x != -math.inf], x[:0], x[:0].reshape(3, 0)):
         before = arg.copy()
         arg.setflags(write=False)  # a read-only input works and is never written
         out = eval_cells(arg, cells)
@@ -222,6 +225,25 @@ def test_array_driver_matches_math_driver_lane_by_lane(K, name):
         assert np.array_equal(arg.view(np.int64), before.view(np.int64))
         want = np.array([eval_cells(v, cells) for v in arg.ravel().tolist()], dtype=float)
         assert np.array_equal(out.ravel().view(np.int64), want.view(np.int64)), (K, name)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", SPEC_ROWS)
+@pytest.mark.parametrize("K", DRIVER_K)
+def test_drivers_agree_at_branch_switches(K, name):
+    # within a few ulps of a switch the two lines are closest, so a lane's
+    # pick can differ from the exact one there: both drivers must make it alike
+    eval_cells = radialqc.powermap._eval_cells
+    cells = spec(name, K)
+    period = cells[0]
+    switch = -period if name == "ivt" else branch_switch(name, K)  # ivt's cell has one line
+    rng = np.random.default_rng([11, DRIVER_K.index(K), SPEC_ROWS.index(name)])
+    j = np.concatenate([np.arange(4), 2 ** np.arange(4, 41, 4), rng.integers(0, 2**40, 8)])
+    x = switch_lanes(switch, period, np.minimum(j, MAX_ABS_LOG2_RADIUS // period - 1))
+    for arg in (x, np.append(x, -math.inf)):  # without and with the sentinel
+        out = eval_cells(arg, cells)
+        want = np.array([eval_cells(v, cells) for v in arg.tolist()])
+        assert np.array_equal(out.view(np.int64), want.view(np.int64)), (K, name)
 
 
 def first_error(x, allow_zero_radius):

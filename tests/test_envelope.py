@@ -17,8 +17,11 @@ Numerical Algorithms*, 2002, ch. 1-3); the largest error measured is below
 
 The points are log-uniform radii down to 2^-2^52, breakpoints, the shifted
 breakpoints -((m + 1) K + m / K) where P2 and Q2 switch branch, and the float
-neighbours of both.  Exact ties are checked at powers of two K, where every
-breakpoint in range is an exact float.
+neighbours of both.  Every map is also checked within 4 ulps of its branch
+switch and cell edges, shifted down by up to 2^40 periods: the only lanes
+where the cell kernel's max or min of two lines can pick the other line than
+a comparison with the switch would.  Exact ties are checked at powers of two
+K, where every breakpoint in range is an exact float.
 """
 
 import math
@@ -71,6 +74,29 @@ def log_radii(draw, K, bound=MAX_ABS_LOG2_RADIUS):
     return float(x)
 
 
+def branch_switch(row, K):
+    """Where row ``row`` of ``powermap._cell_spec`` switches branch in its top
+    cell, the one point where its two lines cross."""
+    if row == "f_inv":
+        return -1.0
+    return -K if row in ("P2", "Q2") else -1.0 / K
+
+
+def switch_lanes(switch, period, j):
+    """The switch and both edges of the top cell (-period, 0], each shifted
+    down by j periods (an int or an int array) and 1..4 ulps either side of
+    each: those in the log2-radius domain."""
+    base = np.subtract.outer([switch, 0.0, -period], np.asarray(j, dtype=float) * period).ravel()
+    lanes = [base]
+    for toward in (0.0, -math.inf):
+        x = base
+        for _ in range(4):
+            x = np.nextafter(x, toward)
+            lanes.append(x)
+    x = np.concatenate(lanes)
+    return x[(x >= -MAX_ABS_LOG2_RADIUS) & (x <= 0.0)]
+
+
 def worst_units(values, refs, scales):
     return max(error_units(float(v), r, s) for v, r, s in zip(values, refs, scales))
 
@@ -81,6 +107,8 @@ def evaluator(what, K):
     slope = K * K if what in ("h", "Q1", "Q2") else K
     if what == "f":
         return f.eval_log, slope
+    if what == "f_inv":
+        return f.inverse_eval_log, slope
     if what == "h":
         return h.eval_log, slope
     return limit_function(h if what[0] == "Q" else f, what).eval_log, slope
@@ -96,6 +124,25 @@ def test_map_within_envelope(what, K, data):
     refs = [ex.evaluate(what, v) for v in x]
     assert worst_units(ev(np.array(x)), refs, [(abs(v) + 1.0) * slope for v in x]) <= ENVELOPE
     assert error_units(ev(x[0]), refs[0], (abs(x[0]) + 1.0) * slope) <= ENVELOPE
+
+
+#: each evaluator's row of the cell-spec table
+ROWS = {"f": "P1", "f_inv": "f_inv", "h": "h", "P1": "P1", "P2": "P2", "Q1": "Q1", "Q2": "Q2"}
+
+
+@pytest.mark.parametrize("what", list(ROWS))
+@given(K=K_VALUES, j=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+                              min_size=1, max_size=2))
+@settings(max_examples=40)
+def test_branch_switch_lanes_within_envelope(what, K, j):
+    # the lanes where the cell kernel's pick can move: either line must do there
+    ev, slope = evaluator(what, K)
+    period = 2.0 if what == "f_inv" else K + 1.0 / K
+    j = np.minimum(j, MAX_ABS_LOG2_RADIUS // period - 1)
+    x = switch_lanes(branch_switch(ROWS[what], K), period, j)
+    ex = ExactMaps(K)
+    refs = [ex.evaluate(what, v) for v in x.tolist()]
+    assert worst_units(ev(x), refs, (np.abs(x) + 1.0) * slope) <= ENVELOPE
 
 
 @given(K=K_VALUES, data=st.data())

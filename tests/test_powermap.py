@@ -10,6 +10,7 @@ Independent oracles used here:
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from radialqc import powermap
 from radialqc.powermap import _breakpoint_log2
 from radialqc.verify import _coefficient_log2
 from test_drivers import DRIVER_K
+from test_envelope import ENVELOPE, ExactMaps, branch_switch, error_units
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
 LOG_RADII = st.floats(min_value=-40.0, max_value=0.0, allow_nan=False)
@@ -332,6 +334,27 @@ class TestEval:
         f = build_standard_map(K)
         shifted = f.eval_log(x + f.breakpoint(2 * n))
         assert abs(shifted - (f.eval_log(x) - 2 * n)) <= 1e-9
+
+    @pytest.mark.parametrize("row", ["P1", "h", "f_inv", "P2", "Q1", "Q2"])
+    @pytest.mark.parametrize("K", [1.37, 2.0, 3.0, 9.99, 1e3, 1.05e6])
+    def test_each_row_is_convex_or_concave_about_its_switch(self, K, row):
+        # the cell kernel takes the max of a row's two lines where a_hi >= a_lo
+        # and the min elsewhere: right only if the lines cross at the row's
+        # switch inside the top cell, the hi line above it and the lo one below
+        period, a_hi, b_hi, a_lo, b_lo, _ = powermap._cell_spec(row, K)
+        switch = branch_switch(row, K)
+        cross = (Fraction(b_lo) - Fraction(b_hi)) / (Fraction(a_hi) - Fraction(a_lo))
+        assert abs(cross - Fraction(switch)) <= 4 * math.ulp(switch), float(cross)
+        assert -period < switch < 0.0
+        ex = ExactMaps(K)
+        slope = K * K if row in ("h", "Q1", "Q2") else K
+        for u in (0.0, switch / 2, (switch - period) / 2, -period * (1.0 - 2.0**-10)):
+            hi, lo = b_hi + a_hi * u, b_lo + a_lo * u
+            above = u > switch
+            ref = ex.evaluate(row, u)
+            assert error_units(hi if above else lo, ref, (1.0 - u) * slope) <= ENVELOPE
+            assert ((hi > lo) if above else (lo > hi)) == (a_hi >= a_lo), u
+            assert powermap._eval_cells(u, powermap._cell_spec(row, K)) == (hi if above else lo)
 
 
 class TestInverse:
