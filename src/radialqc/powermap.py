@@ -437,14 +437,28 @@ class PiecewisePowerMap:
         return (self.K, 1.0 / self.K)
 
 
-def _distinct_breakpoints_log2(K, horizon):
-    """log2 r_0 .. r_horizon, after checking that consecutive ones differ in float64."""
-    log2_r = breakpoint_log2(K, np.arange(horizon + 1))
+def _distinct_breakpoints_log2(K, start, stop):
+    """log2 r_start .. r_stop, after checking that consecutive ones differ in float64."""
+    log2_r = breakpoint_log2(K, np.arange(start, stop + 1))
     if np.any(np.diff(log2_r) >= 0.0):
         raise ValueError(
             "K too large for float64: consecutive breakpoints coincide within depth"
         )
     return log2_r
+
+
+#: lanes per block of verify's depth-long and grid-wide checks: a float64
+#: temporary of a block stays under 64 KiB, which glibc's free never answers by
+#: trimming the heap, so the next block (and the next call) reuses its pages
+#: where whole-depth temporaries were faulted in afresh on every call
+_BLOCK = 7680
+
+
+def _blocked_max(fn, count, size=_BLOCK):
+    """The max of ``fn(start, stop)`` over the blocks of ``size`` that cover
+    0 .. count - 1 in order (one empty block when count is 0), a NaN of any
+    block coming through; for ``fn`` giving a tuple, the max of each entry."""
+    return np.max([fn(i, min(i + size, count)) for i in range(0, max(count, 1), size)], axis=0)
 
 
 def build_standard_map(K) -> PiecewisePowerMap:
@@ -455,5 +469,5 @@ def build_standard_map(K) -> PiecewisePowerMap:
     deep zooms.
     """
     f = PiecewisePowerMap(K=K)  # K's type and bounds checked first
-    _distinct_breakpoints_log2(f.K, GUARD_DEPTH)
+    _distinct_breakpoints_log2(f.K, 0, GUARD_DEPTH)
     return f

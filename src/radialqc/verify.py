@@ -23,6 +23,8 @@ from .distortion import (
 from .powermap import (
     GUARD_DEPTH,
     PiecewisePowerMap,
+    _BLOCK,
+    _blocked_max,
     _count,
     _distinct_breakpoints_log2,
     _parameter,
@@ -58,23 +60,17 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: the bounds of depth, as the construction checks hold a few arrays of depth floats
-#: and take time linear in it (390 MB and 1.7 s at 2**22 on a 2-CPU VM), and of
-#: grid_points, as the zoom checks hold 50 x grid_points values (440 MB at the bound)
+#: the bounds of depth, as the construction checks take time linear in it and the
+#: product-identity band holds a few arrays of depth / 2 floats (113 MB and 1.3 s
+#: at 2**22 on a 2-CPU VM), and of grid_points, as the grid-wide checks hold a few
+#: arrays of grid_points floats (52 MB and 1.3 s at the bound); the other
+#: depth-long checks and the zoom checks run in blocks of ``_BLOCK`` lanes
 _MAX_DEPTH, _MAX_GRID_POINTS = 2**24, 2**18
 
 
 def _max_abs_diff(a, b=0.0):
     """max |a - b| over the entries, as a float: the measure of every residual."""
     return float(np.max(np.abs(a - b)))
-
-
-def _exponents(K, depth):
-    """K and depth checked, with n = 1..depth and the branch exponents k_n
-    (K on odd n, 1/K on even n) that the construction checks share."""
-    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
-    n = np.arange(1, depth + 1)
-    return K, n, np.where(n & 1, K, 1.0 / K)
 
 
 def _coefficient_log2(K, n):
@@ -94,40 +90,65 @@ def recurrence_vs_closed_worst(K, depth):
     with every step (1.2e-9 by n = 10^4 at K = 3), which is the
     accumulation's error, not the closed form's.
 
-    The sum is two sequential accumulations.  ``np.cumsum`` of the steps
-    -1/k_n gives the running totals.  With ``prev`` the total before each step
-    (0.0 before the first), each addition's rounding error is Neumaier's
+    The sum is two sequential accumulations, run in blocks of ``_BLOCK``
+    steps.  ``np.cumsum`` of the carried total (0.0 before the first block)
+    and the block's steps -1/k_n gives each step's total before and after it,
+    ``prev`` and ``total``; each addition's rounding error is Neumaier's
     (prev - total) + step where |prev| >= |step|, else (step - total) + prev,
     taken lane by lane, and the recurrence is the total plus ``np.cumsum`` of
-    these errors.  ``np.cumsum`` adds strictly left to right, unlike the
-    pairwise ``np.sum``, so each lane makes the IEEE operations of a scalar
-    Neumaier loop over the steps (the reference in the tests) in the loop's
-    order, and gives its bits.  The one possible difference is the first
-    addition of each accumulation, the loop's 0.0 + x against a plain x: they
-    differ only in the sign of a zero error, and a zero of either sign added to
-    a total leaves it unchanged, as no total is zero (every step is negative).
+    the carried error sum (0.0 before the first block) and these errors.
+    ``np.cumsum`` adds strictly left to right, unlike the pairwise ``np.sum``,
+    and each block starts from where the last one stopped, so each lane makes
+    the IEEE operations of a scalar Neumaier loop over the steps (the
+    reference in the tests) in the loop's order, its first 0.0 + x included,
+    and gives its bits.
     """
-    K, n, k = _exponents(K, depth)
-    step = -1.0 / k
-    total = np.cumsum(step)
-    prev = np.concatenate(([0.0], total[:-1]))
-    err = np.where(np.abs(prev) >= np.abs(step), (prev - total) + step, (step - total) + prev)
-    recurrence = total + np.cumsum(err)
-    return _max_abs_diff(breakpoint_log2(K, n), recurrence)
+    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
+    odd_step, even_step = -1.0 / K, -1.0 / (1.0 / K)  # -1/k_n, as k_n is K or 1/K
+    carry = [0.0, 0.0]  # the total and the error sum before the block
+
+    def block(i, j):  # n = i + 1 .. j
+        n = np.arange(i + 1, j + 1)
+        step = np.where(n & 1, odd_step, even_step)
+        totals = np.empty(len(n) + 1)
+        totals[0], totals[1:] = carry[0], step
+        np.cumsum(totals, out=totals)
+        prev, total = totals[:-1], totals[1:]
+        errors = np.empty_like(totals)
+        errors[0] = carry[1]
+        errors[1:] = np.where(np.abs(prev) >= np.abs(step), (prev - total) + step,
+                              (step - total) + prev)
+        np.cumsum(errors, out=errors)
+        carry[:] = totals[-1], errors[-1]
+        return _max_abs_diff(breakpoint_log2(K, n), total + errors[1:])
+
+    return float(_blocked_max(block, depth))
 
 
 def anchor_identity_worst(K, depth):
     """Worst |log2 C_n + n + k_n log2 r_n| over n <= depth."""
-    K, n, k = _exponents(K, depth)
-    return _max_abs_diff(_coefficient_log2(K, n) + n + k * breakpoint_log2(K, n))
+    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
+
+    def block(i, j):  # n = i + 1 .. j
+        n = np.arange(i + 1, j + 1)
+        k = np.where(n & 1, K, 1.0 / K)
+        return _max_abs_diff(_coefficient_log2(K, n) + n + k * breakpoint_log2(K, n))
+
+    return float(_blocked_max(block, depth))
 
 
 def continuity_worst(K, depth):
     """Worst branch mismatch at the breakpoints: interval n vs n+1 formulas."""
-    K, n, k = _exponents(K, depth)
-    lr = breakpoint_log2(K, n[:-1])
-    log2_C = _coefficient_log2(K, n)
-    return _max_abs_diff(log2_C[:-1] + k[:-1] * lr, log2_C[1:] + k[1:] * lr)
+    K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
+
+    def block(i, j):  # the breakpoints n = i + 1 .. j, each with the intervals n and n + 1
+        n = np.arange(i + 1, j + 2)
+        k = np.where(n & 1, K, 1.0 / K)
+        lr = breakpoint_log2(K, n[:-1])
+        log2_C = _coefficient_log2(K, n)
+        return _max_abs_diff(log2_C[:-1] + k[:-1] * lr, log2_C[1:] + k[1:] * lr)
+
+    return float(_blocked_max(block, depth - 1))
 
 
 #: rows a of each product-identity family checked against every column b.  An
@@ -180,8 +201,12 @@ def breakpoint_image_worst(f, depth):
     if type(f) is not PiecewisePowerMap:
         raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
     depth = _count(depth, "depth", 2, _MAX_DEPTH)
-    n = np.arange(0, depth + 1)
-    return _max_abs_diff(f.eval_log(f.breakpoint(n)) + n)
+
+    def block(i, j):  # n = i .. j - 1
+        n = np.arange(i, j)
+        return _max_abs_diff(f.eval_log(f.breakpoint(n)) + n)
+
+    return float(_blocked_max(block, depth + 1))
 
 
 def _checked_settings(K, dimension, depth, grid_points, tol):
@@ -201,8 +226,14 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     """
     _checked_settings(K, dimension, depth, grid_points, tol)
     f = build_standard_map(K)
-    lr = _distinct_breakpoints_log2(f.K, depth)
     h = build_conjugated_map(f)
+
+    def consecutive_breakpoints(i, j):  # the pairs r_n, r_{n+1} for n = i .. j - 1
+        lr = _distinct_breakpoints_log2(f.K, i, j)
+        return np.diff(lr).max(), _max_abs_diff(h.eval_log(lr[:-1]), lr[1:])
+
+    # the guard raises before any check runs; its pass also measures two checks
+    largest_step, h_forwards = _blocked_max(consecutive_breakpoints, depth)
     period = _period(f.K)
     grid = np.linspace(-3.0 * period, 0.0, grid_points)
     grid_interior = grid[grid < 0.0]
@@ -225,14 +256,18 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     even_res, odd_res = product_identities_worst(K, depth)
     residual("breakpoint_product_identity_even", even_res)
     residual("breakpoint_product_identity_odd_shifted", odd_res)
-    witness("breakpoint_strict_decrease_margin", float((-np.diff(lr)).min()), tol)
+    witness("breakpoint_strict_decrease_margin", float(-largest_step), tol)
     residual("breakpoint_image_is_halving", breakpoint_image_worst(f, depth))
 
     # --- forward/inverse evaluation ----------------------------------------
     values = f.eval_log(grid)
-    shifts = np.arange(1, 26)[:, None]  # one row of the grid per even scale r_{2j}
-    mult = _max_abs_diff(f.eval_log(grid + f.breakpoint(2 * shifts)) - values + 2 * shifts)
-    residual("even_scale_multiplicativity", mult)
+
+    def shift_rows(i, j):  # one row of the grid per even scale r_{2s}, s = i + 1 .. j
+        shifts = np.arange(i + 1, j + 1)[:, None]
+        return _max_abs_diff(f.eval_log(grid + f.breakpoint(2 * shifts)) - values + 2 * shifts)
+
+    residual("even_scale_multiplicativity",
+             _blocked_max(shift_rows, 25, max(1, _BLOCK // grid_points)))
     witness("eval_strictly_increasing_margin", float(np.diff(values).min()), tol)
     residual("inverse_roundtrip", _max_abs_diff(f.inverse_eval_log(values), grid))
     residual("mean_radius_equals_forward_eval", _max_abs_diff(f.mean_radius_radial(grid), values))
@@ -290,7 +325,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     residual(
         "h_closed_form_vs_conjugacy_oracle", _max_abs_diff(h_closed, h_via_conjugacy(f, conj_grid))
     )
-    residual("h_forwards_breakpoints", _max_abs_diff(h.eval_log(lr[:-1]), lr[1:]))
+    residual("h_forwards_breakpoints", h_forwards)
     residual(
         "second_iterate_exact_similarity", _max_abs_diff(h.eval_log(h_closed) - conj_grid + period)
     )

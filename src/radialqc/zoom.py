@@ -23,6 +23,8 @@ import numpy as np
 from .powermap import (
     MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
+    _BLOCK,
+    _blocked_max,
     _cell_spec,
     _eval_cells,
     _floats,
@@ -135,6 +137,11 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     against P2/Q2), because the rescaled family is exactly index-independent
     at these scales.  Mismatched pairings give an order-one deviation, which
     is the distinctness witness.
+
+    The scales are checked, and F(t) and the limit on the grid evaluated,
+    once; the rows of the scales then pass through ``map_.eval_log`` in blocks
+    of ``_BLOCK // len(grid)`` rows, one row where the grid is longer, each
+    lane giving ``rescaled_eval``'s bits, and so the max its whole table gives.
     """
     base = _base_of(map_)
     if not isinstance(lf, LimitFunction):
@@ -142,9 +149,17 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     if lf.source != base:
         raise ValueError("limit function was built for a different map")
     grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
-    rescaled = rescaled_eval(map_, scale_at(map_, sequence, np.asarray(n_range))[:, None], grid)
-    rescaled -= lf.eval_log(grid)  # rescaled_eval gives a fresh array: work in place
-    return float(np.abs(rescaled, out=rescaled).max(initial=0.0))
+    t = scale_at(map_, sequence, np.asarray(n_range))[:, None]
+    t = _log_radius(t, "t", allow_zero_radius=False)  # as rescaled_eval checks it
+    at_t, limit = map_.eval_log(t), lf.eval_log(grid)
+
+    def rows(i, j):
+        rescaled = map_.eval_log(grid + t[i:j])  # a fresh array: work in place
+        rescaled -= at_t[i:j]
+        rescaled -= limit
+        return np.abs(rescaled, out=rescaled).max(initial=0.0)
+
+    return float(_blocked_max(rows, len(t), max(1, _BLOCK // max(grid.size, 1))))
 
 
 def ivt_sample(map_, r0, lam, tol, period_index=1):

@@ -247,7 +247,7 @@ def test_dimension_bound_itself_is_accepted():
 
 
 def test_grid_points_bound_itself_is_accepted():
-    # the zoom checks' 50 x grid_points arrays: about 450 MB at the bound
+    # the grid-wide arrays and the zoom checks' blocks: about 52 MB at the bound
     assert run_verification(depth=2, grid_points=2**18)["all_passed"]
 
 

@@ -1,16 +1,19 @@
 """Verify-suite helpers against reference implementations kept here, the
-product-identity band against the all-pairs reference where it covers every
-pair and its power on an error far beyond it, the helpers' input checks, and a
-mutation check that the linear-scan check really compares two routes.
+blocked checks against whole-array references on and around the block edges,
+the product-identity band against the all-pairs reference where it covers every
+pair and its power on an error far beyond it, the helpers' input checks, the
+suite's traced memory, and a mutation check that the linear-scan check really
+compares two routes.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from radialqc import build_standard_map, run_verification, verify
-from radialqc.powermap import PiecewisePowerMap, breakpoint_log2
+from radialqc import build_conjugated_map, build_standard_map, powermap, run_verification, verify
+from radialqc.powermap import PiecewisePowerMap, _blocked_max, breakpoint_log2
 from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
 
@@ -62,21 +65,153 @@ def multiplicativity_reference(f, grid):
 
 
 BIT_CHECK_KS = [2.0, 3.0, 1.37, 9.99, 1000.0, 1e5, 1.0001]
+_B = powermap._BLOCK
+#: depths on and around the block edges: the last block one short of full, full,
+#: one lane long, and one lane long after two full blocks
+BLOCK_EDGE_DEPTHS = [_B - 1, _B, _B + 1, 2 * _B + 1]
 
 
 @pytest.mark.parametrize("K", BIT_CHECK_KS)
-@pytest.mark.parametrize("depth", [2, 3, 8191, 8192, 8193, 10_000, 30_000])
+@pytest.mark.parametrize("depth", [2, 3, *BLOCK_EDGE_DEPTHS, 8191, 8192, 8193, 10_000, 30_000])
 def test_recurrence_matches_the_loop_bit_for_bit(K, depth):
     assert recurrence_vs_closed_worst(K, depth).hex() == recurrence_reference(K, depth).hex()
 
 
+#: grid sizes beyond 2 and 1000 cut the 25 even-scale rows into blocks of 25,
+#: of 3 (the last one row) and of 1 (a grid longer than a block) rows
 @pytest.mark.parametrize("K", BIT_CHECK_KS)
-@pytest.mark.parametrize("grid_points", [2, 1000])
+@pytest.mark.parametrize("grid_points", [2, 1000, _B // 25, _B // 3, _B + 1])
 def test_multiplicativity_matches_the_per_shift_expression(K, grid_points):
     report = run_verification(K=K, depth=2, grid_points=grid_points)
     grid = np.linspace(-3.0 * (K + 1.0 / K), 0.0, grid_points)  # run_verification's grid
     expected = multiplicativity_reference(build_standard_map(K), grid)
     assert _check(report, "even_scale_multiplicativity")["measured"].hex() == expected.hex()
+
+
+def anchor_reference(K, depth):
+    """Worst anchor residual over the whole index array at once."""
+    n = np.arange(1, depth + 1)
+    k = np.where(n & 1, K, 1.0 / K)
+    return float(np.max(np.abs(verify._coefficient_log2(K, n) + n + k * breakpoint_log2(K, n))))
+
+
+def continuity_reference(K, depth):
+    """Worst branch mismatch over the whole index array at once."""
+    n = np.arange(1, depth + 1)
+    k = np.where(n & 1, K, 1.0 / K)
+    lr = breakpoint_log2(K, n[:-1])
+    log2_C = verify._coefficient_log2(K, n)
+    return float(np.max(np.abs((log2_C[:-1] + k[:-1] * lr) - (log2_C[1:] + k[1:] * lr))))
+
+
+def image_reference(f, depth):
+    """Worst |log2 f(r_n) + n| over the whole index array at once."""
+    n = np.arange(0, depth + 1)
+    return float(np.max(np.abs(f.eval_log(f.breakpoint(n)) + n)))
+
+
+def consecutive_breakpoints_reference(K, depth):
+    """The strict-decrease margin and the worst |h(r_n) - r_{n+1}|, from all of
+    log2 r_0 .. r_depth at once."""
+    lr = breakpoint_log2(K, np.arange(depth + 1))
+    h = build_conjugated_map(build_standard_map(K))
+    return float((-np.diff(lr)).min()), float(np.max(np.abs(h.eval_log(lr[:-1]) - lr[1:])))
+
+
+BLOCK_EDGE_KS = [1.37, 2.0, 3.0, 9.99]
+
+
+@pytest.mark.parametrize("K", BLOCK_EDGE_KS)
+@pytest.mark.parametrize("depth", BLOCK_EDGE_DEPTHS)
+def test_blocked_construction_checks_match_whole_array_references(K, depth):
+    f = build_standard_map(K)
+    assert verify.anchor_identity_worst(K, depth).hex() == anchor_reference(K, depth).hex()
+    assert verify.continuity_worst(K, depth).hex() == continuity_reference(K, depth).hex()
+    assert verify.breakpoint_image_worst(f, depth).hex() == image_reference(f, depth).hex()
+
+
+@pytest.mark.parametrize("K", BLOCK_EDGE_KS)
+@pytest.mark.parametrize("depth", BLOCK_EDGE_DEPTHS)
+def test_blocked_breakpoint_pass_matches_whole_array_reference(K, depth):
+    report = run_verification(K=K, depth=depth, grid_points=2)
+    measured = tuple(_check(report, name)["measured"] for name in
+                     ("breakpoint_strict_decrease_margin", "h_forwards_breakpoints"))
+    assert _hex(measured) == _hex(consecutive_breakpoints_reference(K, depth))
+
+
+#: indices on both sides of each block edge at depth 2B + 1, whose last block
+#: holds one index alone
+EDGE_INDICES = [1, _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1]
+
+
+def _spiked_at(index):
+    return lambda K, n: breakpoint_log2(K, n) + np.where(n == index, 1e-6, 0.0)
+
+
+@pytest.mark.parametrize("index", EDGE_INDICES)
+def test_an_error_at_a_block_edge_is_reported(monkeypatch, index):
+    K, depth = 3.0, 2 * _B + 1
+    monkeypatch.setattr(verify, "breakpoint_log2", _spiked_at(index))
+    assert verify.recurrence_vs_closed_worst(K, depth) > 1e-9
+    assert verify.anchor_identity_worst(K, depth) > 1e-9
+    # continuity reads the breakpoints 1 .. depth - 1
+    assert (verify.continuity_worst(K, depth) > 1e-9) == (index < depth)
+    monkeypatch.undo()
+
+    f, exact = build_standard_map(K), PiecewisePowerMap.breakpoint
+    monkeypatch.setattr(PiecewisePowerMap, "breakpoint",
+                        lambda self, n: exact(self, n) + np.where(n == index, 1e-6, 0.0))
+    assert verify.breakpoint_image_worst(f, depth) > 1e-9
+    monkeypatch.undo()
+
+    # the guard's pass reads r_0 .. r_depth for h_forwards_breakpoints
+    monkeypatch.setattr(powermap, "breakpoint_log2", _spiked_at(index))
+    report = run_verification(K=K, depth=depth, grid_points=2)
+    assert not _check(report, "h_forwards_breakpoints")["passed"]
+
+
+@pytest.mark.parametrize("index", EDGE_INDICES)
+def test_breakpoints_that_coincide_at_a_block_edge_are_refused(monkeypatch, index):
+    # r_index moved onto r_{index - 1}: the guard reads each consecutive pair
+    K, depth = 3.0, 2 * _B + 1
+    monkeypatch.setattr(powermap, "breakpoint_log2", lambda K, n: breakpoint_log2(
+        K, np.where(n == index, index - 1, n)))
+    with pytest.raises(ValueError, match="coincide"):
+        run_verification(K=K, depth=depth, grid_points=2)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_blocked_max_lets_a_nan_of_any_block_through(at):
+    blocks = [1.0, 3.0, 2.0]
+    blocks[at] = float("nan")
+    assert np.isnan(_blocked_max(lambda i, j: blocks[i // _B], 3 * _B))
+
+
+def test_blocked_max_reads_each_block_once_in_order():
+    seen = []
+
+    def block(i, j):
+        seen.append((i, j))
+        return -i, float(j)
+
+    assert tuple(_blocked_max(block, 2 * _B + 1)) == (0, 2 * _B + 1)
+    assert seen == [(0, _B), (_B, 2 * _B), (2 * _B, 2 * _B + 1)]
+    assert _blocked_max(lambda i, j: j - i, 0) == 0  # one empty block
+    assert _blocked_max(lambda i, j: j - i, 7, 3) == 3
+
+
+@pytest.mark.parametrize("settings, limit_mib", [
+    ({"depth": 2, "grid_points": 2**18}, 64),  # 406 MiB with the zoom checks' whole table
+    ({"depth": 2**20}, 32),  # 88 MiB with whole-depth temporaries
+])
+def test_traced_peak_of_the_suite_stays_small(settings, limit_mib):
+    tracemalloc.start()
+    try:
+        run_verification(**settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 _BAND = verify._BAND_ROWS

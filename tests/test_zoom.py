@@ -34,7 +34,7 @@ from radialqc import (
     scale_at,
     zoom_limit_deviation,
 )
-from radialqc.powermap import PiecewisePowerMap
+from radialqc.powermap import _BLOCK, PiecewisePowerMap
 from test_envelope import K_VALUES as ENVELOPE_K_VALUES
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -51,6 +51,12 @@ def loop_zoom_limit_deviation(map_, sequence, lf, n_range, grid):
         dev = np.abs(rescaled_eval(map_, scale_at(map_, sequence, n), grid) - lim)
         worst = max(worst, float(dev.max()))
     return worst
+
+
+def whole_table_zoom_limit_deviation(map_, sequence, lf, n_range, grid):
+    """Reference: one ``rescaled_eval`` over the whole (scales x grid) table."""
+    t = scale_at(map_, sequence, np.asarray(n_range))[:, None]
+    return float(np.abs(rescaled_eval(map_, t, grid) - lf.eval_log(grid)).max(initial=0.0))
 
 
 def bisect_reference(map_, r0, lam, tol, period_index=1):
@@ -220,8 +226,23 @@ class TestDeviation:
         assert zoom_limit_deviation(h, "even", limit_function(h, "Q1"), ns, g) <= 1e-9
         assert zoom_limit_deviation(h, "odd", limit_function(h, "Q2"), ns, g) <= 1e-9
 
+    @pytest.mark.parametrize("K", [1.37, 2.0, 3.0, 9.99])
+    @pytest.mark.parametrize("points", [_BLOCK // 7, _BLOCK // 3, _BLOCK + 1])
+    def test_blocks_of_rows_match_the_whole_table(self, K, points):
+        # 7 and 3 rows a block leave a last block of 1 and 2 of the 50 rows, and a
+        # grid longer than a block goes one row a block
+        f = build_standard_map(K)
+        h = build_conjugated_map(f)
+        g = grid3(f, points)
+        for map_, seq, kind in ((f, "even", "P1"), (f, "odd", "P2"), (h, "even", "Q1"),
+                                (h, "odd", "Q2"), (f, "even", "P2")):
+            lf = limit_function(map_, kind)
+            assert zoom_limit_deviation(map_, seq, lf, range(1, 51), g).hex() == (
+                whole_table_zoom_limit_deviation(map_, seq, lf, range(1, 51), g).hex()
+            ), (K, seq, kind)
+
     def test_matches_one_scale_at_a_time(self):
-        # one (scales x grid) rescaled_eval pass equals one call per scale, bit for bit
+        # the blocks of scales give what one call per scale gives, bit for bit
         for K in (2.0, 3.0, 1.37, 9.99, 1.2001):
             f = build_standard_map(K)
             h = build_conjugated_map(f)
