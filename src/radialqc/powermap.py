@@ -21,7 +21,7 @@ log2 throughout: a radius in (0, 1] is represented by its log2 value (a float
 Every map of the package (f, f^{-1}, h and the zoom limits P1 = f, P2, Q1,
 Q2) is one row of the cell-spec table ``_cell_spec``, and ``_period`` gives
 their common period K + 1/K.  The cell spec and the interval walk have two
-drivers, picked by ``_log_radius``, the one check of every log2-radius input.
+drivers, picked by ``_log_radii``, the one check of every log2-radius input.
 A point (a Python float or any 0-d input: ``np.float64``, ``int``, a 0-d
 array) goes through ``math``, with no numpy call for a float, since a numpy
 call on one lane costs far more than the arithmetic; arrays with ndim >= 1
@@ -137,35 +137,42 @@ def _holds_bool(seq):
 
 
 def _log_radius(x, name, allow_zero_radius=True):
-    """``x``, converted by ``_floats``, checked against the log2-radius domain: a
-    Python float or any 0-d input in plain Python and returned as a float (the
-    ``math`` driver), anything else with numpy and returned as a float array.
-    Both raise the same errors.
+    """``x``, checked by ``_log_radii``, without the mask."""
+    return _log_radii(x, name, allow_zero_radius)[0]
+
+
+def _log_radii(x, name, allow_zero_radius=True):
+    """``x`` as ``_floats`` converts it, checked against the log2-radius domain
+    (a float or 0-d input in plain Python, for the ``math`` driver, else with
+    numpy; both raise alike), and for an array holding the sentinel the mask of
+    its lanes below -2**52, which the check leaves as its sentinel lanes, else None.
 
     An array is checked by its max and min alone (a NaN propagates through
-    both), and only a min of -inf reads the lanes again, to tell the
-    sentinel from a too-deep value."""
+    both); only a min of -inf builds the mask, and one max over its lanes
+    tells a too-deep value from the sentinel."""
     if isinstance(x, float) or isinstance(x := _floats(x, name), float):
         x = float(x)  # an np.float64 too
         if -MAX_ABS_LOG2_RADIUS <= x <= 0.0:  # finite and in the domain: the usual case
-            return x
+            return x, None
         hi = lo = x
-    else:
-        hi, lo = np.max(x, initial=-math.inf), np.min(x, initial=0.0)
+    else:  # the ufuncs' reductions: np.max and np.min add a Python wrapper each
+        hi = np.maximum.reduce(x, None, initial=-math.inf)
+        lo = np.minimum.reduce(x, None, initial=0.0)
         if hi <= 0.0 and lo >= -MAX_ABS_LOG2_RADIUS:
-            return x
+            return x, None
     if hi != hi or hi == math.inf:
         raise ValueError(_NOT_FINITE.format(name))
     if hi > 0.0:
         raise ValueError(_POSITIVE.format(name))
-    deep = lo  # below -2**52: a too-deep lane if there is one, else the sentinel
+    deep, sentinel = lo, None  # below -2**52: a too-deep lane if there is one, else the sentinel
     if lo == RADIUS_ZERO_LOG2 and not isinstance(x, float):
-        deep = np.max(x[x < -MAX_ABS_LOG2_RADIUS])
+        sentinel = x < -MAX_ABS_LOG2_RADIUS
+        deep = np.maximum.reduce(x, None, initial=-math.inf, where=sentinel)
     if RADIUS_ZERO_LOG2 < deep < -MAX_ABS_LOG2_RADIUS:
         raise ValueError((_TOO_DEEP_OR_ZERO if allow_zero_radius else _TOO_DEEP).format(name))
     if not allow_zero_radius and lo == RADIUS_ZERO_LOG2:
         raise ValueError(_SENTINEL.format(name))
-    return x
+    return x, sentinel
 
 
 def _index_array(n, name, lo, hi):
@@ -285,7 +292,7 @@ def _eval_cells(x, cells, name="x"):
     a_hi >= a_lo (convex) and their min elsewhere (concave).  So x is reduced
     by m = floor(-x / period) periods (Cody-Waite style) to u in the top
     cell, and the line picked there is shifted back down by m * shift; the
-    radius-0 sentinel passes through.  A float takes the ``math`` driver and
+    radius-0 sentinel maps to itself.  A float takes the ``math`` driver and
     gives a float, an array the numpy one and an array of its shape; both
     make the same float operations in the same order, so they agree bit for
     bit, errors included.
@@ -293,37 +300,39 @@ def _eval_cells(x, cells, name="x"):
     The rounded lines can come out in the wrong order only a few ulps from
     the switch, where the exact ones are within their rounding errors of each
     other and either is within y's envelope (``tests/test_envelope.py``).
-    The numpy driver runs every lane through the same ufuncs and one
-    ``np.maximum`` or ``np.minimum``, with no mask or branch.  Only an array
-    holding the sentinel is clamped to -2**52 and set back (clamping m is
-    wrong: ivt's inverse cell reaches m ~ 2**64 in the domain).  Three
-    temporaries, filled with ``out=``; ``x``, the caller's array, is never written.
     """
     period, a_hi, b_hi, a_lo, b_lo, shift = cells
-    x = _log_radius(x, name)
-    if isinstance(x, float):
-        if x == RADIUS_ZERO_LOG2:
-            return x
-        m = math.floor(-x / period)  # the floor of a float: float(m) is exact, as in numpy
-        u = x + m * period
-        hi, lo = b_hi + a_hi * u, b_lo + a_lo * u
-        # max or min inline: a builtin call would cost more than the pick
-        return ((hi if hi > lo else lo) if a_hi >= a_lo else (hi if hi < lo else lo)) - m * shift
-    sentinel = np.min(x, initial=0.0) == RADIUS_ZERO_LOG2
-    v = np.maximum(x, -MAX_ABS_LOG2_RADIUS) if sentinel else x  # if so, a copy, reused for hi
-    m = np.divide(v, -period)  # the same IEEE value as -v / period, signed zeros included
-    np.floor(m, out=m)
-    u = m * period
-    u += v
-    hi = np.multiply(u, a_hi, out=v if sentinel else None)
-    hi += b_hi
-    u *= a_lo
-    u += b_lo
-    (np.maximum if a_hi >= a_lo else np.minimum)(u, hi, out=u)
-    m *= shift
-    u -= m
-    if sentinel:  # set its lanes back
-        u[x == RADIUS_ZERO_LOG2] = RADIUS_ZERO_LOG2
+    x, sentinel = _log_radii(x, name)
+    if not isinstance(x, float):
+        return _cell_lanes(x, sentinel, cells)
+    if x == RADIUS_ZERO_LOG2:
+        return x
+    m = math.floor(-x / period)  # the floor of a float: float(m) is exact, as in numpy
+    u = x + m * period
+    hi, lo = b_hi + a_hi * u, b_lo + a_lo * u
+    # max or min inline: a builtin call would cost more than the pick
+    return ((hi if hi > lo else lo) if a_hi >= a_lo else (hi if hi < lo else lo)) - m * shift
+
+
+def _cell_lanes(x, sentinel, cells):
+    """``_eval_cells``'s numpy driver, on a checked array and its mask from ``_log_radii``.
+    A sentinel lane runs through too: inf - inf, the one invalid operation, makes it
+    a NaN until the mask sets it back.  Three temporaries; ``x`` is never written."""
+    period, a_hi, b_hi, a_lo, b_lo, shift = cells
+    with np.errstate(invalid="ignore"):
+        m = np.divide(x, -period)  # the same IEEE value as -x / period, signed zeros included
+        np.floor(m, out=m)
+        u = m * period
+        u += x
+        hi = u * a_hi
+        hi += b_hi
+        u *= a_lo
+        u += b_lo
+        (np.maximum if a_hi >= a_lo else np.minimum)(u, hi, out=u)
+        m *= shift
+        u -= m
+    if sentinel is not None:
+        np.copyto(u, RADIUS_ZERO_LOG2, where=sentinel)
     return u
 
 

@@ -27,10 +27,12 @@ import numpy as np
 from .powermap import (
     MAX_BREAKPOINT_INDEX,
     PiecewisePowerMap,
+    _cell_lanes,
     _cell_spec,
     _eval_cells,
     _index_array,
     _local_exponent,
+    _log_radii,
     _log_radius,
     _period,
 )
@@ -69,8 +71,8 @@ class ConjugatedMap:
         log2 h^{2p}(x) = x - p (K + 1/K), so no branch-evaluation error
         accumulates over long orbits; an odd count applies h once more.  An
         integer array ``m`` broadcasts against ``x``: every entry gets the
-        similarity, then the odd entries share one array evaluation of h; an
-        integer count takes no numpy call for a float ``x``.
+        similarity, then one array evaluation of h is kept on the odd entries;
+        an integer count takes no numpy call for a float ``x``.
         A shifted value below -2**52 raises ``ValueError`` for every count,
         as h's own check of it does for the odd ones.
         """
@@ -78,10 +80,9 @@ class ConjugatedMap:
         y = _log_radius(x, "x") - (m >> 1) * _period(self.K)  # m >= 0: m // 2
         if isinstance(m, int):
             return self.eval_log(y) if m & 1 else _log_radius(y, "x")
-        y = _log_radius(y, "x")  # every lane: the even ones are returned as they are
-        odd = np.broadcast_to((m & 1) == 1, y.shape)
-        if odd.any():
-            y[odd] = self.eval_log(y[odd])
+        y, sentinel = _log_radii(y, "x")  # every lane: the even ones are returned as they are
+        if (odd := (m & 1) == 1).any():  # h on every lane, kept on the odd ones: no second check
+            np.copyto(y, _cell_lanes(y, sentinel, _cell_spec("h", self.K)), where=odd)
         return y
 
     def local_exponent(self, x):

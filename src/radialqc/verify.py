@@ -60,11 +60,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: the bounds of depth, as the construction checks take time linear in it and the
-#: product-identity band holds a few arrays of depth / 2 floats (113 MB and 1.3 s
-#: at 2**22 on a 2-CPU VM), and of grid_points, as the grid-wide checks hold a few
-#: arrays of grid_points floats (52 MB and 1.3 s at the bound); the other
-#: depth-long checks and the zoom checks run in blocks of ``_BLOCK`` lanes
+#: the bounds of depth, as the construction checks take time linear in it (5.2 s
+#: at 2**24 on a 2-CPU VM), and of grid_points, as the grid-wide checks hold a few
+#: arrays of grid_points floats (52 MB and 1.3 s at the bound); the depth-long
+#: checks and the zoom checks run in blocks of ``_BLOCK`` lanes
 _MAX_DEPTH, _MAX_GRID_POINTS = 2**24, 2**18
 
 
@@ -169,9 +168,12 @@ def product_identities_worst(K, depth):
     the first identity is the families even + even and even + odd (rows n >= 1),
     the second odd + odd.  Each row a of a family s + t with shift is one pass,
     |((s[a] + t[b]) - t[a + b]) + shift| over every column b with a + b < len(t),
-    which keeps only the max and min of d = (s[a] + t[b]) - t[a + b], made in one
-    buffer: d -> fl(d + shift) is monotone, so |fl(d + shift)| peaks at one of
-    them, and the result is the max over every pair bit for bit (a NaN too).
+    which keeps only the max and min of d = (s[a] + t[b]) - t[a + b] in each
+    block of ``_BLOCK`` columns: d -> fl(d + shift) is monotone, so
+    |fl(d + shift)| peaks at one of them, and the result is the max over every
+    pair bit for bit (a NaN too).  A block computes the even and odd values its
+    rows read, so no float64 temporary reaches 64 KiB and none of depth's size
+    is held.
     The same-parity families are symmetric, as IEEE addition is commutative, so
     their rows a < ``_BAND_ROWS`` cover every pair with min(a, b) below it.
 
@@ -183,16 +185,26 @@ def product_identities_worst(K, depth):
     m only if e is affine, so an error at any index already shows in that row.
     """
     K, depth = _parameter(K), _count(depth, "depth", 2, _MAX_DEPTH)
-    even, odd = (breakpoint_log2(K, np.arange(j, depth + 1, 2)) for j in (0, 1))
-    buf, worst = np.empty(len(even)), []
-    for s, first, t, shift in ((even, 1, even, 0.0), (even, 1, odd, 0.0), (odd, 0, odd, 1.0 / K)):
-        L, ends = len(t), []  # each row's max and min of (s[a] + t[b]) - t[a + b]
-        for a in range(first, min(_BAND_ROWS, L)):
-            d = np.add(s[a], t[:L - a], out=buf[:L - a])
-            d -= t[a:]
-            ends += d.max(), d.min()
-        worst.append(float(np.max(np.abs(np.add(ends, shift)), initial=0.0)))
-    even_even, even_odd, odd_odd = worst
+    lengths = depth // 2 + 1, (depth + 1) // 2  # of even and odd
+    heads = [breakpoint_log2(K, np.arange(p, min(2 * _BAND_ROWS, depth + 1), 2)) for p in (0, 1)]
+    buf = np.empty(_BLOCK)
+
+    def block(i, j):  # the columns b = i .. j - 1 of every row
+        # even and odd from index i on, as far as the rows' t[a + b] read them
+        tails = [breakpoint_log2(K, np.arange(2 * i + p, min(2 * (j + _BAND_ROWS), depth + 1), 2))
+                 for p in (0, 1)]
+        worst = []
+        for s, first, p, shift in ((0, 1, 0, 0.0), (0, 1, 1, 0.0), (1, 0, 1, 1.0 / K)):
+            s, t, L, ends = heads[s], tails[p], lengths[p], []  # each row's max and min of d
+            for a in range(first, min(_BAND_ROWS, L - i)):  # the rows with a column b >= i
+                c = min(j, L - a) - i  # the columns b < L - a
+                d = np.add(s[a], t[:c], out=buf[:c])
+                d -= t[a:a + c]
+                ends += np.maximum.reduce(d), np.minimum.reduce(d)
+            worst.append(np.max(np.abs(np.add(ends, shift)), initial=0.0))
+        return worst
+
+    even_even, even_odd, odd_odd = map(float, _blocked_max(block, lengths[0]))
     return max(even_even, even_odd), odd_odd
 
 

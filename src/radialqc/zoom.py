@@ -251,7 +251,8 @@ def homogeneity_defect(lf, samples):
     ``lf`` may be a LimitFunction or any callable log2 r -> log2 value.
     """
     xs = _floats(samples, "samples")
-    if np.ndim(xs) != 1 or np.unique(xs).size < 3:
+    # distinct as np.unique counts them (0.0 is -0.0, one NaN for all), which imports numpy.ma
+    if np.ndim(xs) != 1 or len({v if v == v else math.nan for v in xs.tolist()}) < 3:
         raise ValueError("need at least 3 distinct sample radii")
     _log_radius(xs, "samples", allow_zero_radius=False)
     evalf = lf.eval_log if hasattr(lf, "eval_log") else lf

@@ -394,3 +394,84 @@ def test_index_int_call_equals_array_call(K):
             want = outcome(fn, np.array([n]))
             assert outcome(fn, n) == want, (name, n)
             assert outcome(fn, np.int64(n)) == want, (name, n)
+
+
+def sentinel_layouts(x, want, counts):
+    """(input, expected output, counts) triples from the lanes ``x``, their
+    outputs ``want`` and the counts they take: the sentinel in no lane, the
+    first, the last and every lane, of 0-, 1- and full-length arrays, a 2-D
+    array and strided 1-D and 2-D views."""
+    views = (lambda a: a[:0], lambda a: a[:1], lambda a: a, lambda a: a.reshape(128, -1),
+             lambda a: a[::3], lambda a: a.reshape(128, -1)[1::2, ::5])
+    for view in views:
+        for lane in (None, 0, -1, ...):
+            arg, out = view(x.copy()), view(want.copy())
+            if lane is not None and arg.size:
+                index = lane if lane is ... else (lane,) * arg.ndim
+                arg[index] = out[index] = -math.inf
+            yield arg, out, view(counts)
+
+
+def assert_sentinel_layouts(fn, x, want, counts):
+    """``fn(input, counts)`` on every sentinel layout gives ``want``'s bits,
+    also for a caller raising on every floating-point error, and never writes
+    its input."""
+    for arg, out, count in sentinel_layouts(x, want, counts):
+        before = arg.copy()
+        arg.setflags(write=False)
+        got = fn(arg, count)
+        with np.errstate(all="raise"):
+            raised = fn(arg, count)
+        for y in (got, raised):
+            assert y.shape == out.shape and y.dtype == np.float64
+            assert np.array_equal(y.view(np.int64), out.view(np.int64)), arg.shape
+        assert np.array_equal(arg.view(np.int64), before.view(np.int64))
+
+
+def sentinel_lanes(rng, n=2**15):
+    """2**15 in-domain lanes, no subnormal among them: the kernel's ops then
+    underflow nowhere, so a caller raising on every error gets a result."""
+    return np.concatenate([-np.exp2(rng.uniform(-30.0, 50.0, n - 3)), [0.0, -0.0, -(2.0**52)]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", SPEC_ROWS)
+@pytest.mark.parametrize("K", [1.0001, 2.0, 1.05e6])
+def test_sentinel_lanes_run_through_the_kernel(K, name):
+    # the sentinel becomes a NaN inside the kernel and is set back at the end:
+    # each layout is the math driver's floats, lane by lane
+    eval_cells = radialqc.powermap._eval_cells
+    cells = spec(name, K)
+    x = sentinel_lanes(np.random.default_rng([23, SPEC_ROWS.index(name)]))
+    want = np.array([eval_cells(v, cells) for v in x.tolist()])
+    assert_sentinel_layouts(lambda a, _: eval_cells(a, cells), x, want, x)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("K", [1.0001, 2.0, 1.05e6])
+def test_sentinel_lanes_run_through_iterate(K):
+    # one odd count, and counts of both parities per lane: h's kernel takes the
+    # mask of iterate's own check of the shifted array
+    f, h = _maps(K)
+    x = sentinel_lanes(np.random.default_rng(29)) / 4.0  # room for two periods' shift
+    odd = (np.full(x.size, 3), lambda a, _: h.iterate(a, 3))
+    for counts, fn in (odd, (np.arange(x.size) % 4 + 1, h.iterate)):
+        want = np.array([h.iterate(v, int(m)) for v, m in zip(x.tolist(), counts.tolist())])
+        assert_sentinel_layouts(fn, x, want, counts)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_sentinel_lane_does_not_hide_a_too_deep_one():
+    # the check tells the sentinel from a too-deep lane by one max over its
+    # mask: with or without a sentinel lane, the too-deep lane's message
+    f, h = _maps(2.0)
+    pm = radialqc.powermap
+    calls = [(f.eval_log, pm._TOO_DEEP_OR_ZERO), (lambda a: h.iterate(a, 3), pm._TOO_DEEP_OR_ZERO),
+             (lambda a: h.iterate(a, 2), pm._TOO_DEEP_OR_ZERO),
+             (lambda a: h.iterate(a, np.full(a.shape, 3)), pm._TOO_DEEP_OR_ZERO),
+             (f.locate_interval, pm._TOO_DEEP)]
+    for fn, message in calls:
+        for x in ([-(2.0**53)], [-math.inf, -(2.0**53)], [-(2.0**53), -math.inf]):
+            with pytest.raises(ValueError) as exc:
+                fn(np.array(x))
+            assert str(exc.value) == message.format("x"), x

@@ -223,7 +223,10 @@ def _hex(values):
 
 
 @pytest.mark.parametrize("K", PRODUCT_KS)
-@pytest.mark.parametrize("depth", [2, 3, *range(2 * _BAND - 4, 2 * _BAND + 5), 1999, 2000, 10_000])
+@pytest.mark.parametrize("depth", [2, 3, *range(2 * _BAND - 4, 2 * _BAND + 5), 1999, 2000, 10_000,
+                                   # the band's column blocks: on and around the first edge,
+                                   # and where the first block's rows read past it
+                                   *range(2 * _B - 3, 2 * _B + 2), 2 * (_B + _BAND) + 1])
 def test_product_identities_match_the_band_reference(K, depth):
     assert _hex(product_identities_worst(K, depth)) == _hex(
         product_identities_reference(K, depth, _BAND))
@@ -273,6 +276,22 @@ def test_the_band_flags_a_one_index_error_as_the_all_pairs_scan_does(monkeypatch
     flagged = (True, index % 2 == 1)
     assert tuple(value > 1e-9 for value in band) == flagged
     assert tuple(value > 1e-9 for value in every_pair) == flagged
+
+
+@pytest.mark.parametrize("index", [2 * _B - 1, 2 * _B, 2 * _B + 1, 2 * (_B + _BAND) - 1,
+                                   2 * (_B + _BAND), 2 * (_B + _BAND) + 1, 2 * _B + 300])
+def test_the_band_flags_a_one_index_error_across_its_column_blocks(monkeypatch, index):
+    # the columns run in blocks of _B, each computing the breakpoints its rows
+    # read: an error on and around a block edge moves the band as it moves the reference
+    exact = breakpoint_log2
+
+    def spiked(K, n):
+        return exact(K, n) + np.where(n == index, 1.1e-9, 0.0)
+
+    monkeypatch.setattr(verify, "breakpoint_log2", spiked)
+    band = product_identities_worst(3.0, 2 * _B + 300)
+    assert _hex(band) == _hex(product_identities_reference(3.0, 2 * _B + 300, _BAND, spiked))
+    assert band[0] > 1e-9 and (band[1] > 1e-9) == (index % 2 == 1)
 
 
 #: ``product_identities_worst(K, 30000)`` as ``float.hex``, a depth at which the

@@ -586,6 +586,16 @@ class TestHomogeneityDefect:
         with pytest.raises(ValueError):
             homogeneity_defect(p1, [-1.0, -1.0, -1.0])
 
+    @pytest.mark.parametrize("samples, message", [
+        ([0.0, -0.0, -1.0], "3 distinct"),  # 0.0 and -0.0 are one radius
+        ([math.nan, math.nan, -1.0], "3 distinct"),  # every NaN counts as one sample
+        ([math.nan, -1.0, -2.0], "not NaN"),  # three distinct, then the domain check
+        (np.array([-1.0, 5.0, -0.0, 5.0, 0.0])[::2], "3 distinct"),  # a strided view
+    ])
+    def test_distinct_samples_are_counted_as_np_unique_counts_them(self, f, samples, message):
+        with pytest.raises(ValueError, match=message):
+            homogeneity_defect(limit_function(f, "P1"), samples)
+
 
 class TestOneDimensionalModel:
     def test_mean_radius(self):
