@@ -317,9 +317,10 @@ def _eval_cells(x, cells, name="x"):
 def _cell_lanes(x, sentinel, cells):
     """``_eval_cells``'s numpy driver, on a checked array and its mask from ``_log_radii``.
     A sentinel lane runs through too: inf - inf, the one invalid operation, makes it
-    a NaN until the mask sets it back.  Three temporaries; ``x`` is never written."""
+    a NaN until the mask sets it back, and a subnormal lane underflows as it does in
+    the math driver, quietly.  Three temporaries; ``x`` is never written."""
     period, a_hi, b_hi, a_lo, b_lo, shift = cells
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", under="ignore"):
         m = np.divide(x, -period)  # the same IEEE value as -x / period, signed zeros included
         np.floor(m, out=m)
         u = m * period

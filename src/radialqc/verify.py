@@ -14,6 +14,7 @@ import numpy as np
 
 from .distortion import (
     _MAX_DIMENSION,
+    _weyl,
     finite_difference_distortion,
     iterate_max_distortion,
     linear_distortion_radial,
@@ -350,20 +351,16 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
 
     # --- distortion ----------------------------------------------------------
-    rng = np.random.default_rng(20_240_901)
+    # 300 distinct fixed log2 radii in [-6, -0.05), 20 for each (alpha, d)
+    fd_radii = iter((-6.0 + 5.95 * _weyl(300)).reshape(15, 20).tolist())
     fd_worst = 0.0
     for alpha in (0.3, 0.5, 1.0, 2.0, 3.7):
         for d in (2, 3, 4):
             closed = radial_power_distortion(alpha, d)
-            for x in rng.uniform(-6.0, -0.05, size=20):
-                est = finite_difference_distortion(
-                    lambda r, a=alpha: r**a, d, float(x), 1e-6 * 2.0**x
-                )
-                fd_worst = max(
-                    fd_worst,
-                    abs(est.K_O - closed.K_O) / closed.K_O,
-                    abs(est.K_I - closed.K_I) / closed.K_I,
-                )
+            for x in next(fd_radii):
+                est = finite_difference_distortion(lambda r, a=alpha: r**a, d, x, 1e-6 * 2.0**x)
+                fd_worst = max(fd_worst, abs(est.K_O - closed.K_O) / closed.K_O,
+                               abs(est.K_I - closed.K_I) / closed.K_I)
     residual("power_distortion_closed_form_vs_finite_difference", fd_worst, 1e-6)
     sup_worst = 0.0
     for d in (2, 3, 4):
@@ -403,21 +400,14 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
 
     # --- intermediate scales and homogeneity ---------------------------------
-    ivt_r0 = []
-    ivt_lam = []
-    attempts = 0
-    while len(ivt_r0) < 100 and attempts < 10_000:
-        attempts += 1
-        r0 = float(rng.uniform(-3.0 * period, -0.05))
-        a = p1.eval_log(r0)
-        b = p2.eval_log(r0)
-        lo, hi = min(a, b), max(a, b)
-        if hi - lo < 0.05:
-            continue
-        ivt_r0.append(r0)
-        ivt_lam.append(float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))))
-    ivt_r0 = np.array(ivt_r0, dtype=float)
-    ivt_lam = np.array(ivt_lam, dtype=float)
+    # the first 100 of 10^4 fixed radii in (-3P, -0.05] where P1 and P2 differ by 0.05
+    # or more, each with a target at a fixed fraction of the middle 80% of its bracket
+    candidates = -0.05 - (3.0 * period - 0.05) * _weyl(10_000)
+    a, b = p1.eval_log(candidates), p2.eval_log(candidates)
+    kept = np.flatnonzero(np.abs(a - b) >= 0.05)[:100]
+    ivt_r0, lo, hi = candidates[kept], np.minimum(a, b)[kept], np.maximum(a, b)[kept]
+    lo, hi = lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)
+    ivt_lam = lo + (hi - lo) * _weyl(len(kept))
     t = ivt_sample(f, ivt_r0, ivt_lam, tol)
     residual(
         "ivt_sample_residuals",

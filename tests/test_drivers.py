@@ -429,9 +429,11 @@ def assert_sentinel_layouts(fn, x, want, counts):
 
 
 def sentinel_lanes(rng, n=2**15):
-    """2**15 in-domain lanes, no subnormal among them: the kernel's ops then
-    underflow nowhere, so a caller raising on every error gets a result."""
-    return np.concatenate([-np.exp2(rng.uniform(-30.0, 50.0, n - 3)), [0.0, -0.0, -(2.0**52)]])
+    """2**15 in-domain lanes, subnormals among them: the kernel's ops underflow
+    there, quietly, so a caller raising on every error still gets a result."""
+    tiny = [-5e-324, -3 * 2.0**-1074, -(2.0**-1022) / 3]
+    return np.concatenate([-np.exp2(rng.uniform(-30.0, 50.0, n - 6)), tiny,
+                           [0.0, -0.0, -(2.0**52)]])
 
 
 @pytest.mark.filterwarnings("error")

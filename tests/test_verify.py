@@ -2,8 +2,8 @@
 blocked checks against whole-array references on and around the block edges,
 the product-identity band against the all-pairs reference where it covers every
 pair and its power on an error far beyond it, the helpers' input checks, the
-suite's traced memory, and a mutation check that the linear-scan check really
-compares two routes.
+suite's traced memory, its fixed sample points, and a mutation check that the
+linear-scan check really compares two routes.
 """
 
 import tracemalloc
@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from radialqc import build_conjugated_map, build_standard_map, powermap, run_verification, verify
+from radialqc import (build_conjugated_map, build_standard_map, limit_function, powermap,
+                      run_verification, verify)
 from radialqc.powermap import PiecewisePowerMap, _blocked_max, breakpoint_log2
 from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
@@ -436,6 +437,37 @@ def test_report_rows_judge_themselves(K):
     assert failed == ([] if K == 2.0 else ["h_forwards_breakpoints"])
     assert (report["passed"], report["failed"]) == (42 - len(failed), len(failed))
     assert report["all_passed"] == (not failed)
+
+
+@pytest.mark.parametrize("K", [1.37, 2.0, 3.0, 9.99])
+def test_the_suite_samples_its_fixed_point_sets(monkeypatch, K):
+    # the ivt targets: 100 distinct radii with a spread-out bracket, each target
+    # inside its middle 80%; the finite-difference check: 300 distinct radii
+    ivt_calls, fd_radii = [], []
+    real_ivt_sample, real_fd = verify.ivt_sample, verify.finite_difference_distortion
+
+    def ivt_sample(map_, r0, lam, tol, period_index=1):
+        ivt_calls.append((r0, lam, period_index))
+        return real_ivt_sample(map_, r0, lam, tol, period_index)
+
+    def finite_difference_distortion(map_, d, x, step):
+        fd_radii.append(x)
+        return real_fd(map_, d, x, step)
+
+    monkeypatch.setattr(verify, "ivt_sample", ivt_sample)
+    monkeypatch.setattr(verify, "finite_difference_distortion", finite_difference_distortion)
+    run_verification(K)
+    f = build_standard_map(K)
+    period = K + 1.0 / K
+    (r0, lam, index), = [call for call in ivt_calls if np.ndim(call[0]) == 1]
+    assert index == 1 and r0.shape == lam.shape == (100,) and len(set(r0.tolist())) == 100
+    assert np.all((-3.0 * period < r0) & (r0 <= -0.05))
+    a, b = limit_function(f, "P1").eval_log(r0), limit_function(f, "P2").eval_log(r0)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    assert np.all(hi - lo >= 0.05)
+    assert np.all((lo + 0.1 * (hi - lo) <= lam) & (lam <= hi - 0.1 * (hi - lo)))
+    assert len(fd_radii) == len(set(fd_radii)) == 300
+    assert all(-6.0 <= x < -0.05 for x in fd_radii)
 
 
 def test_parameters_checked_before_any_check_runs(monkeypatch):
