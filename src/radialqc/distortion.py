@@ -47,8 +47,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio's fractional part
 
 def _weyl(n, skip=0):
     """frac(k * golden ratio), k = skip + 1 .. skip + n: fixed points spread
-    evenly over [0, 1), the sample points of ``linear_distortion_radial`` and verify."""
-    return np.arange(skip + 1, skip + n + 1, dtype=float) * _GOLDEN % 1.0
+    evenly over [0, 1), the sample points of ``linear_distortion_radial`` and verify.
+    v - floor(v) is exact for v >= 0: v % 1.0 bit for bit, without its slower loop."""
+    v = np.arange(skip + 1, skip + n + 1, dtype=float) * _GOLDEN
+    v -= np.floor(v)
+    return v
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     plain callable r -> f(r).  Steps that cross a breakpoint of f or h are
     rejected, and so is a difference quotient that is not positive (a step
     below the float resolution at r).  An overflow raises ``ValueError``.
+    The inputs are checked here and the estimate is ``_finite_difference``'s,
+    which verify calls directly on its own fixed radii.
     """
     d = _count(d, "dimension", 2)
     x = _floats(x, "x")
@@ -124,7 +129,12 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
             float(np.log2(r + step))
         ):
             raise ValueError("finite-difference step crosses a breakpoint")
-    f = _linear_radial_eval(map_)
+    return DistortionReport(*_finite_difference(_linear_radial_eval(map_), d, r, step), d, x)
+
+
+def _finite_difference(f, d, r, step):
+    """(K_O, K_I) of ``finite_difference_distortion`` for f: r -> f(r), a float, at the
+    radius r (not its log2) on checked inputs: the formula and its two errors, no report."""
     f_r = f(r)
     radial = (f(r + step) - f(r - step)) / (2.0 * step)
     tangential = f_r / r
@@ -139,7 +149,7 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
         K_O = K_I = math.inf
     if max(K_O, K_I) == math.inf:
         raise ValueError(f"finite-difference distortion in dimension {d} overflows float64")
-    return DistortionReport(K_O=K_O, K_I=K_I, dimension=d, location=x)
+    return K_O, K_I
 
 
 def max_distortion(map_, d) -> DistortionReport:

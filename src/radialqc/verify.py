@@ -14,8 +14,8 @@ import numpy as np
 
 from .distortion import (
     _MAX_DIMENSION,
+    _finite_difference,
     _weyl,
-    finite_difference_distortion,
     iterate_max_distortion,
     linear_distortion_radial,
     max_distortion,
@@ -351,16 +351,18 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
 
     # --- distortion ----------------------------------------------------------
-    # 300 distinct fixed log2 radii in [-6, -0.05), 20 for each (alpha, d)
+    # finite_difference_distortion's estimate at 300 fixed log2 radii in [-6, -0.05),
+    # 20 for each (alpha, d), with no check of these inputs
     fd_radii = iter((-6.0 + 5.95 * _weyl(300)).reshape(15, 20).tolist())
     fd_worst = 0.0
     for alpha in (0.3, 0.5, 1.0, 2.0, 3.7):
         for d in (2, 3, 4):
             closed = radial_power_distortion(alpha, d)
             for x in next(fd_radii):
-                est = finite_difference_distortion(lambda r, a=alpha: r**a, d, x, 1e-6 * 2.0**x)
-                fd_worst = max(fd_worst, abs(est.K_O - closed.K_O) / closed.K_O,
-                               abs(est.K_I - closed.K_I) / closed.K_I)
+                r = 2.0**x
+                K_O, K_I = _finite_difference(lambda v, a=alpha: v**a, d, r, 1e-6 * r)
+                fd_worst = max(fd_worst, abs(K_O - closed.K_O) / closed.K_O,
+                               abs(K_I - closed.K_I) / closed.K_I)
     residual("power_distortion_closed_form_vs_finite_difference", fd_worst, 1e-6)
     sup_worst = 0.0
     for d in (2, 3, 4):
@@ -400,11 +402,12 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
 
     # --- intermediate scales and homogeneity ---------------------------------
-    # the first 100 of 10^4 fixed radii in (-3P, -0.05] where P1 and P2 differ by 0.05
-    # or more, each with a target at a fixed fraction of the middle 80% of its bracket
+    # the first 100 of 10^4 fixed radii in (-3P, -0.05] where P1 and P2 differ by 0.05 (or
+    # by half the widest gap 1 - 1/K^2, if less: K < 1.054) or more, each with a target at
+    # a fixed fraction of the middle 80% of its bracket
     candidates = -0.05 - (3.0 * period - 0.05) * _weyl(10_000)
     a, b = p1.eval_log(candidates), p2.eval_log(candidates)
-    kept = np.flatnonzero(np.abs(a - b) >= 0.05)[:100]
+    kept = np.flatnonzero(np.abs(a - b) >= min(0.05, (1.0 - 1.0 / (K * K)) / 2))[:100]
     ivt_r0, lo, hi = candidates[kept], np.minimum(a, b)[kept], np.maximum(a, b)[kept]
     lo, hi = lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)
     ivt_lam = lo + (hi - lo) * _weyl(len(kept))
@@ -433,12 +436,11 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     # --- one-dimensional pedagogical model -----------------------------------
     ex_worst = 0.0
     for delta in (1.0, 0.5, 1e-3, 1e-9):
+        top, bottom, zero = example_1d_rescaled(np.array([1.0, -1.0, 0.0]), delta).tolist()
         ex_worst = max(
             ex_worst,
             abs(example_1d_mean_radius(delta) - 0.75 * delta) / delta,
-            abs(example_1d_rescaled(1.0, delta) - 4.0 / 3.0),
-            abs(example_1d_rescaled(-1.0, delta) + 2.0 / 3.0),
-            abs(example_1d_rescaled(0.0, delta)),
+            abs(top - 4.0 / 3.0), abs(bottom + 2.0 / 3.0), abs(zero),
         )
     residual("one_dimensional_model_identities", ex_worst, 1e-12)
 

@@ -25,6 +25,7 @@ from .powermap import (
     PiecewisePowerMap,
     _BLOCK,
     _blocked_max,
+    _cell_lanes,
     _cell_spec,
     _eval_cells,
     _floats,
@@ -139,9 +140,11 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     is the distinctness witness.
 
     The scales are checked, and F(t) and the limit on the grid evaluated,
-    once; the rows of the scales then pass through ``map_.eval_log`` in blocks
-    of ``_BLOCK // len(grid)`` rows, one row where the grid is longer, each
-    lane giving ``rescaled_eval``'s bits, and so the max its whole table gives.
+    once, and so is the table's deepest lane fl(min grid + min t), as rounding
+    is monotone, with ``map_.eval_log``'s message; the rows of the scales then
+    go through the cell kernel on the map's row of ``powermap._cell_spec`` in
+    blocks of ``_BLOCK // len(grid)`` rows, one row where the grid is longer,
+    each lane giving ``rescaled_eval``'s bits, and so the max its whole table gives.
     """
     base = _base_of(map_)
     if not isinstance(lf, LimitFunction):
@@ -151,10 +154,12 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
     t = scale_at(map_, sequence, np.asarray(n_range))[:, None]
     t = _log_radius(t, "t", allow_zero_radius=False)  # as rescaled_eval checks it
+    _log_radius(grid.min(initial=0.0) + t.min(initial=0.0), "x")  # the deepest lane, if any
     at_t, limit = map_.eval_log(t), lf.eval_log(grid)
+    cells = _cell_spec(_MATCHED["f" if map_ is base else "h"][0], base.K)
 
     def rows(i, j):
-        rescaled = map_.eval_log(grid + t[i:j])  # a fresh array: work in place
+        rescaled = _cell_lanes(grid + t[i:j], None, cells)  # a fresh array: work in place
         rescaled -= at_t[i:j]
         rescaled -= limit
         return np.abs(rescaled, out=rescaled).max(initial=0.0)

@@ -6,14 +6,17 @@ suite's traced memory, its fixed sample points, and a mutation check that the
 linear-scan check really compares two routes.
 """
 
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from radialqc import (build_conjugated_map, build_standard_map, limit_function, powermap,
-                      run_verification, verify)
+from radialqc import (build_conjugated_map, build_standard_map, example_1d_mean_radius,
+                      example_1d_rescaled, finite_difference_distortion, limit_function,
+                      powermap, radial_power_distortion, run_verification, verify)
+from radialqc.distortion import _finite_difference, _linear_radial_eval, _weyl
 from radialqc.powermap import PiecewisePowerMap, _blocked_max, breakpoint_log2
 from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
 
@@ -444,18 +447,18 @@ def test_the_suite_samples_its_fixed_point_sets(monkeypatch, K):
     # the ivt targets: 100 distinct radii with a spread-out bracket, each target
     # inside its middle 80%; the finite-difference check: 300 distinct radii
     ivt_calls, fd_radii = [], []
-    real_ivt_sample, real_fd = verify.ivt_sample, verify.finite_difference_distortion
+    real_ivt_sample, real_fd = verify.ivt_sample, verify._finite_difference
 
     def ivt_sample(map_, r0, lam, tol, period_index=1):
         ivt_calls.append((r0, lam, period_index))
         return real_ivt_sample(map_, r0, lam, tol, period_index)
 
-    def finite_difference_distortion(map_, d, x, step):
-        fd_radii.append(x)
-        return real_fd(map_, d, x, step)
+    def finite_difference(f, d, r, step):  # the estimate takes the radius, not its log2
+        fd_radii.append(math.log2(r))
+        return real_fd(f, d, r, step)
 
     monkeypatch.setattr(verify, "ivt_sample", ivt_sample)
-    monkeypatch.setattr(verify, "finite_difference_distortion", finite_difference_distortion)
+    monkeypatch.setattr(verify, "_finite_difference", finite_difference)
     run_verification(K)
     f = build_standard_map(K)
     period = K + 1.0 / K
@@ -469,6 +472,93 @@ def test_the_suite_samples_its_fixed_point_sets(monkeypatch, K):
     assert len(fd_radii) == len(set(fd_radii)) == 300
     assert all(-6.0 <= x < -0.05 for x in fd_radii)
 
+
+
+@pytest.mark.parametrize("K", [1.0001, 1.01, 1.025, 1.03])
+def test_the_ivt_check_keeps_its_targets_near_k_one(monkeypatch, K):
+    # below K = 1.025 no radius reaches a 0.05 spread of P1 and P2: the rule
+    # falls to half the widest gap 1 - 1/K^2, so the check still has 100 targets
+    ivt_calls = []
+    real_ivt_sample = verify.ivt_sample
+
+    def ivt_sample(map_, r0, lam, tol, period_index=1):
+        ivt_calls.append(r0)
+        return real_ivt_sample(map_, r0, lam, tol, period_index)
+
+    monkeypatch.setattr(verify, "ivt_sample", ivt_sample)
+    run_verification(K)
+    f = build_standard_map(K)
+    r0, = [r0 for r0 in ivt_calls if np.ndim(r0) == 1]
+    assert r0.shape == (100,) and len(set(r0.tolist())) == 100
+    a, b = limit_function(f, "P1").eval_log(r0), limit_function(f, "P2").eval_log(r0)
+    assert np.all(np.abs(a - b) >= min(0.05, (1.0 - 1.0 / (K * K)) / 2))
+
+
+def measured(report, name):
+    (value,) = [row["measured"] for row in report["checks"] if row["name"] == name]
+    return value
+
+
+def test_the_finite_difference_check_matches_the_public_calls():
+    # the suite calls the estimate on its own radii: the 300 public calls give its bits
+    radii = iter((-6.0 + 5.95 * _weyl(300)).reshape(15, 20).tolist())
+    worst = 0.0
+    for alpha in (0.3, 0.5, 1.0, 2.0, 3.7):
+        for d in (2, 3, 4):
+            closed = radial_power_distortion(alpha, d)
+            for x in next(radii):
+                est = finite_difference_distortion(lambda r, a=alpha: r**a, d, x, 1e-6 * 2.0**x)
+                worst = max(worst, abs(est.K_O - closed.K_O) / closed.K_O,
+                            abs(est.K_I - closed.K_I) / closed.K_I)
+    report = run_verification()
+    assert measured(report, "power_distortion_closed_form_vs_finite_difference").hex() == (
+        worst.hex())
+
+
+F2_MAPS = {"callable": lambda r: r**2.5, "f": F2, "h": build_conjugated_map(F2)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 200])
+@pytest.mark.parametrize("name", F2_MAPS)
+def test_the_estimate_is_the_public_report(name, d):
+    map_ = F2_MAPS[name]
+    for x in (-0.3, -1.7, -2.8, -4.2):  # inside a branch of f and h at K = 2
+        for step in (1e-6 * 2.0**x, 1e-9):
+            report = finite_difference_distortion(map_, d, x, step)
+            K_O, K_I = _finite_difference(_linear_radial_eval(map_), d, 2.0**x, step)
+            assert (K_O.hex(), K_I.hex()) == (report.K_O.hex(), report.K_I.hex()), (x, step)
+
+
+@pytest.mark.parametrize("map_, d", [(lambda r: 0.5, 2), (lambda r: r**3.7, 2000)],
+                         ids=["not increasing", "overflow"])
+def test_the_estimate_raises_the_public_errors(map_, d):
+    with pytest.raises(ValueError) as public:
+        finite_difference_distortion(map_, d, -1.0, 1e-7)
+    with pytest.raises(ValueError) as estimate:
+        _finite_difference(_linear_radial_eval(map_), d, 0.5, 1e-7)
+    assert str(estimate.value) == str(public.value)
+
+
+@pytest.mark.parametrize("K", [2.0, 1.37, 9.99])
+def test_the_one_dimensional_check_matches_the_scalar_calls(K):
+    worst = 0.0
+    for delta in (1.0, 0.5, 1e-3, 1e-9):
+        worst = max(
+            worst,
+            abs(example_1d_mean_radius(delta) - 0.75 * delta) / delta,
+            abs(example_1d_rescaled(1.0, delta) - 4.0 / 3.0),
+            abs(example_1d_rescaled(-1.0, delta) + 2.0 / 3.0),
+            abs(example_1d_rescaled(0.0, delta)),
+        )
+    assert measured(run_verification(K), "one_dimensional_model_identities").hex() == worst.hex()
+
+
+@pytest.mark.parametrize("skip", [0, 1, 12345, 10**7, 64 * 2**16 * 4])
+@pytest.mark.parametrize("n", [0, 1, 64, 300, 10_000])
+def test_weyl_fractions_are_the_remainders(n, skip):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    reference = np.arange(skip + 1, skip + n + 1, dtype=float) * golden % 1.0
+    assert _weyl(n, skip).tobytes() == reference.tobytes()
 
 def test_parameters_checked_before_any_check_runs(monkeypatch):
     def no_build(K):

@@ -254,6 +254,36 @@ class TestDeviation:
                     loop_zoom_limit_deviation(map_, seq, lf, range(1, 51), g)
                 ), (K, seq, kind)
 
+    @pytest.mark.parametrize("kind", ["P1", "Q2"])
+    @pytest.mark.parametrize("points", [2, _BLOCK // 7])
+    def test_a_table_leaving_the_domain_raises_the_rescaled_error(self, f, h, kind, points):
+        # every grid lane and scale is in the domain, but the deepest sums are not:
+        # one check of the deepest lane raises rescaled_eval's error, even where
+        # those rows fall in a later block (7 rows a block for the longer grid)
+        map_ = f if kind[0] == "P" else h
+        g = np.linspace(-(2.0**52) + 100.0, -1.0, points)
+        ns = np.arange(1, 51)
+        seq = "even" if kind in ("P1", "Q1") else "odd"
+        with pytest.raises(ValueError) as want:
+            rescaled_eval(map_, scale_at(map_, seq, ns)[:, None], g)
+        with pytest.raises(ValueError) as got:
+            zoom_limit_deviation(map_, seq, limit_function(map_, kind), ns, g)
+        assert str(got.value) == str(want.value) == (
+            "x must be >= -2**52 (or the radius-0 sentinel -inf)")
+
+    def test_a_table_reaching_the_domain_bound_is_evaluated(self, f):
+        # t_1 = -2.5 at K = 2: the deepest lane sums to -2**52 exactly, inside the domain
+        g = np.array([-(2.0**52) + 2.5, -1.0])
+        lf = limit_function(f, "P1")
+        assert zoom_limit_deviation(f, "even", lf, [1], g).hex() == (
+            whole_table_zoom_limit_deviation(f, "even", lf, [1], g).hex())
+
+    def test_an_empty_grid_or_range_gives_zero(self, f, h):
+        for map_, kind in ((f, "P1"), (h, "Q2")):
+            lf = limit_function(map_, kind)
+            assert zoom_limit_deviation(map_, "even", lf, range(1, 3), np.empty(0)) == 0.0
+            assert zoom_limit_deviation(map_, "even", lf, np.arange(1, 1), [-1.0]) == 0.0
+
     def test_mismatched_pair_is_order_one(self, f):
         g = grid3(f, 1000)
         dev = zoom_limit_deviation(f, "even", limit_function(f, "P2"), range(1, 11), g)
