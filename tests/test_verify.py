@@ -539,8 +539,7 @@ def test_the_estimate_raises_the_public_errors(map_, d):
     assert str(estimate.value) == str(public.value)
 
 
-@pytest.mark.parametrize("K", [2.0, 1.37, 9.99])
-def test_the_one_dimensional_check_matches_the_scalar_calls(K):
+def test_the_one_dimensional_check_matches_the_scalar_calls():
     worst = 0.0
     for delta in (1.0, 0.5, 1e-3, 1e-9):
         worst = max(
@@ -550,7 +549,7 @@ def test_the_one_dimensional_check_matches_the_scalar_calls(K):
             abs(example_1d_rescaled(-1.0, delta) + 2.0 / 3.0),
             abs(example_1d_rescaled(0.0, delta)),
         )
-    assert measured(run_verification(K), "one_dimensional_model_identities").hex() == worst.hex()
+    assert measured(run_verification(), "one_dimensional_model_identities").hex() == worst.hex()
 
 
 @pytest.mark.parametrize("skip", [0, 1, 12345, 10**7, 64 * 2**16 * 4])
