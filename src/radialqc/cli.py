@@ -99,19 +99,24 @@ def _output(cfg):
     return open(cfg.output_path, "w", encoding="utf-8", newline="")
 
 
+#: chunks of at most this many rows format every entry: there np.unique's
+#: fixed cost (about 13 us a column) exceeds what formatting each value once saves
+_FEW_ROWS = 16
+
+
 def _cells(col):
     """Text of each entry of one column: floats at 17 significant digits,
-    integers by ``str``, strings as they are.  Each distinct number is
-    formatted once, floats keyed by bit pattern so that 0.0 and -0.0 stay
-    apart."""
-    if col.dtype.kind == "f":
-        uniq, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        text = ["%.17g" % v for v in uniq.view(np.float64).tolist()]
-    elif col.dtype.kind in "iu":
-        uniq, inverse = np.unique(col, return_inverse=True)
-        text = [str(v) for v in uniq.tolist()]
-    else:
+    integers by ``str``, strings as they are.  Past ``_FEW_ROWS`` entries each
+    distinct number is formatted once, floats keyed by bit pattern so that
+    0.0 and -0.0 stay apart; the text is the same either way."""
+    kind = col.dtype.kind
+    if kind not in "fiu":
         return col.tolist()
+    text_of = "%.17g".__mod__ if kind == "f" else str
+    if len(col) <= _FEW_ROWS:
+        return list(map(text_of, col.tolist()))
+    uniq, inverse = np.unique(col.view(np.int64) if kind == "f" else col, return_inverse=True)
+    text = list(map(text_of, (uniq.view(np.float64) if kind == "f" else uniq).tolist()))
     return list(map(text.__getitem__, inverse.tolist()))
 
 

@@ -19,16 +19,18 @@ log2 throughout: a radius in (0, 1] is represented by its log2 value (a float
 <= 0), and the radius 0 by the sentinel ``RADIUS_ZERO_LOG2 = -inf``.
 
 Every map of the package (f, f^{-1}, h and the zoom limits P1 = f, P2, Q1,
-Q2) is one row of the cell-spec table ``_cell_spec``, and ``_period`` gives
-their common period K + 1/K.  The cell spec and the interval walk have two
-drivers, picked by ``_log_radii``, the one check of every log2-radius input.
-A point (a Python float or any 0-d input: ``np.float64``, ``int``, a 0-d
-array) goes through ``math``, with no numpy call for a float, since a numpy
-call on one lane costs far more than the arithmetic; arrays with ndim >= 1
-go through numpy.  The two make the same float operations in the same
-order, so a point returns exactly what the 1-element array call returns, bit
-for bit (signed zeros and the -inf sentinel included), and raises the same
-exception with the same message.  Indices split the same way: an int in
+Q2) is one row of the cell-spec table ``_cell_spec``, computed once when the
+map is built, and ``_period`` gives their common period K + 1/K.  The cell
+spec and the interval walk have two drivers, picked by ``_log_radii``, the
+one check of every log2-radius input.  A point (a Python float or any 0-d
+input: ``np.float64``, ``int``, a 0-d array) goes through ``math``, with no
+numpy call for a float, since a numpy call on one lane costs far more than
+the arithmetic, and a Python float in the domain, the check's fast case,
+with no call to ``_log_radii`` either; arrays with ndim >= 1 go through
+numpy.  The two make the same float operations in the same order, so a point
+returns exactly what the 1-element array call returns, bit for bit (signed
+zeros and the -inf sentinel included), and raises the same exception with
+the same message.  Indices split the same way: an int in
 range skips numpy, and every index formula computes on it as a Python int.
 
 Useful consequences of the layout, relied on elsewhere in the package:
@@ -178,10 +180,14 @@ def _log_radii(x, name, allow_zero_radius=True):
 def _index_array(n, name, lo, hi):
     """``n`` as a Python int if 0-d, else as an int64 array: ``TypeError`` unless
     integral (a bool is not), ``ValueError`` outside lo..hi (``hi`` a power of two,
-    as every index bound of the package is).  An int in range skips numpy."""
+    as every index bound of the package is).  An int in range skips numpy.  An
+    empty list, tuple or range is an empty index set, though numpy reads it as
+    float64; an empty array of floats is not, as its dtype is not integral."""
     if type(n) is int and lo <= n <= hi:  # in the domain: the usual case
         return n
     na = np.asarray(n)
+    if not na.size and isinstance(n, (list, tuple, range)):
+        na = na.astype(np.int64)
     if not np.issubdtype(na.dtype, np.integer):
         raise TypeError(f"{name} must be an integer within 64 bits")
     if na.size and (na.min() < lo or na.max() > hi):
@@ -279,7 +285,9 @@ def _cell_spec(name, K):
         return (P, 1.0 / K, 0.0, K, K * K - 1.0, 2.0)
     if name == "Q1":
         return (P, K * K, 0.0, 1.0 / (K * K), (1.0 - 1.0 / (K * K)) * -P, P)
-    return (P, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)  # Q2
+    if name == "Q2":
+        return (P, 1.0 / (K * K), 0.0, K * K, (K * K - 1.0) * P, P)
+    raise ValueError(f"no cell-spec row {name!r}")
 
 
 def _eval_cells(x, cells, name="x"):
@@ -295,18 +303,20 @@ def _eval_cells(x, cells, name="x"):
     radius-0 sentinel maps to itself.  A float takes the ``math`` driver and
     gives a float, an array the numpy one and an array of its shape; both
     make the same float operations in the same order, so they agree bit for
-    bit, errors included.
+    bit, errors included.  A Python float in the domain is the check's own
+    fast case, so it skips the call to ``_log_radii``.
 
     The rounded lines can come out in the wrong order only a few ulps from
     the switch, where the exact ones are within their rounding errors of each
     other and either is within y's envelope (``tests/test_envelope.py``).
     """
+    if not (type(x) is float and -MAX_ABS_LOG2_RADIUS <= x <= 0.0):  # else checked already
+        x, sentinel = _log_radii(x, name)
+        if not isinstance(x, float):
+            return _cell_lanes(x, sentinel, cells)
+        if x == RADIUS_ZERO_LOG2:
+            return x
     period, a_hi, b_hi, a_lo, b_lo, shift = cells
-    x, sentinel = _log_radii(x, name)
-    if not isinstance(x, float):
-        return _cell_lanes(x, sentinel, cells)
-    if x == RADIUS_ZERO_LOG2:
-        return x
     m = math.floor(-x / period)  # the floor of a float: float(m) is exact, as in numpy
     u = x + m * period
     hi, lo = b_hi + a_hi * u, b_lo + a_lo * u
@@ -340,18 +350,23 @@ def _cell_lanes(x, sentinel, cells):
 def _locate(K, x):
     """Branch index of finite log2 radii (no validation): the first r_n <= x of
     a walk up from 2 floor(-x / P) - 1, at least 1, with P = K + 1/K; a float
-    walks on Python ints and bools and gives an int, an array on int64 arrays.
+    walks on Python ints and gives an int, an array on int64 arrays.
     The start is never above the answer, so ties go to the smaller index with
     no step down (x < r_{n-1} unless n = 1): for m = floor(fl(-x / P)) >= 1 and
     |x| <= 2**52, fl(-x / P) exceeds -x / P by at most 1/2, so x <= r_{2m-2} -
     P/2 < r_{2m-2} - 1 exactly, and the float r_{2m-2}, three roundings of
     values below 2**52, is within 3/4 of the exact value and lies above x."""
-    P, point = _period(K), isinstance(x, float)
-    n = max(2 * math.floor(-x / P) - 1, 1) if point else np.maximum(
-        2 * np.floor(-x / P).astype(np.int64) - 1, 1)
+    P = _period(K)
+    if isinstance(x, float):
+        start = max(2 * math.floor(-x / P) - 1, 1)
+        for n in range(start, start + _LOCATE_STEPS + 1):
+            if _breakpoint_log2(K, n) <= x:
+                return n
+        raise ValueError(_UNRESOLVED)
+    n = np.maximum(2 * np.floor(-x / P).astype(np.int64) - 1, 1)
     for _ in range(_LOCATE_STEPS + 1):
         up = _breakpoint_log2(K, n) > x
-        if not (up if point else up.any()):
+        if not up.any():
             return n
         n += up
     raise ValueError(_UNRESOLVED)
@@ -361,7 +376,8 @@ def _local_exponent(K, x, k):
     """Branch exponent at x of a map on f's intervals with exponents k (odd
     intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
     the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
-    x = _log_radius(x, "x", allow_zero_radius=False)
+    if not (type(x) is float and -MAX_ABS_LOG2_RADIUS <= x <= 0.0):  # else checked already
+        x = _log_radius(x, "x", allow_zero_radius=False)
     n = _locate(K, x)
     on_bp = (x == _breakpoint_log2(K, n)) | (x == 0.0)  # x < r_{n-1} unless n = 1, r_0 = 0
     if on_bp if isinstance(x, float) else on_bp.any():
@@ -381,12 +397,16 @@ class PiecewisePowerMap:
     which hold for arbitrarily deep indices.  Immutable and hashable, and
     every method is a pure function, so instances are safe to share across
     any number of concurrent workers; two maps with the same K compare equal.
+    The rows of f and f^{-1} in ``_cell_spec`` are computed once, here, and
+    held outside the dataclass fields, so equality, hashing and repr read K alone.
     """
 
     K: float
 
     def __post_init__(self):
         object.__setattr__(self, "K", _parameter(self.K))  # a float, 1 < K <= 2**64
+        object.__setattr__(self, "_P1", _cell_spec("P1", self.K))
+        object.__setattr__(self, "_f_inv", _cell_spec("f_inv", self.K))
 
     def breakpoint(self, n):
         """log2 r_n for any index in the domain."""
@@ -400,11 +420,13 @@ class PiecewisePowerMap:
         breakpoints.  When x is exactly a breakpoint the smaller index is
         returned; continuity makes evaluation agree either way.
         """
-        return _locate(self.K, _log_radius(x, "x", allow_zero_radius=False))
+        if not (type(x) is float and -MAX_ABS_LOG2_RADIUS <= x <= 0.0):  # else checked already
+            x = _log_radius(x, "x", allow_zero_radius=False)
+        return _locate(self.K, x)
 
     def eval_log(self, x):
         """log2 f(2^x); the radius-0 sentinel maps to itself."""
-        return _eval_cells(x, _cell_spec("P1", self.K))
+        return _eval_cells(x, self._P1)
 
     def inverse_eval_log(self, y):
         """log2 of f^{-1}(2^y).
@@ -412,7 +434,7 @@ class PiecewisePowerMap:
         f maps [r_2, r_0] onto [-2, 0] in log2, so f^{-1} is log-periodic with
         period 2 and shift K + 1/K, its pieces the inverted branches of f.
         """
-        return _eval_cells(y, _cell_spec("f_inv", self.K), "y")
+        return _eval_cells(y, self._f_inv, "y")
 
     def eval(self, r):
         """f(r) on the linear scale, for r in [0, 1].
@@ -471,13 +493,28 @@ def _blocked_max(fn, count, size=_BLOCK):
     return np.max([fn(i, min(i + size, count)) for i in range(0, max(count, 1), size)], axis=0)
 
 
+#: K up to which breakpoints 0 .. ``GUARD_DEPTH`` = 10**4 are distinct floats
+#: with no check.  Proof, for 1 < K <= 2**19 and round to nearest: every
+#: product m K (m = n >> 1 <= 5000), quotient (n - m) / K <= 5000 and sum of
+#: the two in ``_breakpoint_log2`` lies below 5000 * 2**19 + 5000 < 2**32, so
+#: each rounds by at most 2**-22, and a quotient by at most 2**-41.  An odd
+#: step n = 2m -> 2m + 1 keeps the product and raises the quotient by
+#: 1/K >= 2**-19; rounded, by at least 2**-19 - 2**-40, and the two sums then
+#: differ by at least 2**-19 - 2**-40 - 2 * 2**-22 > 0.  An even step keeps
+#: the quotient and raises the product by K > 1, so the sums by at least
+#: K - 4 * 2**-22 > 0.  So the float breakpoints strictly decrease.  Above the
+#: bound the array check runs; the first K it refuses lies near 1.0493e6.
+_GUARD_FREE_K = 2.0**19
+
+
 def build_standard_map(K) -> PiecewisePowerMap:
     """Construct the alternating-exponent map for a distortion parameter K > 1.
 
     K must keep consecutive breakpoints distinct in float64 up to index
     ``GUARD_DEPTH``; closed forms serve every index, so no operation fails on
-    deep zooms.
+    deep zooms.  That holds with no check up to ``_GUARD_FREE_K``.
     """
     f = PiecewisePowerMap(K=K)  # K's type and bounds checked first
-    _distinct_breakpoints_log2(f.K, 0, GUARD_DEPTH)
+    if f.K > _GUARD_FREE_K:
+        _distinct_breakpoints_log2(f.K, 0, GUARD_DEPTH)
     return f

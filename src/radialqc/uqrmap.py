@@ -44,10 +44,19 @@ __all__ = ["ConjugatedMap", "build_conjugated_map", "h_via_conjugacy"]
 class ConjugatedMap:
     """Radial factor h of the conjugated halving map, in closed branch form.
 
-    Shares the breakpoint chain and K of its source map; immutable and pure like it.
+    Shares the breakpoint chain and K of its source map; immutable and pure like
+    it.  The source must be a ``PiecewisePowerMap`` (``TypeError`` otherwise);
+    h's row of ``powermap._cell_spec`` is computed once, here, outside the
+    dataclass fields, so equality, hashing and repr read the source alone.
     """
 
     source: PiecewisePowerMap
+
+    def __post_init__(self):
+        if _base_of(self.source) is not self.source:
+            raise TypeError("a ConjugatedMap's source must be a PiecewisePowerMap, "
+                            "not a ConjugatedMap")
+        object.__setattr__(self, "_h", _cell_spec("h", self.source.K))
 
     @property
     def K(self) -> float:
@@ -62,7 +71,7 @@ class ConjugatedMap:
     def eval_log(self, x):
         """log2 h(2^x) from h's row of ``powermap._cell_spec`` (its branches on
         [r_2, r_0], not f's inverse); a float or 0-d input gives a float."""
-        return _eval_cells(x, _cell_spec("h", self.source.K))
+        return _eval_cells(x, self._h)
 
     def iterate(self, x, m):
         """log2 h^m(2^x) for integer counts 0 <= m <= ``MAX_BREAKPOINT_INDEX``.
@@ -82,12 +91,13 @@ class ConjugatedMap:
             return self.eval_log(y) if m & 1 else _log_radius(y, "x")
         y, sentinel = _log_radii(y, "x")  # every lane: the even ones are returned as they are
         if (odd := (m & 1) == 1).any():  # h on every lane, kept on the odd ones: no second check
-            np.copyto(y, _cell_lanes(y, sentinel, _cell_spec("h", self.K)), where=odd)
+            np.copyto(y, _cell_lanes(y, sentinel, self._h), where=odd)
         return y
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""
-        return _local_exponent(self.K, x, self.K * self.K)
+        K = self.source.K
+        return _local_exponent(K, x, K * K)
 
     def distinct_exponents(self):
         return (self.K * self.K, 1.0 / (self.K * self.K))

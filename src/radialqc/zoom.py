@@ -74,14 +74,25 @@ class LimitFunction:
     All four fix 0 and 1 (unit-ball measure normalization), increase strictly,
     and alternate between two power-law slopes, so none of them is a single
     power r^D: the homogeneity every differentiable-point limit would have.
+
+    Built as ``limit_function`` builds it, with its errors, a ``ConjugatedMap``
+    source recorded as its base map.  The kind's row of ``powermap._cell_spec``
+    is held outside the dataclass fields: equality, hashing and repr read kind
+    and source alone.
     """
 
     kind: str
     source: PiecewisePowerMap
 
+    def __post_init__(self):
+        if self.kind not in LIMIT_KINDS:
+            raise ValueError(f"kind must be one of {LIMIT_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "source", _base_of(self.source))
+        object.__setattr__(self, "_row", _cell_spec(self.kind, self.source.K))
+
     def eval_log(self, x):
         """log2 of the limit at 2^x; the radius-0 sentinel maps to itself."""
-        return _eval_cells(x, _cell_spec(self.kind, self.source.K))
+        return _eval_cells(x, self._row)
 
 
 def limit_function(map_, kind) -> LimitFunction:
@@ -94,9 +105,7 @@ def limit_function(map_, kind) -> LimitFunction:
     evaluated by the same cell kernel as f and h; P1 is f's own row.
     A float or 0-d input gives a float, an array an array.
     """
-    if kind not in LIMIT_KINDS:
-        raise ValueError(f"kind must be one of {LIMIT_KINDS}, got {kind!r}")
-    return LimitFunction(kind=kind, source=_base_of(map_))
+    return LimitFunction(kind=kind, source=map_)
 
 
 def rescaled_eval(map_, t, r):
@@ -152,7 +161,7 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     if lf.source != base:
         raise ValueError("limit function was built for a different map")
     grid = np.ravel(_log_radius(r_grid, "r_grid", allow_zero_radius=False))
-    t = scale_at(map_, sequence, np.asarray(n_range))[:, None]
+    t = scale_at(map_, sequence, n_range)[:, None]
     t = _log_radius(t, "t", allow_zero_radius=False)  # as rescaled_eval checks it
     _log_radius(grid.min(initial=0.0) + t.min(initial=0.0), "x")  # the deepest lane, if any
     at_t, limit = map_.eval_log(t), lf.eval_log(grid)

@@ -192,6 +192,38 @@ class TestStreamedTables:
                                   extra={"s": -0.0})
             assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("rows", [*range(10), 40])
+    def test_short_chunks_match_the_unique_path(self, capsys, monkeypatch, rows):
+        # a chunk of at most _FEW_ROWS rows formats each entry; _FEW_ROWS = -1
+        # sends every chunk through np.unique, and the bytes must not change
+        pool = [0.0, -0.0, 1.5, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300, 1 / 3]
+        col = np.array((pool * 4)[:rows])
+        ints = np.arange(rows) - 3
+        labels = np.array(["sup"] * rows)
+        radii = " --log2-r=-0.0 --log2-r=-inf" * (rows // 2) + " --r 0.3" * (rows % 2)
+        lines = [f"eval --map Q2 --K 1.37{radii or ' --r 1'}",
+                 f"distortion --map h --d 3 --iterates {max(rows, 1)}",  # and the sup row
+                 f"iterate --log2-r=-3.5 --iterates {max(rows - 1, 0)}"]
+
+        def outputs():
+            got = []
+            for fmt in ("csv", "json"):
+                cfg = argparse.Namespace(**{**cli.DEFAULTS, "output_format": fmt})
+                cli._emit_table(cfg, "t", ("i", "x", "s"), [(ints, col, labels)] * 2,
+                                extra={"s": -0.0})
+                got.append(capsys.readouterr().out)
+                got += [run_cli(capsys, *line.split(), "--format", fmt) for line in lines]
+            assert all(out[0] == 0 for out in got[1:4] + got[5:]), got
+            return got
+
+        short = outputs()
+        monkeypatch.setattr(cli, "_FEW_ROWS", -1)
+        assert short == outputs()
+        want = ref_emit_table("csv", "t", ("i", "x", "s"),
+                              [*zip(ints.tolist(), col.tolist(), labels.tolist())] * 2,
+                              extra={"s": -0.0})
+        assert short[0] == want
+
 
 class TestBounds:
     def test_index_specs_checked_before_any_row(self, capsys):

@@ -210,6 +210,26 @@ def test_hostile_index_gives_a_value_or_an_input_error(entry, bound, case):
                 assert np.array_equal(one.ravel().view(np.int64), got.ravel().view(np.int64))
 
 
+#: empty index sets that numpy reads as float64 arrays
+EMPTY_INDEX_SETS = {"list": [], "tuple": (), "range": range(1, 1)}
+
+
+@pytest.mark.parametrize("empty", EMPTY_INDEX_SETS.values(), ids=EMPTY_INDEX_SETS)
+@pytest.mark.parametrize("entry, bound", INDEX_ENTRY_POINTS.values(), ids=INDEX_ENTRY_POINTS)
+def test_an_empty_index_set_answers_as_an_empty_int64_array(entry, bound, empty):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = entry(empty), entry(np.array([], dtype=np.int64))
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (0,)
+
+
+@pytest.mark.parametrize("entry, bound", INDEX_ENTRY_POINTS.values(), ids=INDEX_ENTRY_POINTS)
+def test_an_empty_float_array_is_not_an_index_set(entry, bound):
+    # its dtype says floats, as a non-empty one's does: a type error either way
+    with pytest.raises(TypeError, match="must be an integer within 64 bits"):
+        entry(np.array([]))
+
+
 @pytest.mark.parametrize("m_max", [2**20 + 1, 2**63, BIG])
 def test_iterate_bound_is_checked_before_any_allocation(m_max):
     with pytest.raises(ValueError, match=r"m_max must be at most 2\*\*20"):
@@ -349,13 +369,15 @@ class TestMapArgument:
         _raises_type_error(lambda: zoom_limit_deviation(F, "even", value, [1], [-1.0]))
 
     def test_a_map_of_another_type_is_not_a_map(self):
-        # the check is by exact type: a subclass, or an h built around one, is refused
+        # the check is by exact type: a subclass is refused, and so is an h
+        # around one, when it is built
         class Derived(type(F)):
             pass
 
         derived = Derived(K=2.0)
-        for value in (derived, type(H)(source=derived), type(H)(source=None)):
-            _raises_type_error(lambda: scale_at(value, "even", 1))
+        _raises_type_error(lambda: scale_at(derived, "even", 1))
+        for source in (derived, None, H):
+            _raises_type_error(lambda: type(H)(source=source))
         _raises_type_error(lambda: verify.breakpoint_image_worst(derived, 10))
         _raises_type_error(lambda: build_conjugated_map(derived))
 

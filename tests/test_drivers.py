@@ -177,6 +177,46 @@ def test_float_path_uses_no_numpy(monkeypatch):
         f.eval_log(math.nan)
 
 
+def test_float_in_the_domain_skips_the_cell_spec_and_the_check(monkeypatch):
+    # each map holds its rows from when it was built, and a Python float in
+    # the domain is the check's fast case: neither is called again per point
+    f = build_standard_map(2.0)
+    h = build_conjugated_map(f)
+    limits = [limit_function(f, kind) for kind in LIMIT_KINDS]
+    evaluators = [f.eval_log, f.inverse_eval_log, h.eval_log, *(lf.eval_log for lf in limits)]
+    pm, counts = radialqc.powermap, {"_cell_spec": 0, "_log_radii": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for mod in (pm, radialqc.uqrmap, radialqc.zoom):
+        monkeypatch.setattr(mod, "_cell_spec", counted("_cell_spec", pm._cell_spec))
+    monkeypatch.setattr(pm, "_log_radii", counted("_log_radii", pm._log_radii))
+    xs = [-3.7, -1e6, 0.0, -0.0, -(2.0**52), -5e-324]
+    for x in xs:
+        for fn in evaluators:
+            assert fn(x) == fn(np.array([x]))[0]  # the array call reaches the check
+    assert counts == {"_cell_spec": 0, "_log_radii": len(evaluators) * len(xs)}
+    for x in (-3.7, -1234.567, -98765432.1):  # no breakpoints
+        for fn in (f.locate_interval, f.local_exponent, h.local_exponent):
+            fn(x)
+    assert counts == {"_cell_spec": 0, "_log_radii": len(evaluators) * len(xs)}
+    # everything else still goes through the check, with its message
+    for fn in (*evaluators, f.locate_interval, f.local_exponent, h.local_exponent):
+        for x in (np.float64(-3.7), -3, np.array(-3.7), np.array([-3.7]), -math.inf,
+                  -(2.0**53), 0.5, math.nan):
+            before = counts["_log_radii"]
+            try:
+                fn(x)
+            except ValueError:
+                pass
+            assert counts["_log_radii"] == before + 1, (fn, x)
+    assert counts["_cell_spec"] == 0
+
+
 #: K up to the builder's limit, and close to 1 where ivt's inverse cell is narrow
 DRIVER_K = (1.0001, 1.01, 1.37, 2.0, 3.0, 9.99, 1000.0, 1.05e6)
 

@@ -8,6 +8,7 @@ Independent oracles used here:
   * inversion: the forward evaluator.
 """
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -133,6 +134,49 @@ class TestConstruction:
                 accepted.append(False)
         assert accepted == [self.old_full_array_guard(K) for K in Ks]
         assert True in accepted and False in accepted
+
+    @staticmethod
+    def accepts(K):
+        try:
+            build_standard_map(K)
+        except ValueError:
+            return False
+        return True
+
+    def test_guard_fast_path_agrees_with_the_full_array_check(self, monkeypatch):
+        # below the proven bound the breakpoints are distinct with no check;
+        # above it the array check runs, so the accepted set of K is unchanged
+        bound = powermap._GUARD_FREE_K
+        below = np.append(np.geomspace(1.0 + 2.0**-40, bound, 200), np.nextafter(1.0, 2.0))
+        assert all(self.old_full_array_guard(K) for K in below)
+        above = np.geomspace(np.nextafter(bound, math.inf), 1.05e6, 200)
+        # bisection on floats to a K the check accepts next to one it refuses
+        lo, hi, near = 1.04e6, 1.06e6, []
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            near.append(mid)
+            lo, hi = (mid, hi) if self.old_full_array_guard(mid) else (lo, mid)
+        assert hi == np.nextafter(lo, math.inf) and 1.049e6 < lo < 1.0494e6
+        near += [np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)]
+        checked, full_check = [], powermap._distinct_breakpoints_log2
+        monkeypatch.setattr(powermap, "_distinct_breakpoints_log2",
+                            lambda K, *a: checked.append(K) or full_check(K, *a))
+        for K in np.concatenate([below, above, near]).tolist():
+            assert self.accepts(K) == self.old_full_array_guard(K), K
+        assert bound in below and checked == np.concatenate([above, near]).tolist()
+
+    def test_each_map_holds_its_rows_outside_the_fields(self):
+        # equality, hashing and repr read K alone
+        f = build_standard_map(2.0)
+        assert [fl.name for fl in dataclasses.fields(f)] == ["K"]
+        assert (f._P1, f._f_inv) == (powermap._cell_spec("P1", 2.0),
+                                     powermap._cell_spec("f_inv", 2.0))
+        assert repr(f) == "PiecewisePowerMap(K=2.0)" and hash(f) == hash(build_standard_map(2))
+
+    def test_an_unknown_cell_spec_row_raises(self):
+        # it was Q2's row
+        for name in ("bogus", "Q3", None):
+            with pytest.raises(ValueError, match="no cell-spec row"):
+                powermap._cell_spec(name, 2.0)
 
     def test_breakpoints_at_K2(self):
         f = build_standard_map(2.0)

@@ -5,6 +5,7 @@ The oracle h = f^{-1}(f(.)/2) uses only the base map's forward and inverse
 evaluators; the closed form is derived independently from K alone.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 
 from radialqc import (
     RADIUS_ZERO_LOG2,
+    ConjugatedMap,
     NotDifferentiableError,
     build_conjugated_map,
     build_standard_map,
     h_via_conjugacy,
 )
+from radialqc import uqrmap
 from radialqc.powermap import GUARD_DEPTH
 
 K_VALUES = st.floats(min_value=1.05, max_value=5.0, allow_nan=False)
@@ -65,6 +68,24 @@ class TestBranchTable:
     def test_rejects_positive_input(self, h):
         with pytest.raises(ValueError):
             h.eval_log(0.5)
+
+
+class TestConstruction:
+    def test_a_source_that_is_not_f_is_refused_when_built(self, f, h):
+        # it failed only later, with an AttributeError, when h was evaluated
+        for source in ("x", None, 2.0):
+            with pytest.raises(TypeError, match="^map must be a PiecewisePowerMap or a "
+                                                "ConjugatedMap$"):
+                ConjugatedMap(source)
+        with pytest.raises(TypeError, match="not a ConjugatedMap$"):
+            ConjugatedMap(h)
+
+    def test_the_held_row_is_not_a_field(self, f, h):
+        # equality, hashing and repr read the source alone
+        assert [fl.name for fl in dataclasses.fields(h)] == ["source"]
+        assert h._h == uqrmap._cell_spec("h", 2.0)
+        assert h == ConjugatedMap(build_standard_map(2)) and hash(h) == hash(ConjugatedMap(f))
+        assert repr(h) == "ConjugatedMap(source=PiecewisePowerMap(K=2.0))"
 
 
 class TestConjugacyOracle:

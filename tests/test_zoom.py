@@ -7,6 +7,7 @@ the distinctness gap against its closed form 1 - 1/K^2 at the first
 breakpoint.  Frozen values below were computed with those oracles.
 """
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -216,6 +217,30 @@ class TestLimits:
         with pytest.raises(ValueError):
             limit_function(f, "P3")
 
+    def test_the_class_checks_what_limit_function_checks(self, f, h):
+        # built directly, a bad kind was Q2's row and a bad source an AttributeError later
+        message = r"^kind must be one of \('P1', 'P2', 'Q1', 'Q2'\), got 'bogus'$"
+        for build in (limit_function, lambda m, k: zoom.LimitFunction(k, m)):
+            with pytest.raises(ValueError, match=message):
+                build(f, "bogus")
+            for source in ("x", None, 2.0, limit_function(f, "P2")):
+                with pytest.raises(TypeError, match="^map must be a PiecewisePowerMap or a "
+                                                    "ConjugatedMap$"):
+                    build(source, "P1")
+
+    def test_a_conjugated_map_source_is_recorded_as_its_base(self, f, h):
+        lf = zoom.LimitFunction("Q1", h)
+        assert lf.source is f and lf == limit_function(h, "Q1") == limit_function(f, "Q1")
+        assert repr(lf) == "LimitFunction(kind='Q1', source=PiecewisePowerMap(K=2.0))"
+        assert lf.eval_log(-3.7) == limit_function(f, "Q1").eval_log(-3.7)
+
+    def test_the_held_row_is_not_a_field(self, f):
+        # equality, hashing and repr read kind and source alone
+        lf = limit_function(f, "P2")
+        assert [fl.name for fl in dataclasses.fields(lf)] == ["kind", "source"]
+        assert lf._row == zoom._cell_spec("P2", 2.0)
+        assert hash(lf) == hash(limit_function(build_standard_map(2), "P2"))
+
 
 class TestDeviation:
     def test_matched_pairs_are_roundoff(self, f, h):
@@ -283,6 +308,8 @@ class TestDeviation:
             lf = limit_function(map_, kind)
             assert zoom_limit_deviation(map_, "even", lf, range(1, 3), np.empty(0)) == 0.0
             assert zoom_limit_deviation(map_, "even", lf, np.arange(1, 1), [-1.0]) == 0.0
+            for empty in (range(1, 1), [], ()):  # numpy reads these as float64
+                assert zoom_limit_deviation(map_, "even", lf, empty, [-1.0]) == 0.0
 
     def test_mismatched_pair_is_order_one(self, f):
         g = grid3(f, 1000)
