@@ -238,7 +238,7 @@ def _cmd_zoom(cfg, args) -> int:
     grid = grid[grid < 0.0]
     # the deepest point evaluated: a domain error surfaces before any pass
     rescaled_eval(map_, scale_at(map_, args.seq, deepest), grid[0])
-    kind = args.against or _MATCHED[args.map][1 if args.seq == EVEN_BREAKPOINTS else 2]
+    kind = args.against or _MATCHED[args.map][0 if args.seq == EVEN_BREAKPOINTS else 1]
     lim = limit_function(map_, kind).eval_log(grid)
     per_block = max(1, _CHUNK_ROWS // grid.size)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .powermap import _count, _floats, _real
-from .uqrmap import _base_of
+from .uqrmap import ConjugatedMap, _base_of
 
 __all__ = [
     "SUPREMUM",
@@ -184,9 +184,10 @@ def iterate_max_distortion(h, d, m_max):
     product depends only on the signed count of odd/even indices crossed:
     0 after an even number of steps, +-1 after an odd one.  So even iterates
     are similarities (exponent 1, distortion 1) and odd iterates match h
-    itself: two reports, alternating, bounded independent of m.
+    itself: two reports, alternating, bounded independent of m.  ``h`` must
+    be a ``ConjugatedMap``: the iterates of f are no similarities.
     """
-    _base_of(h)
+    _base_of(h, ConjugatedMap)
     d = _count(d, "dimension", 2)
     m_max = _count(m_max, "m_max", 1, 2**20)  # before the list of one report per iterate
     odd = _supremum(h.distinct_exponents(), d)

@@ -20,18 +20,19 @@ log2 throughout: a radius in (0, 1] is represented by its log2 value (a float
 
 Every map of the package (f, f^{-1}, h and the zoom limits P1 = f, P2, Q1,
 Q2) is one row of the cell-spec table ``_cell_spec``, computed once when the
-map is built, and ``_period`` gives their common period K + 1/K.  The cell
-spec and the interval walk have two drivers, picked by ``_log_radii``, the
-one check of every log2-radius input.  A point (a Python float or any 0-d
-input: ``np.float64``, ``int``, a 0-d array) goes through ``math``, with no
-numpy call for a float, since a numpy call on one lane costs far more than
-the arithmetic, and a Python float in the domain, the check's fast case,
-with no call to ``_log_radii`` either; arrays with ndim >= 1 go through
-numpy.  The two make the same float operations in the same order, so a point
-returns exactly what the 1-element array call returns, bit for bit (signed
-zeros and the -inf sentinel included), and raises the same exception with
-the same message.  Indices split the same way: an int in
-range skips numpy, and every index formula computes on it as a Python int.
+map is built and held as its ``_row`` (f^{-1}'s as f's ``_f_inv``), and
+``_period`` gives their common period K + 1/K.  The cell spec and the
+interval walk have two drivers, picked by ``_log_radii``, the one check of
+every log2-radius input.  A point (a Python float or any 0-d input:
+``np.float64``, ``int``, a 0-d array) goes through ``math``, with no numpy
+call for a float, since a numpy call on one lane costs far more than the
+arithmetic, and a Python float in the domain, the check's fast case, with no
+call to ``_log_radii`` either; arrays with ndim >= 1 go through numpy.  The
+two make the same float operations in the same order, so a point returns
+exactly what the 1-element array call returns, bit for bit (signed zeros and
+the -inf sentinel included), and raises the same exception with the same
+message.  Indices split the same way: an int in range skips numpy, and every
+index formula computes on it as a Python int.
 
 Useful consequences of the layout, relied on elsewhere in the package:
 
@@ -372,10 +373,10 @@ def _locate(K, x):
     raise ValueError(_UNRESOLVED)
 
 
-def _local_exponent(K, x, k):
-    """Branch exponent at x of a map on f's intervals with exponents k (odd
-    intervals) and 1/k (even ones): k = K for f, K^2 for h.  Breakpoints and
-    the radius-0 sentinel are rejected; a point takes the ``math`` driver."""
+def _local_exponent(K, x, row):
+    """Branch exponent at x of a map on f's intervals, from its cell-spec row:
+    row[1] on odd intervals, row[3] on even ones.  Breakpoints and the
+    radius-0 sentinel are rejected; a point takes the ``math`` driver."""
     if not (type(x) is float and -MAX_ABS_LOG2_RADIUS <= x <= 0.0):  # else checked already
         x = _log_radius(x, "x", allow_zero_radius=False)
     n = _locate(K, x)
@@ -386,7 +387,7 @@ def _local_exponent(K, x, k):
             "breakpoint spheres form a removable null set)"
         )
     odd = n & 1  # n >= 1
-    return (k if odd else 1.0 / k) if isinstance(x, float) else np.where(odd, k, 1.0 / k)
+    return (row[1] if odd else row[3]) if isinstance(x, float) else np.where(odd, row[1], row[3])
 
 
 @dataclass(frozen=True)
@@ -397,15 +398,15 @@ class PiecewisePowerMap:
     which hold for arbitrarily deep indices.  Immutable and hashable, and
     every method is a pure function, so instances are safe to share across
     any number of concurrent workers; two maps with the same K compare equal.
-    The rows of f and f^{-1} in ``_cell_spec`` are computed once, here, and
-    held outside the dataclass fields, so equality, hashing and repr read K alone.
+    The rows of f (``_row``) and f^{-1} (``_f_inv``), computed here, are held
+    outside the dataclass fields, so equality, hashing and repr read K alone.
     """
 
     K: float
 
     def __post_init__(self):
         object.__setattr__(self, "K", _parameter(self.K))  # a float, 1 < K <= 2**64
-        object.__setattr__(self, "_P1", _cell_spec("P1", self.K))
+        object.__setattr__(self, "_row", _cell_spec("P1", self.K))
         object.__setattr__(self, "_f_inv", _cell_spec("f_inv", self.K))
 
     def breakpoint(self, n):
@@ -426,7 +427,7 @@ class PiecewisePowerMap:
 
     def eval_log(self, x):
         """log2 f(2^x); the radius-0 sentinel maps to itself."""
-        return _eval_cells(x, self._P1)
+        return _eval_cells(x, self._row)
 
     def inverse_eval_log(self, y):
         """log2 of f^{-1}(2^y).
@@ -462,11 +463,11 @@ class PiecewisePowerMap:
 
     def local_exponent(self, x):
         """Power-law exponent of the branch at x; breakpoints are rejected."""
-        return _local_exponent(self.K, x, self.K)
+        return _local_exponent(self.K, x, self._row)
 
     def distinct_exponents(self):
         """The two branch exponents; pointwise distortion depends only on these."""
-        return (self.K, 1.0 / self.K)
+        return (self._row[1], self._row[3])
 
 
 def _distinct_breakpoints_log2(K, start, stop):

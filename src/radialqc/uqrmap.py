@@ -45,18 +45,17 @@ class ConjugatedMap:
     """Radial factor h of the conjugated halving map, in closed branch form.
 
     Shares the breakpoint chain and K of its source map; immutable and pure like
-    it.  The source must be a ``PiecewisePowerMap`` (``TypeError`` otherwise);
-    h's row of ``powermap._cell_spec`` is computed once, here, outside the
-    dataclass fields, so equality, hashing and repr read the source alone.
+    it.  The source must be a ``PiecewisePowerMap`` (``_base_of``'s ``TypeError``
+    otherwise); h's row of ``powermap._cell_spec`` (``_row``) is computed once,
+    here, outside the dataclass fields, so equality, hashing and repr read the
+    source alone.
     """
 
     source: PiecewisePowerMap
 
     def __post_init__(self):
-        if _base_of(self.source) is not self.source:
-            raise TypeError("a ConjugatedMap's source must be a PiecewisePowerMap, "
-                            "not a ConjugatedMap")
-        object.__setattr__(self, "_h", _cell_spec("h", self.source.K))
+        K = _base_of(self.source, PiecewisePowerMap).K
+        object.__setattr__(self, "_row", _cell_spec("h", K))
 
     @property
     def K(self) -> float:
@@ -71,7 +70,7 @@ class ConjugatedMap:
     def eval_log(self, x):
         """log2 h(2^x) from h's row of ``powermap._cell_spec`` (its branches on
         [r_2, r_0], not f's inverse); a float or 0-d input gives a float."""
-        return _eval_cells(x, self._h)
+        return _eval_cells(x, self._row)
 
     def iterate(self, x, m):
         """log2 h^m(2^x) for integer counts 0 <= m <= ``MAX_BREAKPOINT_INDEX``.
@@ -91,32 +90,32 @@ class ConjugatedMap:
             return self.eval_log(y) if m & 1 else _log_radius(y, "x")
         y, sentinel = _log_radii(y, "x")  # every lane: the even ones are returned as they are
         if (odd := (m & 1) == 1).any():  # h on every lane, kept on the odd ones: no second check
-            np.copyto(y, _cell_lanes(y, sentinel, self._h), where=odd)
+            np.copyto(y, _cell_lanes(y, sentinel, self._row), where=odd)
         return y
 
     def local_exponent(self, x):
         """Branch exponent (K^2 or 1/K^2) at x; breakpoints are rejected."""
-        K = self.source.K
-        return _local_exponent(K, x, K * K)
+        return _local_exponent(self.source.K, x, self._row)
 
     def distinct_exponents(self):
-        return (self.K * self.K, 1.0 / (self.K * self.K))
+        return (self._row[1], self._row[3])
 
 
-def _base_of(map_):
+def _base_of(map_, only=None):
     """The piecewise power map under a map argument: f itself, or h's checked
     ``.source``.  The one check of every map argument, by exact type:
-    ``TypeError`` for anything else, a zoom limit included."""
+    ``TypeError`` for anything else, a zoom limit included, and, for an entry
+    point that takes f alone or h alone, for a map whose class is not ``only``."""
     base = map_.source if type(map_) is ConjugatedMap else map_
     if type(base) is not PiecewisePowerMap:
         raise TypeError("map must be a PiecewisePowerMap or a ConjugatedMap")
+    if only is not None and type(map_) is not only:
+        raise TypeError(f"map must be a {only.__name__}, not a {type(map_).__name__}")
     return base
 
 
 def build_conjugated_map(f: PiecewisePowerMap) -> ConjugatedMap:
     """Closed-form radial factor h = f^{-1}((.)/2 after f) for a given f."""
-    if type(f) is not PiecewisePowerMap:  # the exact type, as ``_base_of`` reads it
-        raise TypeError("build_conjugated_map needs a PiecewisePowerMap")
     return ConjugatedMap(source=f)
 
 
@@ -127,8 +126,7 @@ def h_via_conjugacy(f: PiecewisePowerMap, x):
     with :class:`ConjugatedMap`: comparing the routes checks h's cell spec
     against those of f and f^{-1}, not separate code.
     """
-    if _base_of(f) is not f:
-        raise TypeError("h_via_conjugacy needs a PiecewisePowerMap, not a ConjugatedMap")
+    _base_of(f, PiecewisePowerMap)
     y = f.eval_log(x)  # a fresh array or a float: halve in place
     y -= 1.0
     return f.inverse_eval_log(y)

@@ -34,7 +34,7 @@ from .powermap import (
     breakpoint_log2,
     build_standard_map,
 )
-from .uqrmap import build_conjugated_map, h_via_conjugacy
+from .uqrmap import _base_of, build_conjugated_map, h_via_conjugacy
 from .zoom import (
     EVEN_BREAKPOINTS,
     LIMIT_KINDS,
@@ -211,8 +211,7 @@ def product_identities_worst(K, depth):
 
 def breakpoint_image_worst(f, depth):
     """Worst |log2 f(r_n) + n| over n <= depth (breakpoints map to halves)."""
-    if type(f) is not PiecewisePowerMap:
-        raise TypeError("breakpoint_image_worst needs a PiecewisePowerMap")
+    _base_of(f, PiecewisePowerMap)
     depth = _count(depth, "depth", 2, _MAX_DEPTH)
 
     def block(i, j):  # n = i .. j - 1
@@ -234,10 +233,12 @@ def _checked_settings(K, dimension, depth, grid_points, tol):
 def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
     """Run every invariant check and return a machine-readable report dict.
 
-    Every parameter is checked before any check runs.  Raises ``ValueError``
-    when consecutive breakpoints coincide in float64 within ``depth``.
+    Every parameter is checked before any check runs, and the checks and the
+    config echo read the checked values.  Raises ``ValueError`` when
+    consecutive breakpoints coincide in float64 within ``depth``.
     """
-    _checked_settings(K, dimension, depth, grid_points, tol)
+    K, dimension, depth, grid_points, tol = _checked_settings(
+        K, dimension, depth, grid_points, tol).values()
     f = build_standard_map(K)
     h = build_conjugated_map(f)
 
@@ -251,6 +252,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     grid = np.linspace(-3.0 * period, 0.0, grid_points)
     grid_interior = grid[grid < 0.0]
     n_zoom = range(1, 51)
+    bp = f.breakpoint(np.arange(53))  # log2 r_0 .. r_52, sliced by the small set-ups below
     checks = []
 
     def residual(name, measured, threshold=None, comparison="<="):
@@ -287,9 +289,8 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     # linear scan: the first n >= 1 with r_n <= x <= r_{n-1}, over r_0 .. r_8,
     # which cover the grid: r_8 = -4(K + 1/K) lies below its -3(K + 1/K)
     scan_grid = np.linspace(-3.0 * period, 0.0, 301)
-    bps = f.breakpoint(np.arange(9))
     x_col = scan_grid[:, None]
-    inside = (bps[1:] <= x_col) & (x_col <= bps[:-1])
+    inside = (bp[1:9] <= x_col) & (x_col <= bp[:8])
     scan_index = np.argmax(inside, axis=1) + 1
     scan_mismatches = np.count_nonzero(f.locate_interval(scan_grid) != scan_index)
     residual("locate_matches_linear_scan", float(scan_mismatches), 0.0)
@@ -301,15 +302,12 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
                  zoom_limit_deviation(map_, sequence, lf, n_zoom, grid_interior))
     residual("limit_p1_coincides_with_map", _max_abs_diff(p1.eval_log(grid), values))
     residual("limits_fix_unit_radius", max(abs(lf.eval_log(0.0)) for lf in limits))
-    bp_even = f.breakpoint(2 * np.arange(1, 26))
-    residual("q1_fixes_even_breakpoints", _max_abs_diff(q1.eval_log(bp_even), bp_even))
-    bp_all = f.breakpoint(np.arange(0, 51))
-    residual("p1_breakpoint_values", _max_abs_diff(p1.eval_log(bp_all) + np.arange(0, 51)))
+    residual("q1_fixes_even_breakpoints", _max_abs_diff(q1.eval_log(bp[2:51:2]), bp[2:51:2]))
+    residual("p1_breakpoint_values", _max_abs_diff(p1.eval_log(bp[:51]) + np.arange(0, 51)))
     # adjacent branch formulas of the shifted-breakpoint limits agree
     ms = np.arange(0, 26)
     s_m = -((ms + 1) * K + ms / K)
-    lr_lo = breakpoint_log2(K, 2 * ms + 2)
-    lr_hi = breakpoint_log2(K, 2 * ms)
+    lr_lo, lr_hi = bp[2::2], bp[:51:2]  # log2 r_{2m+2} and log2 r_{2m}
     p2_low = -(2 * ms + 2) - K * lr_lo + K * s_m
     p2_high = -(2 * ms) - lr_hi / K + s_m / K
     q2_low = (1.0 - K * K) * lr_lo + (K * K) * s_m
@@ -318,7 +316,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         "shifted_breakpoint_branch_continuity",
         max(_max_abs_diff(p2_low, p2_high), _max_abs_diff(q2_low, q2_high)),
     )
-    gap = abs(p2.eval_log(f.breakpoint(1)) - p1.eval_log(f.breakpoint(1)))
+    gap = abs(p2.eval_log(bp[1]) - p1.eval_log(bp[1]))
     residual("limit_gap_matches_closed_form", abs(gap - (1.0 - 1.0 / (K * K))))
     witness("limit_distinctness_gap", gap, tol)
     t_fixed = scale_at(f, ODD_BREAKPOINTS, 3)
@@ -329,7 +327,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     )
 
     # --- conjugated dynamics -------------------------------------------------
-    conj_grid = np.linspace(f.breakpoint(20), 0.0, grid_points)
+    conj_grid = np.linspace(bp[20], 0.0, grid_points)
     h_closed = h.eval_log(conj_grid)
     residual(
         "conjugacy_functional_identity",
@@ -416,7 +414,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         "ivt_sample_residuals",
         np.max(np.abs(rescaled_eval(f, t, ivt_r0) - ivt_lam), initial=0.0),
     )
-    r0 = f.breakpoint(1)
+    r0 = bp[1]
     lam = 0.5 * (p1.eval_log(r0) + p2.eval_log(r0))
     scales = ivt_sample(f, r0, lam, tol, period_index=np.arange(1, 11))
     witness(
@@ -424,7 +422,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
         float(np.diff(scales).max() * -1.0),
         tol,
     )
-    samples = [0.0, f.breakpoint(1), f.breakpoint(2)]
+    samples = [0.0, bp[1], bp[2]]
     residual(
         "homogeneity_defect_of_pure_power",
         homogeneity_defect(lambda v: K * v, samples),

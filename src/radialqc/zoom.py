@@ -55,9 +55,9 @@ EVEN_BREAKPOINTS = "even"
 ODD_BREAKPOINTS = "odd"
 LIMIT_KINDS = ("P1", "P2", "Q1", "Q2")
 
-#: each map's row of ``powermap._cell_spec`` and its limits at even and odd
-#: breakpoint scales: the construction's pairing, read by ``ivt_sample`` and the CLI
-_MATCHED = {"f": ("P1", "P1", "P2"), "h": ("h", "Q1", "Q2")}
+#: each map's limits at even and odd breakpoint scales: the construction's
+#: pairing, read by ``ivt_sample`` and the CLI
+_MATCHED = {"f": ("P1", "P2"), "h": ("Q1", "Q2")}
 
 
 class BracketError(ValueError):
@@ -77,8 +77,8 @@ class LimitFunction:
 
     Built as ``limit_function`` builds it, with its errors, a ``ConjugatedMap``
     source recorded as its base map.  The kind's row of ``powermap._cell_spec``
-    is held outside the dataclass fields: equality, hashing and repr read kind
-    and source alone.
+    (``_row``, as f and h hold theirs) is held outside the dataclass fields:
+    equality, hashing and repr read kind and source alone.
     """
 
     kind: str
@@ -151,9 +151,9 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     The scales are checked, and F(t) and the limit on the grid evaluated,
     once, and so is the table's deepest lane fl(min grid + min t), as rounding
     is monotone, with ``map_.eval_log``'s message; the rows of the scales then
-    go through the cell kernel on the map's row of ``powermap._cell_spec`` in
-    blocks of ``_BLOCK // len(grid)`` rows, one row where the grid is longer,
-    each lane giving ``rescaled_eval``'s bits, and so the max its whole table gives.
+    go through the cell kernel on the map's ``_row`` in blocks of
+    ``_BLOCK // len(grid)`` rows, one row where the grid is longer, each lane
+    giving ``rescaled_eval``'s bits, and so the max its whole table gives.
     """
     base = _base_of(map_)
     if not isinstance(lf, LimitFunction):
@@ -165,10 +165,9 @@ def zoom_limit_deviation(map_, sequence, lf, n_range, r_grid):
     t = _log_radius(t, "t", allow_zero_radius=False)  # as rescaled_eval checks it
     _log_radius(grid.min(initial=0.0) + t.min(initial=0.0), "x")  # the deepest lane, if any
     at_t, limit = map_.eval_log(t), lf.eval_log(grid)
-    cells = _cell_spec(_MATCHED["f" if map_ is base else "h"][0], base.K)
 
     def rows(i, j):
-        rescaled = _cell_lanes(grid + t[i:j], None, cells)  # a fresh array: work in place
+        rescaled = _cell_lanes(grid + t[i:j], None, map_._row)  # a fresh array: work in place
         rescaled -= at_t[i:j]
         rescaled -= limit
         return np.abs(rescaled, out=rescaled).max(initial=0.0)
@@ -212,7 +211,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
     if lam != lam if point else np.isnan(lam).any():
         raise ValueError("lam must be a log2 target value, not NaN")
     r0 = _log_radius(r0, "r0", allow_zero_radius=False)  # radius 0 has no bracket
-    F, even, odd = _MATCHED["f" if map_ is base else "h"]
+    even, odd = _MATCHED["f" if map_ is base else "h"]
     a, b = _eval_cells(r0, _cell_spec(even, base.K)), _eval_cells(r0, _cell_spec(odd, base.K))
     if point:
         if abs(lam - a) <= tol:
@@ -222,7 +221,7 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         lo, hi = min(a, b), max(a, b)
         if not lo < lam < hi:
             raise BracketError(_OUTSIDE.format(lam, lo, hi))
-        return min(max(_solve(base.K, F, r0, lam, j, t_even), t_even), t_odd)
+        return min(max(_solve(map_._row, r0, lam, j, t_even), t_even), t_odd)
     snap_even = np.abs(lam - a) <= tol
     snap_odd = ~snap_even & (np.abs(lam - b) <= tol)
     t = np.where(snap_even, t_even, t_odd)
@@ -233,16 +232,17 @@ def ivt_sample(map_, r0, lam, tol, period_index=1):
         i = lane[np.argmax(outside)]
         raise BracketError(_OUTSIDE.format(float(lam[i]), float(lo[i]), float(hi[i])))
     t_even, t_odd = t_even[lane], t_odd[lane]
-    t[lane] = np.clip(_solve(base.K, F, r0[lane], lam[lane], j[lane], t_even), t_even, t_odd)
+    t[lane] = np.clip(_solve(map_._row, r0[lane], lam[lane], j[lane], t_even), t_even, t_odd)
     return t.reshape(shape)
 
 
-def _solve(K, F, r0, lam, j, t_even):
-    """``ivt_sample``'s scale for bracketed targets on F (cell spec "P1" or "h"),
-    before the clip to the bracket [t_even, t_odd]: floats or equal-length arrays
-    alike, so the two drivers of ``_eval_cells`` give the point call and each lane alike."""
+def _solve(row, r0, lam, j, t_even):
+    """``ivt_sample``'s scale for bracketed targets on F = f or h, given by its
+    ``_row``, before the clip to the bracket [t_even, t_odd]: floats or
+    equal-length arrays alike, so the two drivers of ``_eval_cells`` give the
+    point call and each lane alike."""
     _log_radius(r0 + t_even, "r0 + t")  # the deepest point of the bracket
-    P, k, F0, _, _, shift = _cell_spec(F, K)
+    P, k, F0, _, _, shift = row
     F_P = F0 - shift  # F's spec gives its top slope k, F(0) = b_hi and F(-P) = b_hi - shift
     # g(t) = G(r0 + t) - F(-P) + (r0 - P)/k; G - F(0) rises by V per cell, so its
     # inverse is c y on (-V, 0] (G's flat piece is a jump), shifted by P per cell.

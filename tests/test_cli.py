@@ -234,6 +234,7 @@ class TestBounds:
         code, out, err = run_cli(capsys, "zoom", "--map", "f", "--seq", "even",
                                  "--n", "3..4503599627370496")
         assert (code, out) == (2, "")
+        assert err == "radialqc: t must be >= -2**52\n"
 
     def test_iterate_count_checked_before_any_row(self, capsys):
         for argv in (("--r", "0.5", "--iterates", str(2**53 + 1)),

@@ -337,7 +337,8 @@ def _raises_type_error(call):
 class TestMapArgument:
     """A map argument other than f or h, a zoom limit included, raises
     ``TypeError`` (it was an ``AttributeError``, or for a limit a value), and
-    so does a limit argument that is not a zoom limit."""
+    so do a limit argument that is not a zoom limit and, where an entry point
+    takes f alone or h alone, the other map."""
 
     ENTRY_POINTS = {
         "scale_at": lambda m: scale_at(m, "even", 1),
@@ -361,6 +362,28 @@ class TestMapArgument:
 
     def test_conjugacy_route_needs_f_itself(self):
         _raises_type_error(lambda: h_via_conjugacy(H, -1.0))
+
+    ONE_CLASS = {
+        "iterate_max_distortion": (lambda m: iterate_max_distortion(m, 2, 3), F,
+                                   "ConjugatedMap, not a PiecewisePowerMap"),
+        "h_via_conjugacy": (lambda m: h_via_conjugacy(m, -1.0), H,
+                            "PiecewisePowerMap, not a ConjugatedMap"),
+        "breakpoint_image_worst": (lambda m: verify.breakpoint_image_worst(m, 10), H,
+                                   "PiecewisePowerMap, not a ConjugatedMap"),
+        "build_conjugated_map": (build_conjugated_map, H,
+                                 "PiecewisePowerMap, not a ConjugatedMap"),
+        "ConjugatedMap": (lambda m: type(H)(source=m), H,
+                          "PiecewisePowerMap, not a ConjugatedMap"),
+    }
+
+    @pytest.mark.parametrize("call, other, message", ONE_CLASS.values(), ids=ONE_CLASS)
+    def test_an_entry_point_of_one_class_names_it(self, call, other, message):
+        # _base_of's messages: the class taken and the one given, or no map at all
+        with pytest.raises(TypeError, match=f"^map must be a {message}$"):
+            call(other)
+        with pytest.raises(TypeError, match="^map must be a PiecewisePowerMap or a "
+                                            "ConjugatedMap$"):
+            call(None)
 
     @pytest.mark.parametrize("value", [None, "P1", 2.0, F, H],
                              ids=["None", "str", "float", "f", "h"])

@@ -278,6 +278,16 @@ class TestIterateDistortion:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert [float(v) for v in rows[1][1:]] == [want.K_O, want.K_I, want.K_max]
 
+    def test_f_is_refused(self, f):
+        # it returned h's alternating reports for f, whose second iterate is no
+        # similarity: at log2 r = -0.7 both steps of f have slope 1/K, so f o f
+        # has outer distortion K^2 = 4 where the even report reads 1
+        ff = lambda r: 2.0 ** f.eval_log(f.eval_log(float(np.log2(r))))
+        est = finite_difference_distortion(ff, 2, -0.7, 1e-7 * 2.0**-0.7)
+        assert est.K_O == pytest.approx(4.0, rel=1e-4)
+        with pytest.raises(TypeError):
+            iterate_max_distortion(f, 2, 3)
+
     def test_rejects_zero_iterations(self, h):
         with pytest.raises(ValueError):
             iterate_max_distortion(h, 2, 0)

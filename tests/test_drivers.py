@@ -49,6 +49,7 @@ from radialqc import (
     radial_power_distortion,
     rescaled_eval,
     scale_at,
+    zoom_limit_deviation,
 )
 from radialqc.powermap import MAX_ABS_LOG2_RADIUS, MAX_BREAKPOINT_INDEX
 from radialqc.zoom import LIMIT_KINDS
@@ -192,8 +193,9 @@ def test_float_in_the_domain_skips_the_cell_spec_and_the_check(monkeypatch):
             return fn(*args)
         return call
 
+    spec = counted("_cell_spec", pm._cell_spec)  # one wrapper: a call counts once
     for mod in (pm, radialqc.uqrmap, radialqc.zoom):
-        monkeypatch.setattr(mod, "_cell_spec", counted("_cell_spec", pm._cell_spec))
+        monkeypatch.setattr(mod, "_cell_spec", spec)
     monkeypatch.setattr(pm, "_log_radii", counted("_log_radii", pm._log_radii))
     xs = [-3.7, -1e6, 0.0, -0.0, -(2.0**52), -5e-324]
     for x in xs:
@@ -215,6 +217,19 @@ def test_float_in_the_domain_skips_the_cell_spec_and_the_check(monkeypatch):
                 pass
             assert counts["_log_radii"] == before + 1, (fn, x)
     assert counts["_cell_spec"] == 0
+    # the zoom table and the exponents read the held rows too, and ivt_sample
+    # builds only its two limit rows, a point and an array call alike
+    for map_, (even, odd) in ((f, limits[:2]), (h, limits[2:])):
+        zoom_limit_deviation(map_, "even", even, range(1, 4), [-1.0, -0.3])
+        zoom_limit_deviation(map_, "odd", odd, [2], np.array([-1.0]))
+        map_.local_exponent(np.array([-3.7, -1234.567]))
+        map_.distinct_exponents()
+    assert counts["_cell_spec"] == 0
+    for map_ in (f, h):
+        for r0, lam in ((-0.5, -0.6), (np.array([-0.5, -0.7]), np.array([-0.6, -0.8]))):
+            before = counts["_cell_spec"]
+            ivt_sample(map_, r0, lam, 1e-9)
+            assert counts["_cell_spec"] == before + 2
 
 
 #: K up to the builder's limit, and close to 1 where ivt's inverse cell is narrow

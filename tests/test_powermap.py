@@ -168,7 +168,7 @@ class TestConstruction:
         # equality, hashing and repr read K alone
         f = build_standard_map(2.0)
         assert [fl.name for fl in dataclasses.fields(f)] == ["K"]
-        assert (f._P1, f._f_inv) == (powermap._cell_spec("P1", 2.0),
+        assert (f._row, f._f_inv) == (powermap._cell_spec("P1", 2.0),
                                      powermap._cell_spec("f_inv", 2.0))
         assert repr(f) == "PiecewisePowerMap(K=2.0)" and hash(f) == hash(build_standard_map(2))
 

@@ -83,7 +83,7 @@ class TestConstruction:
     def test_the_held_row_is_not_a_field(self, f, h):
         # equality, hashing and repr read the source alone
         assert [fl.name for fl in dataclasses.fields(h)] == ["source"]
-        assert h._h == uqrmap._cell_spec("h", 2.0)
+        assert h._row == uqrmap._cell_spec("h", 2.0)
         assert h == ConjugatedMap(build_standard_map(2)) and hash(h) == hash(ConjugatedMap(f))
         assert repr(h) == "ConjugatedMap(source=PiecewisePowerMap(K=2.0))"
 

@@ -6,9 +6,11 @@ suite's traced memory, its fixed sample points, and a mutation check that the
 linear-scan check really compares two routes.
 """
 
+import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -574,3 +576,23 @@ def test_parameters_checked_before_any_check_runs(monkeypatch):
     for bad in ({"dimension": 2.5}, {"grid_points": 3.5}, {"tol": "1e-9"}, {"tol": True}):
         with pytest.raises(TypeError):
             run_verification(**bad)
+
+
+@pytest.mark.parametrize("given, plain", [
+    ({"K": np.float32(1.37)}, {"K": float(np.float32(1.37))}),
+    ({"K": np.int64(3)}, {"K": 3.0}),
+    ({"K": 2}, {"K": 2.0}),
+    ({"K": Fraction(137, 100)}, {"K": 1.37}),
+    ({"tol": np.float32(1e-9)}, {"tol": float(np.float32(1e-9))}),
+    ({"tol": Fraction(1, 10**9)}, {"tol": 1e-9}),
+    ({"depth": np.int64(10_000), "dimension": np.int64(3), "grid_points": np.int64(500)},
+     {"depth": 10_000, "dimension": 3, "grid_points": 500}),
+], ids=["float32 K", "int64 K", "int K", "Fraction K", "float32 tol", "Fraction tol",
+        "int64 counts"])
+def test_the_suite_computes_with_its_checked_settings(given, plain):
+    # it checked the settings, then computed with the values as given: a float32 K
+    # failed four checks, and an int64 count or a float32 tol made a report that
+    # json.dumps refused; an int K now echoes as a float
+    report, want = run_verification(**given), run_verification(**plain)
+    assert report == want and report["all_passed"]
+    assert json.dumps(report, sort_keys=True) == json.dumps(want, sort_keys=True)
