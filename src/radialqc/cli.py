@@ -96,7 +96,10 @@ def _output(cfg):
     """The output stream: stdout, or the ``--output`` file opened for writing."""
     if cfg.output_path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(cfg.output_path, "w", encoding="utf-8", newline="")
+    try:
+        return open(cfg.output_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # here only: a closed stdout pipe must stay a quiet exit 1
+        raise UsageError(f"cannot write output file: {exc}") from exc
 
 
 #: chunks of at most this many rows format every entry: there np.unique's

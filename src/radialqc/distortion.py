@@ -10,7 +10,9 @@ tangential directions) at radius t, hence Jacobian alpha t^{d(alpha-1)} and
 independent of t.  A piecewise power map inherits these formulas branchwise
 from its local exponent, so its essential-sup distortion is a maximum over
 finitely many exponents (the breakpoint spheres are a removable null set).
-A central-difference oracle recomputes the same quantities numerically.
+A central-difference oracle recomputes the same quantities numerically.  The
+linear distortion H at the origin is 1 in closed form: a radial map sends
+each sphere about 0 onto a sphere.
 """
 
 from __future__ import annotations
@@ -37,19 +39,16 @@ __all__ = [
 #: location marker for reports that hold at (almost) every radius.
 SUPREMUM = "supremum"
 
-#: the sampling of ``linear_distortion_radial``: log2 radii, directions per radius
-_H_LOG2_RADII = (-4.0, -2.0, -1.0, -0.5, -0.25)
-_H_DIRECTIONS = 64
-#: the largest dimension sampled, so also of verify and the CLI: 190 MB peak at the bound
+#: the largest dimension of ``linear_distortion_radial``, so also of verify and the CLI
 _MAX_DIMENSION = 2**16
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio's fractional part
 
 
-def _weyl(n, skip=0):
-    """frac(k * golden ratio), k = skip + 1 .. skip + n: fixed points spread
-    evenly over [0, 1), the sample points of ``linear_distortion_radial`` and verify.
-    v - floor(v) is exact for v >= 0: v % 1.0 bit for bit, without its slower loop."""
-    v = np.arange(skip + 1, skip + n + 1, dtype=float) * _GOLDEN
+def _weyl(n):
+    """frac(k * golden ratio), k = 1 .. n: fixed points spread evenly over [0, 1),
+    the sample points of verify.  v - floor(v) is exact for v >= 0: v % 1.0 bit
+    for bit, without its slower loop."""
+    v = np.arange(1, n + 1, dtype=float) * _GOLDEN
     v -= np.floor(v)
     return v
 
@@ -199,27 +198,9 @@ def linear_distortion_radial(map_, d=2):
     """Linear distortion H at the origin: limsup of max/min image-sphere radii.
 
     A radial map sends each sphere about the origin to a sphere, so H = 1
-    identically; this samples |F(x)| over direction vectors at several radii
-    and returns the worst max/min ratio, a consistency check of the radial
-    representation rather than new information.
+    identically: returned once d and ``map_`` (f, h, a zoom limit or a plain
+    callable r -> f(r), never evaluated) are checked.
     """
-    d = _count(d, "dimension", 2, _MAX_DIMENSION)  # before the (64, d) samples
-    f = _linear_radial_eval(map_)
-    worst = 1.0
-    for i, lx in enumerate(_H_LOG2_RADII):
-        # 64 points of [-1/2, 1/2)^d per radius, none 0: coordinates step by 0.618 mod 1
-        u = (_weyl(_H_DIRECTIONS * d, i * _H_DIRECTIONS * d) - 0.5).reshape(_H_DIRECTIONS, d)
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        pts = (2.0**lx) * u
-        radii = np.linalg.norm(pts, axis=1)
-        if hasattr(map_, "eval_log"):  # one array evaluation per radius
-            y = map_.eval_log(np.log2(radii))
-            # an exact power-of-two rescale leaves the ratio unchanged and keeps
-            # the squares inside the norm from underflowing (h at large K)
-            image = np.exp2(y - np.floor(y.max()))
-        else:  # a plain callable takes one radius at a time
-            image = np.array([f(v) for v in radii])
-        images = image[:, None] * (pts / radii[:, None])
-        mags = np.linalg.norm(images, axis=1)
-        worst = max(worst, float(mags.max() / mags.min()))
-    return worst
+    _count(d, "dimension", 2, _MAX_DIMENSION)
+    _linear_radial_eval(map_)
+    return 1.0

@@ -262,7 +262,8 @@ def homogeneity_defect(lf, samples):
     alternating-slope limits sampled across a breakpoint give a strictly
     positive defect: a parameter-free witness that no single D fits.
 
-    ``lf`` may be a LimitFunction or any callable log2 r -> log2 value.
+    ``lf`` may be a LimitFunction or any callable log2 r -> log2 value; one whose
+    values leave the defect not finite (nan, inf, near 1e308) raises ValueError.
     """
     xs = _floats(samples, "samples")
     # distinct as np.unique counts them (0.0 is -0.0, one NaN for all), which imports numpy.ma
@@ -271,8 +272,12 @@ def homogeneity_defect(lf, samples):
     _log_radius(xs, "samples", allow_zero_radius=False)
     evalf = lf.eval_log if hasattr(lf, "eval_log") else lf
     ys = np.asarray([float(evalf(float(v))) for v in xs])
-    slope = float(np.dot(xs, ys)) / float(np.dot(xs, xs))
-    return float(np.max(np.abs(ys - slope * xs)))
+    with np.errstate(all="ignore"):  # no RuntimeWarning: the check below raises instead
+        slope = float(np.dot(xs, ys)) / float(np.dot(xs, xs))
+        defect = float(np.max(np.abs(ys - slope * xs)))
+    if not math.isfinite(defect):
+        raise ValueError("homogeneity defect is not finite: values too large or not finite")
+    return defect
 
 
 def _two_slope_line(x):

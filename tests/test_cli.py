@@ -297,6 +297,15 @@ class TestBounds:
         assert head.startswith(b"m,log2_value,value\r\n0,-1,0.5\r\n")
         assert (proc.returncode, err) == (1, b"")
 
+    @pytest.mark.parametrize("argv", [("eval", "--map", "f", "--r", "0.5"), ("verify",)],
+                             ids=["table", "verify"])
+    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing dir", "a directory"])
+    def test_unopenable_output_is_a_usage_error(self, capsys, tmp_path, argv, missing_dir):
+        target = tmp_path / "absent" / "out.txt" if missing_dir else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("radialqc: cannot write output file: ") and err.count("\n") == 1
+
 
 #: the settings each subcommand reads, hence the only shared flags it takes
 COMMAND_FIELDS = {

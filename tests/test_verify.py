@@ -554,12 +554,11 @@ def test_the_one_dimensional_check_matches_the_scalar_calls():
     assert measured(run_verification(), "one_dimensional_model_identities").hex() == worst.hex()
 
 
-@pytest.mark.parametrize("skip", [0, 1, 12345, 10**7, 64 * 2**16 * 4])
 @pytest.mark.parametrize("n", [0, 1, 64, 300, 10_000])
-def test_weyl_fractions_are_the_remainders(n, skip):
+def test_weyl_fractions_are_the_remainders(n):
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    reference = np.arange(skip + 1, skip + n + 1, dtype=float) * golden % 1.0
-    assert _weyl(n, skip).tobytes() == reference.tobytes()
+    reference = np.arange(1, n + 1, dtype=float) * golden % 1.0
+    assert _weyl(n).tobytes() == reference.tobytes()
 
 def test_parameters_checked_before_any_check_runs(monkeypatch):
     def no_build(K):

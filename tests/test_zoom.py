@@ -654,6 +654,20 @@ class TestHomogeneityDefect:
             homogeneity_defect(limit_function(f, "P1"), samples)
 
 
+    @pytest.mark.parametrize("value, samples", [
+        (math.nan, [-1.0, -2.0, -3.0]),
+        (math.inf, [-1.0, -2.0, -3.0]),
+        (-math.inf, [-1.0, -2.0, -3.0]),
+        (1e308, [0.0, -1.0, -2.0]),  # the dot product overflows
+        (-1e308, [0.0, -1.0, -2.0]),
+    ])
+    def test_defect_that_is_not_finite_raises(self, value, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^homogeneity defect is not finite"):
+                homogeneity_defect(lambda v: value, samples)
+
+
 class TestOneDimensionalModel:
     def test_mean_radius(self):
         for delta in (1.0, 0.5, 1e-3, 1e-9):
