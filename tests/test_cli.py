@@ -297,11 +297,22 @@ class TestBounds:
         assert head.startswith(b"m,log2_value,value\r\n0,-1,0.5\r\n")
         assert (proc.returncode, err) == (1, b"")
 
-    @pytest.mark.parametrize("argv", [("eval", "--map", "f", "--r", "0.5"), ("verify",)],
-                             ids=["table", "verify"])
-    @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing dir", "a directory"])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--map", "f", "--r", "0.5"),
+        ("verify",),
+        ("zoom", "--map", "f", "--seq", "even", "--n", "3"),
+        ("ivt", "--r0", "0.5", "--lambda", "0.5"),
+        ("iterate", "--r", "0.5"),
+        ("distortion", "--map", "f"),
+    ], ids=["table", "verify", "zoom", "ivt", "iterate", "distortion"])
+    @pytest.mark.parametrize("missing_dir", [True, False, None],
+                             ids=["missing dir", "a directory", "under a file"])
     def test_unopenable_output_is_a_usage_error(self, capsys, tmp_path, argv, missing_dir):
-        target = tmp_path / "absent" / "out.txt" if missing_dir else tmp_path
+        if missing_dir is None:  # a path component is a regular file: NotADirectoryError
+            (tmp_path / "plain").write_text("")
+            target = tmp_path / "plain" / "out.txt"
+        else:
+            target = tmp_path / "absent" / "out.txt" if missing_dir else tmp_path
         code, out, err = run_cli(capsys, *argv, "--output", str(target))
         assert (code, out) == (2, "")
         assert err.startswith("radialqc: cannot write output file: ") and err.count("\n") == 1

@@ -324,3 +324,13 @@ class TestLinearDistortion:
     def test_rejects_what_is_neither_map_nor_callable(self, map_):
         with pytest.raises(TypeError, match="need a radial map exposing eval_log"):
             linear_distortion_radial(map_)
+
+    @pytest.mark.parametrize("d, error, message", [
+        (1, ValueError, "^dimension must be an integer >= 2$"),
+        (2**16 + 1, ValueError, "^dimension must be at most 2\\*\\*16$"),
+        (2.0, TypeError, "^dimension must be an integer >= 2$"),
+        (True, TypeError, "^dimension must be an integer >= 2$"),
+    ])
+    def test_dimension_is_checked_before_the_map(self, d, error, message):
+        with pytest.raises(error, match=message):
+            linear_distortion_radial(None, d=d)
