@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -50,10 +52,12 @@ class UsageError(ValueError):
     pass
 
 
-#: the numeric settings, their defaults and checks are those of ``run_verification``
+#: the numeric settings, their defaults and checks are those of ``run_verification``,
+#: but for the dimension that ``distortion`` reads
 _SETTINGS = inspect.signature(run_verification).parameters
 DEFAULTS = {
     **{key: p.default for key, p in _SETTINGS.items()},
+    "dimension": 2,
     "output_format": "csv",
     "output_path": "-",
 }
@@ -78,7 +82,8 @@ def _load_config(args) -> argparse.Namespace:
         merged.update(loaded)
     merged.update({key: value for key, value in vars(args).items() if key in DEFAULTS})
     try:
-        cfg = argparse.Namespace(**_checked_settings(**{key: merged[key] for key in _SETTINGS}))
+        cfg = argparse.Namespace(**_checked_settings(**{key: merged[key] for key in _SETTINGS}),
+                                 dimension=_count(merged["dimension"], "dimension", 2))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid configuration value: {exc}") from exc
     cfg.output_format, cfg.output_path = str(merged["output_format"]), str(merged["output_path"])
@@ -213,7 +218,7 @@ def _log2_inputs(args, flag, repeatable=False):
         raise UsageError(f"--{flag} must lie in (0, 1]")
     if any(x > 0.0 for x in log2):
         raise UsageError(f"--log2-{flag} must be <= 0")
-    return [float(np.log2(r)) for r in linear] + [float(x) for x in log2]
+    return [math.log2(r) for r in linear] + [float(x) for x in log2]
 
 
 def _eval_target(name, f, h):
@@ -360,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radialqc",
         description="Piecewise power-law radial maps: evaluation, zooms, dynamics, distortion.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no flag is abbreviated: a prefix of a flag (verify's --d of --depth) is an unknown flag
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("eval", help="evaluate f, h, or a zoom limit at given radii")
     _add_config(p, "K", "output_format", "output_path")
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distortion, parser=p)
 
     p = sub.add_parser("verify", help="run the invariant suite, emit a JSON report")
-    _add_config(p, "K", "dimension", "depth", "grid_points", "tol", "output_path")
+    _add_config(p, "K", "depth", "grid_points", "tol", "output_path")
     p.set_defaults(func=_cmd_verify, parser=p)
 
     return parser

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .powermap import _count, _floats, _real
 from .uqrmap import ConjugatedMap, _base_of
 
@@ -38,19 +36,6 @@ __all__ = [
 
 #: location marker for reports that hold at (almost) every radius.
 SUPREMUM = "supremum"
-
-#: the largest dimension of ``linear_distortion_radial``, so also of verify and the CLI
-_MAX_DIMENSION = 2**16
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio's fractional part
-
-
-def _weyl(n):
-    """frac(k * golden ratio), k = 1 .. n: fixed points spread evenly over [0, 1),
-    the sample points of verify.  v - floor(v) is exact for v >= 0: v % 1.0 bit
-    for bit, without its slower loop."""
-    v = np.arange(1, n + 1, dtype=float) * _GOLDEN
-    v -= np.floor(v)
-    return v
 
 
 @dataclass(frozen=True)
@@ -92,7 +77,7 @@ def pointwise_distortion(map_, d, x) -> DistortionReport:
 
 def _linear_radial_eval(map_or_fn):
     if hasattr(map_or_fn, "eval_log"):
-        return lambda r: float(np.exp2(map_or_fn.eval_log(float(np.log2(r)))))
+        return lambda r: 2.0 ** map_or_fn.eval_log(math.log2(r))
     if callable(map_or_fn):
         return lambda r: float(map_or_fn(r))
     raise TypeError("need a radial map exposing eval_log, or a callable r -> f(r)")
@@ -124,9 +109,7 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
         _base_of(map_)
         if r + step > 1.0:
             raise ValueError("step too large: r + step leaves the unit interval")
-        if map_.locate_interval(float(np.log2(r - step))) != map_.locate_interval(
-            float(np.log2(r + step))
-        ):
+        if map_.locate_interval(math.log2(r - step)) != map_.locate_interval(math.log2(r + step)):
             raise ValueError("finite-difference step crosses a breakpoint")
     return DistortionReport(*_finite_difference(_linear_radial_eval(map_), d, r, step), d, x)
 
@@ -201,6 +184,6 @@ def linear_distortion_radial(map_, d=2):
     identically: returned once d and ``map_`` (f, h, a zoom limit or a plain
     callable r -> f(r), never evaluated) are checked.
     """
-    _count(d, "dimension", 2, _MAX_DIMENSION)
+    _count(d, "dimension", 2)
     _linear_radial_eval(map_)
     return 1.0

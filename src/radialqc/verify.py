@@ -10,12 +10,12 @@ strict monotonicity margins) pass when the measured value is >= a threshold.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .distortion import (
-    _MAX_DIMENSION,
     _finite_difference,
-    _weyl,
     iterate_max_distortion,
     linear_distortion_radial,
     max_distortion,
@@ -59,13 +59,23 @@ __all__ = [
     "breakpoint_image_worst",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: the bounds of depth, as the construction checks take time linear in it (5.2 s
 #: at 2**24 on a 2-CPU VM), and of grid_points, as the grid-wide checks hold a few
 #: arrays of grid_points floats (52 MB and 1.3 s at the bound); the depth-long
 #: checks and the zoom checks run in blocks of ``_BLOCK`` lanes
 _MAX_DEPTH, _MAX_GRID_POINTS = 2**24, 2**18
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio's fractional part
+
+
+def _weyl(n):
+    """frac(k * golden ratio), k = 1 .. n: fixed points spread evenly over [0, 1),
+    the sample points of the checks below.  v - floor(v) is exact for v >= 0:
+    v % 1.0 bit for bit, without its slower loop."""
+    v = np.arange(1, n + 1, dtype=float) * _GOLDEN
+    v -= np.floor(v)
+    return v
 
 
 def _max_abs_diff(a, b=0.0):
@@ -221,24 +231,22 @@ def breakpoint_image_worst(f, depth):
     return float(_blocked_max(block, depth + 1))
 
 
-def _checked_settings(K, dimension, depth, grid_points, tol):
-    """The parameters of ``run_verification`` (the CLI's numeric settings), checked, by name."""
+def _checked_settings(K, depth, grid_points, tol):
+    """The parameters of ``run_verification``, checked, by name."""
     return {"K": _parameter(K),
-            "dimension": _count(dimension, "dimension", 2, _MAX_DIMENSION),
             "depth": _count(depth, "depth", 2, _MAX_DEPTH),
             "grid_points": _count(grid_points, "grid_points", 2, _MAX_GRID_POINTS),
             "tol": _real(tol, "tol")}
 
 
-def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
+def run_verification(K=2.0, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
     """Run every invariant check and return a machine-readable report dict.
 
     Every parameter is checked before any check runs, and the checks and the
     config echo read the checked values.  Raises ``ValueError`` when
     consecutive breakpoints coincide in float64 within ``depth``.
     """
-    K, dimension, depth, grid_points, tol = _checked_settings(
-        K, dimension, depth, grid_points, tol).values()
+    K, depth, grid_points, tol = _checked_settings(K, depth, grid_points, tol).values()
     f = build_standard_map(K)
     h = build_conjugated_map(f)
 
@@ -393,10 +401,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
     residual("distortion_reports_at_least_one", low_bound, 1e-12)
     residual(
         "linear_distortion_is_unity",
-        max(
-            abs(linear_distortion_radial(f, d=dimension) - 1.0),
-            abs(linear_distortion_radial(h, d=dimension) - 1.0),
-        ),
+        max(abs(linear_distortion_radial(f) - 1.0), abs(linear_distortion_radial(h) - 1.0)),
     )
 
     # --- intermediate scales and homogeneity ---------------------------------
@@ -444,8 +449,7 @@ def run_verification(K=2.0, dimension=2, depth=GUARD_DEPTH, grid_points=1000, to
 
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {"K": K, "dimension": dimension, "depth": depth, "grid_points": grid_points,
-                   "tol": tol},
+        "config": {"K": K, "depth": depth, "grid_points": grid_points, "tol": tol},
         "checks": checks,
         "passed": sum(1 for c in checks if c["passed"]),
         "failed": sum(1 for c in checks if not c["passed"]),

@@ -271,13 +271,18 @@ def homogeneity_defect(lf, samples):
         raise ValueError("need at least 3 distinct sample radii")
     _log_radius(xs, "samples", allow_zero_radius=False)
     evalf = lf.eval_log if hasattr(lf, "eval_log") else lf
-    ys = np.asarray([float(evalf(float(v))) for v in xs])
-    with np.errstate(all="ignore"):  # no RuntimeWarning: the check below raises instead
-        slope = float(np.dot(xs, ys)) / float(np.dot(xs, xs))
-        defect = float(np.max(np.abs(ys - slope * xs)))
-    if not math.isfinite(defect):
+    xs = xs.tolist()
+    ys = [float(evalf(v)) for v in xs]
+    sxy = sxx = 0.0
+    for x, y in zip(xs, ys):  # plain floats, left to right: np.dot's bits follow the BLAS kernel
+        sxy, sxx = sxy + x * y, sxx + x * x
+    if sxx == 0.0:
+        raise ValueError("sample log2 radii too close to 0: their squares underflow")
+    slope = sxy / sxx
+    residuals = [abs(y - slope * x) for x, y in zip(xs, ys)]
+    if not all(map(math.isfinite, residuals)):
         raise ValueError("homogeneity defect is not finite: values too large or not finite")
-    return defect
+    return max(residuals)
 
 
 def _two_slope_line(x):

@@ -325,7 +325,7 @@ COMMAND_FIELDS = {
     "ivt": ("K", "tol", "output_format", "output_path"),
     "iterate": ("K", "output_format", "output_path"),
     "distortion": ("K", "dimension", "output_format", "output_path"),
-    "verify": ("K", "dimension", "depth", "grid_points", "tol", "output_path"),
+    "verify": ("K", "depth", "grid_points", "tol", "output_path"),
 }
 FIELD_FLAGS = {"K": "--K", "dimension": "--d", "depth": "--depth", "grid_points": "--grid-points",
                "tol": "--tol", "output_format": "--format", "output_path": "--output"}
@@ -342,7 +342,7 @@ class TestFlags:
             want = {"--config": "config"} | {FIELD_FLAGS[k]: k for k in COMMAND_FIELDS[command]}
             assert dest == want, command
             taken += len(dest)
-        assert taken == 31  # each command took all eight, 48 in all
+        assert taken == 30  # each command took all eight, 48 in all
 
     @pytest.mark.parametrize("line", [
         "eval --map f --r 0.5 --depth 5",
@@ -350,6 +350,7 @@ class TestFlags:
         "iterate --r 0.8 --tol 1e-3",
         "distortion --map f --grid-points 9",
         "verify --format csv",
+        "verify --d 2",  # not read since the linear distortion is the closed form 1
     ])
     def test_flag_of_a_field_not_read_is_a_usage_error(self, capsys, line):
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +430,14 @@ class TestEval:
     def test_out_of_range_radius(self, capsys):
         code, _, _ = run_cli(capsys, "eval", "--map", "f", "--r", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize("r", [0.8129368937733594, 0.8681700575335697, 0.9532073275490012])
+    def test_linear_radius_takes_the_bits_of_math_log2(self, r):
+        # np.log2 took them through numpy's CPU dispatch, whose AVX-512 loop and
+        # baseline loop differ in the last bit on these radii
+        args = cli.build_parser().parse_args(["ivt", "--r0", repr(r), "--lambda", repr(r)])
+        assert [x.hex() for x in cli._log2_inputs(args, "r0")] == [math.log2(r).hex()]
+        assert [x.hex() for x in cli._log2_inputs(args, "lambda")] == [math.log2(r).hex()]
 
 
 class TestZoom:
@@ -584,6 +593,15 @@ class TestDistortion:
             assert (code, out) == (2, ""), argv
             assert "overflows" in err
 
+    def test_dimension_has_no_bound_of_its_own(self, capsys):
+        # a value in float64 is a row, in any dimension; one that overflows exits 2
+        code, out, _ = run_cli(capsys, "distortion", "--alpha", "1", "--d", "10000000")
+        assert code == 0
+        assert out == "m,K_O,K_I,K_max\r\n1,1,1,1\r\nsup,1,1,1\r\n"
+        code, out, err = run_cli(capsys, "distortion", "--map", "f", "--d", "100000")
+        assert (code, out) == (2, "")
+        assert err == "radialqc: distortion of alpha = 2.0 in dimension 100000 overflows float64\n"
+
     def test_iterates_only_with_map_h(self, capsys):
         for target in (("--map", "f"), ("--alpha", "2")):
             code, _, err = run_cli(capsys, "distortion", *target, "--iterates", "5")
@@ -599,7 +617,7 @@ class TestVerify:
             code, out, _ = run_cli(capsys, "verify", *flags, "--grid-points", "120")
             assert code == 0
             report = json.loads(out)
-            assert report["schema_version"] == 1
+            assert report["schema_version"] == 2
             assert report["all_passed"] is True
             assert report["failed"] == 0
             names = {c["name"] for c in report["checks"]}
@@ -670,7 +688,7 @@ class TestConfigAndOutput:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["columns"] == ["r", "log2_r", "value", "log2_value"]
 
     def test_byte_identical_reruns(self, capsys):

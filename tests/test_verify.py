@@ -18,9 +18,9 @@ import pytest
 from radialqc import (build_conjugated_map, build_standard_map, example_1d_mean_radius,
                       example_1d_rescaled, finite_difference_distortion, limit_function,
                       powermap, radial_power_distortion, run_verification, verify)
-from radialqc.distortion import _finite_difference, _linear_radial_eval, _weyl
+from radialqc.distortion import _finite_difference, _linear_radial_eval
 from radialqc.powermap import PiecewisePowerMap, _blocked_max, breakpoint_log2
-from radialqc.verify import product_identities_worst, recurrence_vs_closed_worst
+from radialqc.verify import _weyl, product_identities_worst, recurrence_vs_closed_worst
 
 
 def product_identities_reference(K, depth, rows=None, log2=breakpoint_log2):
@@ -565,16 +565,25 @@ def test_parameters_checked_before_any_check_runs(monkeypatch):
         raise AssertionError("a check ran before the parameters were validated")
 
     monkeypatch.setattr(verify, "build_standard_map", no_build)
-    for bad in ({"dimension": 1}, {"tol": 0.0}, {"tol": -1e-9}, {"tol": float("nan")},
+    for bad in ({"tol": 0.0}, {"tol": -1e-9}, {"tol": float("nan")},
                 {"tol": float("inf")}, {"depth": 1}):
         with pytest.raises(ValueError):
             run_verification(**bad)
     for bad in (0, 1):
         with pytest.raises(ValueError, match="grid_points"):
             run_verification(grid_points=bad)
-    for bad in ({"dimension": 2.5}, {"grid_points": 3.5}, {"tol": "1e-9"}, {"tol": True}):
+    for bad in ({"grid_points": 3.5}, {"tol": "1e-9"}, {"tol": True}):
         with pytest.raises(TypeError):
             run_verification(**bad)
+
+
+def test_dimension_is_no_setting_of_the_suite():
+    # the linear distortion check reads the closed form 1, in any dimension
+    with pytest.raises(TypeError, match="dimension"):
+        run_verification(dimension=2)
+    report = run_verification(depth=2, grid_points=2)
+    assert report["schema_version"] == verify.SCHEMA_VERSION == 2
+    assert set(report["config"]) == {"K", "depth", "grid_points", "tol"}
 
 
 @pytest.mark.parametrize("given, plain", [
@@ -584,8 +593,8 @@ def test_parameters_checked_before_any_check_runs(monkeypatch):
     ({"K": Fraction(137, 100)}, {"K": 1.37}),
     ({"tol": np.float32(1e-9)}, {"tol": float(np.float32(1e-9))}),
     ({"tol": Fraction(1, 10**9)}, {"tol": 1e-9}),
-    ({"depth": np.int64(10_000), "dimension": np.int64(3), "grid_points": np.int64(500)},
-     {"depth": 10_000, "dimension": 3, "grid_points": 500}),
+    ({"depth": np.int64(10_000), "grid_points": np.int64(500)},
+     {"depth": 10_000, "grid_points": 500}),
 ], ids=["float32 K", "int64 K", "int K", "Fraction K", "float32 tol", "Fraction tol",
         "int64 counts"])
 def test_the_suite_computes_with_its_checked_settings(given, plain):

@@ -654,6 +654,29 @@ class TestHomogeneityDefect:
             homogeneity_defect(limit_function(f, "P1"), samples)
 
 
+    @pytest.mark.parametrize("kind, want", [
+        (None, 4.440892098500626e-16), ("P1", 0.11272101472747131), ("Q1", 0.22748942958693785),
+    ])
+    def test_sums_are_plain_floats_left_to_right(self, kind, want):
+        # verify's three defects at this K: np.dot took the two sums through the BLAS
+        # kernel, and read 0.0, 0.11272101472747154 and 0.22748942958693807 on one
+        f = build_standard_map(1.1441591233355553)
+        evalf = (lambda v: f.K * v) if kind is None else limit_function(f, kind).eval_log
+        xs = [0.0, f.breakpoint(1), f.breakpoint(2)]
+        ys = [evalf(x) for x in xs]
+        sxy = sxx = 0.0
+        for x, y in zip(xs, ys):
+            sxy += x * y
+            sxx += x * x
+        reference = max(abs(y - sxy / sxx * x) for x, y in zip(xs, ys))
+        assert reference == want
+        assert homogeneity_defect(evalf, xs).hex() == reference.hex()
+
+    def test_samples_whose_squares_underflow_raise(self):
+        # their sum of squares is 0.0, which made the slope a ZeroDivisionError
+        with pytest.raises(ValueError, match="their squares underflow"):
+            homogeneity_defect(lambda v: 2.0 * v, [0.0, -1e-200, -2e-200])
+
     @pytest.mark.parametrize("value, samples", [
         (math.nan, [-1.0, -2.0, -3.0]),
         (math.inf, [-1.0, -2.0, -3.0]),
