@@ -445,6 +445,25 @@ def test_hostile_count_raises_the_checkers_error(entry, least, case):
             entry(value)
 
 
+#: every count that is a dimension: its call, and its value where that is in float64
+DIMENSION_COUNTS = {
+    name: (entry, 1.0 if name.startswith("linear_distortion_radial") else None)
+    for name, (entry, _) in COUNT_ENTRY_POINTS.items() if name.endswith(" d")
+}
+
+
+@pytest.mark.parametrize("over", [2**16 + 1, 2**63, BIG], ids=["2**16 + 1", "2**63", "10**400"])
+@pytest.mark.parametrize("entry, value", DIMENSION_COUNTS.values(), ids=DIMENSION_COUNTS)
+def test_a_dimension_has_no_bound_above(entry, value, over):
+    # the one rule d >= 2: a huge dimension gives its closed form, or, where the
+    # result leaves float64, the overflow error, and never a bound of its own
+    if value is not None:
+        assert entry(over) == value
+    else:
+        with pytest.raises(ValueError, match="overflows float64"):
+            entry(over)
+
+
 # --- the command line --------------------------------------------------------
 
 #: a valid command line of each subcommand, as flag -> value
@@ -490,7 +509,7 @@ CLI_FLAGS = {
     "ivt": ["--K", "--tol", "--r0", "--log2-r0", "--lambda", "--log2-lambda", "--period"],
     "iterate": ["--K", "--r", "--log2-r", "--iterates"],
     "distortion": ["--K", "--d", "--alpha", "--iterates"],
-    "verify": ["--K", "--depth", "--grid-points", "--tol"],
+    "verify": ["--K", "--d", "--depth", "--grid-points", "--tol"],  # --d: a flag it lacks
 }
 #: hostile config files, each with a setting no command line above gives
 CLI_CONFIGS = {
