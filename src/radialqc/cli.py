@@ -21,7 +21,6 @@ import contextlib
 import functools
 import inspect
 import json
-import math
 import os
 import sys
 
@@ -32,7 +31,8 @@ from .distortion import (
     max_distortion,
     radial_power_distortion,
 )
-from .powermap import MAX_BREAKPOINT_INDEX, _count, _index_array, _period, build_standard_map
+from .powermap import (MAX_BREAKPOINT_INDEX, _count, _index_array, _period, _to_linear,
+                       _to_log2, build_standard_map)
 from .uqrmap import build_conjugated_map
 from .verify import _MAX_GRID_POINTS, SCHEMA_VERSION, _checked_settings, run_verification
 from .zoom import (
@@ -128,11 +128,6 @@ def _cells(col):
     return list(map(text.__getitem__, inverse.tolist()))
 
 
-def _exp2(col):
-    """2**v for each entry, by Python's float power as the tables always were."""
-    return np.array([2.0**v for v in col.tolist()])
-
-
 def _emit_table(cfg, command, header, blocks, extra=None):
     """Write a table as CSV or JSON, streamed in chunks of ``_CHUNK_ROWS`` rows.
 
@@ -214,11 +209,10 @@ def _log2_inputs(args, flag, repeatable=False):
         linear, log2 = linear[-1:], log2[-1:]
         if len(linear) + len(log2) != 1:
             raise UsageError(f"give exactly one of --{flag} or --log2-{flag}")
-    if not all(0.0 < r <= 1.0 for r in linear):
-        raise UsageError(f"--{flag} must lie in (0, 1]")
+    linear = _to_log2(linear, f"--{flag}", allow_zero_radius=False).tolist()
     if any(x > 0.0 for x in log2):
         raise UsageError(f"--log2-{flag} must be <= 0")
-    return [math.log2(r) for r in linear] + [float(x) for x in log2]
+    return linear + [float(x) for x in log2]
 
 
 def _eval_target(name, f, h):
@@ -234,7 +228,7 @@ def _cmd_eval(cfg, args) -> int:
         raise UsageError("give at least one radius via --r or --log2-r")
     ys = target.eval_log(xs)
     _emit_table(cfg, "eval", ("r", "log2_r", "value", "log2_value"),
-                [(_exp2(xs), xs, _exp2(ys), ys)])
+                [(_to_linear(xs), xs, _to_linear(ys), ys)])
     return 0
 
 
@@ -299,7 +293,7 @@ def _cmd_iterate(cfg, args) -> int:
         for lo in range(0, args.iterates + 1, _CHUNK_ROWS):
             m = np.arange(lo, min(lo + _CHUNK_ROWS, args.iterates + 1))
             y = h.iterate(x0, m)
-            yield m, y, _exp2(y)
+            yield m, y, _to_linear(y)
 
     _emit_table(cfg, "iterate", ("m", "log2_value", "value"), blocks())
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .powermap import _count, _floats, _real
+from .powermap import _count, _floats, _real, _to_linear, _to_log2
 from .uqrmap import ConjugatedMap, _base_of
 
 __all__ = [
@@ -56,9 +56,10 @@ def radial_power_distortion(alpha, d, location=SUPREMUM) -> DistortionReport:
     """Closed-form distortion of the radial stretch r^alpha; an overflow raises ValueError."""
     a = _real(alpha, "alpha")
     d = _count(d, "dimension", 2)
-    try:
-        K_O, K_I = (a ** (d - 1), a) if a >= 1.0 else (1.0 / a, a ** (1 - d))
+    try:  # at alpha = 1 both are 1 in every dimension, also one beyond the float range
+        K_O, K_I = (a ** (d - 1) if a > 1.0 else 1.0, a) if a >= 1.0 else (1.0 / a, a ** (1 - d))
     except OverflowError:
+        d = d if d < 2**64 else f">= 2**{d.bit_length() - 1}"  # not all the digits of a huge d
         raise ValueError(f"distortion of alpha = {a} in dimension {d} overflows float64") from None
     return DistortionReport(K_O, K_I, d, location)
 
@@ -77,7 +78,7 @@ def pointwise_distortion(map_, d, x) -> DistortionReport:
 
 def _linear_radial_eval(map_or_fn):
     if hasattr(map_or_fn, "eval_log"):
-        return lambda r: 2.0 ** map_or_fn.eval_log(math.log2(r))
+        return lambda r: _to_linear(map_or_fn.eval_log(_to_log2(r, "r")))
     if callable(map_or_fn):
         return lambda r: float(map_or_fn(r))
     raise TypeError("need a radial map exposing eval_log, or a callable r -> f(r)")
@@ -102,14 +103,15 @@ def finite_difference_distortion(map_, d, x, step) -> DistortionReport:
     if not (isinstance(x, float) and math.isfinite(x) and x <= 0.0):
         raise ValueError("x must be a finite log2 radius <= 0")
     step = _real(step, "step")
-    r = 2.0**x
+    r = _to_linear(x)
     if r - step <= 0.0:
         raise ValueError("step too large: r - step must stay positive")
     if hasattr(map_, "eval_log"):
         _base_of(map_)
         if r + step > 1.0:
             raise ValueError("step too large: r + step leaves the unit interval")
-        if map_.locate_interval(math.log2(r - step)) != map_.locate_interval(math.log2(r + step)):
+        log2_lo, log2_hi = _to_log2(r - step, "r"), _to_log2(r + step, "r")
+        if map_.locate_interval(log2_lo) != map_.locate_interval(log2_hi):
             raise ValueError("finite-difference step crosses a breakpoint")
     return DistortionReport(*_finite_difference(_linear_radial_eval(map_), d, r, step), d, x)
 
@@ -149,12 +151,7 @@ def max_distortion(map_, d) -> DistortionReport:
 def _supremum(exponents, d) -> DistortionReport:
     """Componentwise max of the closed-form reports over branch exponents."""
     reports = [radial_power_distortion(a, d) for a in exponents]
-    return DistortionReport(
-        K_O=max(rep.K_O for rep in reports),
-        K_I=max(rep.K_I for rep in reports),
-        dimension=d,
-        location=SUPREMUM,
-    )
+    return DistortionReport(max(rep.K_O for rep in reports), max(rep.K_I for rep in reports), d)
 
 
 def iterate_max_distortion(h, d, m_max):

@@ -31,6 +31,7 @@ from .powermap import (
     _parameter,
     _period,
     _real,
+    _to_linear,
     breakpoint_log2,
     build_standard_map,
 )
@@ -359,13 +360,12 @@ def run_verification(K=2.0, depth=GUARD_DEPTH, grid_points=1000, tol=1e-9):
     # --- distortion ----------------------------------------------------------
     # finite_difference_distortion's estimate at 300 fixed log2 radii in [-6, -0.05),
     # 20 for each (alpha, d), with no check of these inputs
-    fd_radii = iter((-6.0 + 5.95 * _weyl(300)).reshape(15, 20).tolist())
+    fd_radii = iter(_to_linear(-6.0 + 5.95 * _weyl(300)).reshape(15, 20).tolist())
     fd_worst = 0.0
     for alpha in (0.3, 0.5, 1.0, 2.0, 3.7):
         for d in (2, 3, 4):
             closed = radial_power_distortion(alpha, d)
-            for x in next(fd_radii):
-                r = 2.0**x
+            for r in next(fd_radii):
                 K_O, K_I = _finite_difference(lambda v, a=alpha: v**a, d, r, 1e-6 * r)
                 fd_worst = max(fd_worst, abs(K_O - closed.K_O) / closed.K_O,
                                abs(K_I - closed.K_I) / closed.K_I)

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from radialqc import (
+    DistortionReport,
     breakpoint_log2,
     cli,
     build_conjugated_map,
@@ -462,6 +463,23 @@ def test_a_dimension_has_no_bound_above(entry, value, over):
     else:
         with pytest.raises(ValueError, match="overflows float64"):
             entry(over)
+
+
+@pytest.mark.parametrize("over", [2**16 + 1, 2**63, BIG], ids=["2**16 + 1", "2**63", "10**400"])
+def test_alpha_one_is_undistorted_in_every_dimension(over, capsys):
+    # K_O = K_I = 1, also where d - 1 does not convert to a float, and so on the command line
+    assert radial_power_distortion(1.0, over) == DistortionReport(1.0, 1.0, over)
+    assert cli.main(["distortion", "--alpha", "1", "--d", str(over)]) == 0
+    assert capsys.readouterr().out == "m,K_O,K_I,K_max\r\n1,1,1,1\r\nsup,1,1,1\r\n"
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.5])
+def test_an_overflow_names_a_huge_dimension_briefly(alpha):
+    with pytest.raises(ValueError, match="overflows float64") as exc:
+        radial_power_distortion(alpha, BIG)
+    # the dimension by its power of two, not by its 401 digits
+    assert str(exc.value) == (
+        f"distortion of alpha = {alpha} in dimension >= 2**1328 overflows float64")
 
 
 # --- the command line --------------------------------------------------------

@@ -21,9 +21,16 @@ ivt's inverse cell map, with and without the sentinel, must also be the
 cell edge, where the two lines are closest.  An array mixing bad lanes
 raises the message of the first check that fails over all lanes, in the
 order NaN or +inf, positive, too deep, sentinel.
+
+The linear scale meets log2 in ``powermap._to_log2`` and ``_to_linear``
+alone, entry by entry through libm's log2 and pow: ``f.eval`` gives the
+CLI's bits on every input shape, and no numpy function whose bits follow the
+dispatch target or the BLAS kernel appears in the package.
 """
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -32,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_envelope import K_VALUES, branch_switch, log_radii, switch_lanes
 
+import radialqc.cli
 import radialqc.distortion
 import radialqc.powermap
 import radialqc.uqrmap
@@ -45,6 +53,7 @@ from radialqc import (
     ivt_sample,
     limit_function,
     max_distortion,
+    finite_difference_distortion,
     pointwise_distortion,
     radial_power_distortion,
     rescaled_eval,
@@ -165,10 +174,11 @@ def test_float_path_uses_no_numpy(monkeypatch):
                 radial_power_distortion(2.5, 3), max_distortion(h, 3),
                 iterate_max_distortion(h, 3, 4),
                 *(ivt_sample(map_, r0, lam, 1e-9) for map_, lam in targets),
-                breakpoint_log2(2.0, 7), f.breakpoint(7), scale_at(f, "odd", 3), h.iterate(x, 3)]
+                breakpoint_log2(2.0, 7), f.breakpoint(7), scale_at(f, "odd", 3), h.iterate(x, 3),
+                f.eval(0.8), f.eval(0.0), finite_difference_distortion(h, 3, -0.6, 1e-9)]
 
     want = calls()
-    solved_f, snapped_f, solved_h, snapped_h = want[-8:-4]
+    solved_f, snapped_f, solved_h, snapped_h = want[-11:-7]
     assert snapped_f == scale_at(f, "even", 1) != solved_f
     assert snapped_h == scale_at(h, "even", 1) != solved_h
     assert not hasattr(radialqc.distortion, "np")  # which imports no numpy at all
@@ -533,3 +543,78 @@ def test_a_sentinel_lane_does_not_hide_a_too_deep_one():
             with pytest.raises(ValueError) as exc:
                 fn(np.array(x))
             assert str(exc.value) == message.format("x"), x
+
+
+# --- the linear scale ----------------------------------------------------------
+
+#: linear radii at the edges of the float range: the ends, subnormals, the
+#: smallest normal and its neighbours, and the float below 1
+EDGE_RADII = [0.0, 1.0, 5e-324, 3 * 5e-324, 2.0**-1060, 2.0**-1022 - 5e-324, 2.0**-1022,
+              2.0**-1022 + 5e-324, 0.5, 1.0 - 2.0**-53]
+
+
+def cli_route(f, r):
+    """f(r) as the CLI's value column gives it: libm's log2, the map, Python's
+    float power; radius 0 is the sentinel, so its image is 0.0."""
+    return 2.0 ** f.eval_log(math.log2(r)) if r else 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("K", [2.0, 3.0, 1.37])
+def test_eval_gives_the_bits_of_libm_log2_and_pow(K, seed):
+    # on every input shape, with numpy's dispatch on or off: np.log2 and np.exp2
+    # differed from this route on 20 to 33 of 400 uniform radii at K = 2
+    f = build_standard_map(K)
+    rs = np.concatenate([np.random.default_rng(seed).uniform(0.0, 1.0, 400), EDGE_RADII])
+    want = [cli_route(f, r).hex() for r in rs.tolist()]
+    assert [v.hex() for v in f.eval(rs).tolist()] == want
+    assert [f.eval(r).hex() for r in rs.tolist()] == want
+    assert [f.eval(np.array(r)).hex() for r in rs.tolist()] == want
+    assert all(type(f.eval(arg)) is float for arg in (0.5, np.float64(0.5), np.array(0.5), 0, 1))
+    grid = f.eval(rs[:400].reshape(20, 20))
+    assert grid.dtype == np.float64 and grid.shape == (20, 20)
+    assert [v.hex() for v in grid.ravel().tolist()] == want[:400]
+    assert f.eval(np.array([])).dtype == np.float64
+
+
+@pytest.mark.parametrize("K", [2.0, 3.0, 1.37])
+def test_the_cli_value_column_is_the_text_of_eval(K, capsys):
+    rs = [r for r in np.random.default_rng(5).uniform(0.0, 1.0, 40).tolist() + EDGE_RADII if r]
+    argv = ["eval", "--map", "f", "--K", repr(K), *(f"--r={r!r}" for r in rs)]
+    assert radialqc.cli.main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split("\r\n")[1:-1]]
+    f = build_standard_map(K)
+    assert [row[2] for row in rows] == ["%.17g" % f.eval(r) for r in rs]
+
+
+#: numpy functions whose result bits follow the CPU dispatch target or the BLAS kernel
+DISPATCHED = {"log2", "exp2", "power", "dot"}
+
+
+def dispatched_uses(source):
+    """Each ``np.<name>`` or ``numpy.<name>`` read, or ``from numpy import <name>``,
+    of a name in ``DISPATCHED`` in ``source``: the code, not its comments or strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in DISPATCHED
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.attr))
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in DISPATCHED]
+    return found
+
+
+def test_no_dispatched_numpy_function_appears_in_the_package():
+    package = pathlib.Path(radialqc.powermap.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 8
+    found = {p.name: uses for p in sources if (uses := dispatched_uses(p.read_text("utf-8")))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("line", ["y = np.log2(x)", "y = numpy.exp2(x)", "f = np.power",
+                                  "y = np.dot(a, b)", "from numpy import log2, sqrt"])
+def test_the_dispatch_rule_sees_each_form(line):
+    assert dispatched_uses(f"import numpy as np\n{line}\n# np.exp2 in a comment\n") != []
+    assert dispatched_uses('"""np.log2 in a docstring"""\n# np.dot in a comment\n') == []

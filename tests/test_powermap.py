@@ -28,7 +28,7 @@ from radialqc import (
     rescaled_eval,
 )
 from radialqc import powermap
-from radialqc.powermap import _breakpoint_log2
+from radialqc.powermap import _breakpoint_log2, _to_linear
 from radialqc.verify import _coefficient_log2
 from test_drivers import DRIVER_K
 from test_envelope import ENVELOPE, ExactMaps, branch_switch, error_units
@@ -473,8 +473,18 @@ class TestLinearScale:
                 f.eval(bad)
 
     def test_underflow_to_zero_documented_behavior(self):
+        # the package's way back to the linear scale underflows quietly to 0.0 from
+        # 2**-1075 down (the tie goes to even), as a float and on each array entry
         f = build_standard_map(2.0)
-        assert np.exp2(f.eval_log(-2000.0)) == 0.0
+        deep = f.eval_log(-2000.0)
+        assert deep == -1600.0 and _to_linear(deep) == 0.0
+        xs = np.array([deep, -1075.0, np.nextafter(-1075.0, 0.0), -1074.0, -math.inf])
+        assert _to_linear(xs).tolist() == [0.0, 0.0, 5e-324, 5e-324, 0.0]
+        # eval's own zero: radius 0 is the sentinel, whose image is 0.0, and the
+        # smallest subnormal radius maps well inside the float range (P > 2)
+        assert f.eval(0.0) == f.eval(-0.0) == 0.0
+        assert f.eval(np.array([0.0, 5e-324, 1.0])).tolist() == [0.0, f.eval(5e-324), 1.0]
+        assert f.eval(5e-324) == 2.0 ** f.eval_log(-1074.0) > 2.0**-1022
 
 
 class TestMeanRadius:
